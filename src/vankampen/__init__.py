@@ -9,7 +9,6 @@ worked presentations and diagram families.
 from .presentation import (
     CyclicWord,
     Generator,
-    Letter,
     Presentation,
     PresentationError,
     TwoComplex,

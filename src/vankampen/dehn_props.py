@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Tuple
 
-from .presentation import Presentation, TwoComplex, Word, invert_ints
-from .group_models import FreeProductModel, cell_embeds, trivial_subword_witness
+from .presentation import Presentation, TwoComplex, Word, symmetrized
+from .group_models import FreeProductModel, trivial_subword_witness
 from .diagram import (
     DiskDiagram,
     find_cutcells,
@@ -134,13 +134,6 @@ class Piece:
     site_b: PieceSite
 
 
-def _symmetrized_forms(p: Presentation):
-    for idx, r in enumerate(p.relators):
-        for orient, base in ((1, r.letters), (-1, invert_ints(r.letters))):
-            for rot in range(len(base)):
-                yield (base[rot:] + base[:rot], PieceSite(idx, rot, orient))
-
-
 def pieces(p: Presentation) -> List[Piece]:
     """Maximal common boundary arcs between 2-cell sites.
 
@@ -148,7 +141,7 @@ def pieces(p: Presentation) -> List[Piece]:
     (self-overlaps at distinct sites included); a site is never compared
     with itself.
     """
-    forms = list(_symmetrized_forms(p))
+    forms = [(w, PieceSite(idx, rot, orient)) for w, idx, rot, orient in symmetrized(p.relators)]
     out: List[Piece] = []
     seen = set()
     for i in range(len(forms)):
@@ -192,8 +185,8 @@ def check_cells_embed(p: Presentation, m: FreeProductModel) -> PropertyReport:
     """Apply the boundary-circuit embedding test to every relator."""
     violations = []
     for idx, r in enumerate(p.relators):
-        if not cell_embeds(r, m):
-            witness = trivial_subword_witness(r, m)
+        witness = trivial_subword_witness(r, m)
+        if witness is not None:
             violations.append(
                 (r, f"relator {idx} has trivial proper subword {witness.text()!r}")
             )

@@ -16,12 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .presentation import (
-    CyclicWord,
-    TwoComplex,
-    invert_ints,
-    letters_text,
-)
+from .presentation import CyclicWord, TwoComplex, letters_text, symmetrized
 from .group_models import FreeProductModel, GroupElement
 
 
@@ -486,13 +481,10 @@ def relator_forms(x: TwoComplex) -> List[Tuple[Tuple[int, ...], int, int]]:
     """
     forms = []
     seen = set()
-    for idx, r in enumerate(x.face_words()):
-        for orient, base in ((1, r.letters), (-1, invert_ints(r.letters))):
-            for i in range(len(base)):
-                w = base[i:] + base[:i]
-                if w not in seen:
-                    seen.add(w)
-                    forms.append((w, idx, orient))
+    for w, idx, _rot, orient in symmetrized(x.face_words()):
+        if w not in seen:
+            seen.add(w)
+            forms.append((w, idx, orient))
     return forms
 
 
@@ -774,33 +766,32 @@ def _boundary_preimage_components(d: DiskDiagram, fi: int) -> List[List[Tuple[st
 # surgery
 
 
+def _restrict(d: DiskDiagram, keep: set, outer: int) -> DiskDiagram:
+    """The submap on ``keep`` (closed under opposition), renumbered in dart
+    order so pairs stay ``(2i, 2i + 1)``; sigma steps past removed darts."""
+    darts = [t for t in range(d.n_darts) if t in keep]
+    remap = {t: i for i, t in enumerate(darts)}
+    sigma = []
+    for t in darts:
+        e = d.sigma[t]
+        while e not in keep:
+            e = d.sigma[e]
+        sigma.append(remap[e])
+    labels = [d.labels[t] for t in darts]
+    return DiskDiagram(sigma, labels, d.alphabet, remap[outer])
+
+
 def _delete_darts(d: DiskDiagram, dead: Iterable[int], outer_hint: Optional[int]) -> DiskDiagram:
     dead_set = set(dead)
     for t in dead_set:
         if t ^ 1 not in dead_set:
             raise DiagramError("dart deletions must be closed under opposition")
-    n = d.n_darts
-    keep = [t for t in range(n) if t not in dead_set]
+    keep = set(range(d.n_darts)) - dead_set
     if not keep:
         return DiskDiagram.single_vertex(d.alphabet)
-    remap = {}
-    nxt = 0
-    for t in keep:
-        if t not in remap:
-            remap[t] = nxt
-            remap[t ^ 1] = nxt + 1
-            nxt += 2
-    sigma = [0] * len(keep)
-    labels = [0] * len(keep)
-    for t in keep:
-        e = d.sigma[t]
-        while e in dead_set:
-            e = d.sigma[e]
-        sigma[remap[t]] = remap[e]
-        labels[remap[t]] = d.labels[t]
     if outer_hint is None or outer_hint in dead_set:
         raise DiagramError("need a surviving outer dart")
-    return DiskDiagram(sigma, labels, d.alphabet, remap[outer_hint])
+    return _restrict(d, keep, outer_hint)
 
 
 def remove_spur(d: DiskDiagram, dart: int) -> DiskDiagram:
@@ -918,26 +909,6 @@ def add_edge_path(d: DiskDiagram, pos: int, word: Sequence[int]) -> DiskDiagram:
     w = tuple(word)
     if not w:
         return d
-    if d.n_darts == 0:
-        n = 0
-        sigma = []
-        labels = []
-        m = len(w)
-        bs = [2 * j for j in range(m)]
-        for j in range(m):
-            labels.extend([0, 0])
-            labels[bs[j]] = w[j]
-            labels[bs[j] ^ 1] = -w[j]
-        sigma = [0] * (2 * m)
-        for j in range(m - 1):
-            sigma[bs[j] ^ 1] = bs[j + 1]
-            sigma[bs[j + 1]] = bs[j] ^ 1
-        sigma[bs[0]] = bs[0]
-        sigma[bs[m - 1] ^ 1] = bs[m - 1] ^ 1
-        return DiskDiagram(sigma, labels, d.alphabet, 1)
-    O = d.outer_orbit()
-    B = len(O)
-    pos %= B
     n = d.n_darts
     m = len(w)
     sigma = list(d.sigma) + [0] * (2 * m)
@@ -949,11 +920,15 @@ def add_edge_path(d: DiskDiagram, pos: int, word: Sequence[int]) -> DiskDiagram:
     for j in range(m - 1):
         sigma[bs[j] ^ 1] = bs[j + 1]
         sigma[bs[j + 1]] = bs[j] ^ 1
-    q_first = O[pos]
-    q_prev = O[(pos - 1) % B]
-    sigma[q_prev ^ 1] = bs[0]
-    sigma[bs[0]] = q_first
     sigma[bs[m - 1] ^ 1] = bs[m - 1] ^ 1
+    if n == 0:
+        sigma[bs[0]] = bs[0]
+        return DiskDiagram(sigma, labels, d.alphabet, 1)
+    O = d.outer_orbit()
+    B = len(O)
+    pos %= B
+    sigma[O[(pos - 1) % B] ^ 1] = bs[0]
+    sigma[bs[0]] = O[pos]
     return DiskDiagram(sigma, labels, d.alphabet, d.outer_dart)
 
 
@@ -1003,35 +978,15 @@ def disk_pieces(d: DiskDiagram) -> List[DiskDiagram]:
 
 
 def _extract_faces(d: DiskDiagram, faces_keep: set) -> DiskDiagram:
-    keep = [
+    keep = {
         t
         for t in range(d.n_darts)
         if d.face_of(t) in faces_keep or d.face_of(t ^ 1) in faces_keep
-    ]
-    keep_set = set(keep)
-    remap = {}
-    nxt = 0
-    for t in keep:
-        if t not in remap:
-            remap[t] = nxt
-            remap[t ^ 1] = nxt + 1
-            nxt += 2
-    sigma = [0] * len(keep)
-    labels = [0] * len(keep)
-    for t in keep:
-        e = d.sigma[t]
-        while e not in keep_set:
-            e = d.sigma[e]
-        sigma[remap[t]] = remap[e]
-        labels[remap[t]] = d.labels[t]
-    outer_hint = None
-    for t in keep:
-        if d.face_of(t) not in faces_keep:
-            outer_hint = remap[t]
-            break
-    if outer_hint is None:
+    }
+    outer = next((t for t in sorted(keep) if d.face_of(t) not in faces_keep), None)
+    if outer is None:
         raise DiagramError("face extraction lost the outer region")
-    return DiskDiagram(sigma, labels, d.alphabet, outer_hint)
+    return _restrict(d, keep, outer)
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .presentation import CyclicWord, TwoComplex, Word, invert_ints, reduce_ints
+from .presentation import (
+    CyclicWord,
+    TwoComplex,
+    Word,
+    invert_ints,
+    least_rotation,
+    reduce_ints,
+)
 from .group_models import FreeProductModel
 from .diagram import (
     DiskDiagram,
@@ -39,37 +46,11 @@ class ResourceCapError(RuntimeError):
 class EnumerationConfig:
     max_area: int
     max_perimeter: Optional[int] = None
-    require_reduced: bool = True
-    up_to_iso: bool = True
     max_candidates: Optional[int] = None
 
     def __post_init__(self):
         if self.max_area < 1:
             raise ValueError("max_area must be at least 1")
-
-
-def _least_rotation(s: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Booth's algorithm."""
-    n = len(s)
-    if n <= 1:
-        return s
-    s2 = s + s
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = s2[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s2[k + i + 1]:
-            if sj < s2[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s2[k + i + 1]:
-            if sj < s2[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return s2[k : k + n]
 
 
 def canonical_cyclic(letters: Sequence[int]) -> Tuple[int, ...]:
@@ -81,7 +62,11 @@ def canonical_cyclic(letters: Sequence[int]) -> Tuple[int, ...]:
         w = w[1:-1]
     if not w:
         return ()
-    return min(_least_rotation(tuple(w)), _least_rotation(invert_ints(w)))
+    w = tuple(w)
+    inv = invert_ints(w)
+    i = least_rotation(w)
+    j = least_rotation(inv)
+    return min(w[i:] + w[:i], inv[j:] + inv[:j])
 
 
 def _seed_diagrams(x: TwoComplex) -> List[DiskDiagram]:
@@ -95,8 +80,8 @@ def enumerate_diagrams(x: TwoComplex, cfg: EnumerationConfig) -> Iterator[DiskDi
     Diagrams are grown by attaching one 2-cell along a boundary arc (all
     relator rotations and orientations, all overlap lengths, including the
     pocket-closing gluings that pinch two boundary vertices together);
-    non-disk and, when requested, non-reduced results are filtered, and
-    isomorphism classes are emitted once.
+    non-disk and non-reduced results are filtered, and isomorphism classes
+    are emitted once.
     """
     if not x.faces:
         raise ValueError("complex has no 2-cells")
@@ -108,16 +93,12 @@ def enumerate_diagrams(x: TwoComplex, cfg: EnumerationConfig) -> Iterator[DiskDi
     def admit(d: DiskDiagram) -> bool:
         if cfg.max_perimeter is not None and d.perimeter > cfg.max_perimeter:
             return False
-        if not is_topological_disk(d):
-            return False
-        if cfg.require_reduced and reduced_witness(d) is not None:
-            return False
-        return True
+        return is_topological_disk(d) and reduced_witness(d) is None
 
     first: Dict[Tuple, DiskDiagram] = {}
     for d in _seed_diagrams(x):
         if admit(d):
-            code = _iso_key(d, cfg.up_to_iso)
+            code = d.canonical_code()
             if code not in seen:
                 seen.add(code)
                 first[code] = d
@@ -148,28 +129,12 @@ def enumerate_diagrams(x: TwoComplex, cfg: EnumerationConfig) -> Iterator[DiskDi
                         child = attach_face(parent, pos, k, w)
                         if child is None or not admit(child):
                             continue
-                        code = _iso_key(child, cfg.up_to_iso)
+                        code = child.canonical_code()
                         if code not in seen:
                             seen.add(code)
                             nxt[code] = child
         level = [nxt[c] for c in sorted(nxt)]
         yield from level
-
-
-def _iso_key(d: DiskDiagram, up_to_iso: bool) -> Tuple:
-    # up_to_iso=False keeps chiral pairs apart (no mirror identification)
-    if up_to_iso:
-        return d.canonical_code()
-    if d.n_darts == 0:
-        return (d.alphabet, (), "chiral")
-    best = None
-    O = d.outer_orbit()
-    outer_labels = [d.labels[q] for q in O]
-    for i in d._min_rotation_starts(outer_labels):
-        code = d._code_from(O[i], d.sigma)
-        if best is None or code < best:
-            best = code
-    return (d.alphabet, best, "chiral")
 
 
 def enumeration_summary(diagrams: Iterable[DiskDiagram]) -> Dict[int, int]:
@@ -576,6 +541,14 @@ def area_oracle(
     raise ValueError(f"unknown oracle method {method!r}")
 
 
+def _moves(cur: Tuple[int, ...], forms: List[Tuple[int, ...]]) -> Iterator[Tuple[int, ...]]:
+    """Canonical forms of ``cur`` with a relator form inserted at each position."""
+    m = len(cur)
+    for formw in forms:
+        for i in range(m):
+            yield canonical_cyclic(cur[:i] + formw + cur[i:])
+
+
 def _perfect_probe(
     letters: Tuple[int, ...],
     h0: int,
@@ -595,13 +568,7 @@ def _perfect_probe(
     nodes = 0
 
     def successors(cur: Tuple[int, ...], remaining: int) -> List[Tuple[int, ...]]:
-        out = set()
-        m = len(cur)
-        for formw in forms:
-            for i in range(m):
-                nxt = canonical_cyclic(cur[:i] + formw + cur[i:])
-                if len(nxt) <= length_cap and nxt not in seen:
-                    out.add(nxt)
+        out = {nxt for nxt in _moves(cur, forms) if len(nxt) <= length_cap and nxt not in seen}
         keep = []
         for nxt in out:
             h = heuristic(nxt)
@@ -682,12 +649,7 @@ def _relator_bfs(
         if expanded > max_expansions:
             return AreaResult(None, False, "relator_bfs", expanded=expanded, capped=True,
                               note="expansion cap hit")
-        succs = set()
-        m = len(cur)
-        for formw in forms:
-            for i in range(m):
-                succs.add(canonical_cyclic(cur[:i] + formw + cur[i:]))
-        for nxt in succs:
+        for nxt in set(_moves(cur, forms)):
             if len(nxt) > length_cap:
                 capped = True
                 continue
@@ -707,20 +669,20 @@ _BOUND_CACHE: Dict[Tuple, _InvariantBound] = {}
 _TABLE_CACHE: Dict[Tuple, Dict[Tuple[int, ...], int]] = {}
 
 
-def _complex_key(x: TwoComplex) -> Tuple:
-    return (x.alphabet, tuple(x.faces))
-
-
 def _bound_for(x: TwoComplex, model: Optional[FreeProductModel]) -> _InvariantBound:
-    key = (_complex_key(x), id(model) if model is not None else None)
-    if key not in _BOUND_CACHE:
-        _BOUND_CACHE[key] = _InvariantBound(x, model)
-    return _BOUND_CACHE[key]
+    # keyed by what the bound reads: the complex and a rank-2 model's projection
+    pi = None
+    if model is not None and model.abelian_rank == 2:
+        pi = tuple(map(model.pi, x.alphabet))
+    hb = _BOUND_CACHE.get((x, pi))
+    if hb is None:
+        hb = _BOUND_CACHE[x, pi] = _InvariantBound(x, model)
+    return hb
 
 
 def disk_boundary_table(x: TwoComplex, bound: int) -> Dict[Tuple[int, ...], int]:
     """Canonical boundary word -> minimal enumerated-disk area (cached)."""
-    key = (_complex_key(x), bound)
+    key = (x, bound)
     if key not in _TABLE_CACHE:
         table: Dict[Tuple[int, ...], int] = {}
         for d in enumerate_diagrams(x, EnumerationConfig(max_area=bound)):

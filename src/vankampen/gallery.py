@@ -20,6 +20,7 @@ and triangle-type cells lower-left ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Dict, Optional, Tuple
 
 from .presentation import Presentation
@@ -157,124 +158,84 @@ def figure_diagram(fig: int, n: int) -> DiskDiagram:
     raise ValueError(f"no figure diagram {fig!r} (expected 1 or 3)")
 
 
+def _grid(n: int, per_square: int):
+    """Darts and labels of the n-by-n grid's edges.
+
+    Edge ids run over the horizontal a-edges h(x,y) (x<n, y<=n), the
+    vertical b-edges v(x,y) (x<=n, y<n), then ``per_square`` edges
+    s(x,y,i) inside each square, labelled 3 + i.  The returned maps give
+    each edge's positive dart: h to (x+1,y), v to (x,y+1).
+    """
+    ids = count()
+    h = {(x, y): 2 * next(ids) for y in range(n + 1) for x in range(n)}
+    v = {(x, y): 2 * next(ids) for y in range(n) for x in range(n + 1)}
+    s = {
+        (x, y, i): 2 * next(ids)
+        for y in range(n)
+        for x in range(n)
+        for i in range(per_square)
+    }
+    edge_labels = [1] * len(h) + [2] * len(v) + [3 + i for (_x, _y, i) in s]
+    labels = [sign * lab for lab in edge_labels for sign in (1, -1)]
+    return h, v, s, labels
+
+
+def _set_rotation(sigma: list, cyc: list) -> None:
+    """Make ``cyc`` the cyclic order of the darts leaving one vertex."""
+    for i, dd in enumerate(cyc):
+        sigma[dd] = cyc[(i + 1) % len(cyc)]
+
+
 def _figure1(n: int) -> DiskDiagram:
-    alphabet = ("a", "b", "c")
-    # edges: h(x,y) x<n,y<=n label a; v(x,y) x<=n,y<n label b;
-    # c(x,y) x<n,y<n: the monogon loop at the base corner of each square
-    h_id: Dict[Tuple[int, int], int] = {}
-    v_id: Dict[Tuple[int, int], int] = {}
-    c_id: Dict[Tuple[int, int], int] = {}
-    e = 0
-    for y in range(n + 1):
-        for x in range(n):
-            h_id[(x, y)] = e
-            e += 1
-    for y in range(n):
-        for x in range(n + 1):
-            v_id[(x, y)] = e
-            e += 1
-    for y in range(n):
-        for x in range(n):
-            c_id[(x, y)] = e
-            e += 1
-    labels = [0] * (2 * e)
-    for eid in h_id.values():
-        labels[2 * eid], labels[2 * eid + 1] = 1, -1
-    for eid in v_id.values():
-        labels[2 * eid], labels[2 * eid + 1] = 2, -2
-    for eid in c_id.values():
-        labels[2 * eid], labels[2 * eid + 1] = 3, -3
-    sigma = [0] * (2 * e)
-
-    def h_out(x, y):  # (x,y) -> (x+1,y), label a
-        return 2 * h_id[(x, y)]
-
-    def v_out(x, y):  # (x,y) -> (x,y+1), label b
-        return 2 * v_id[(x, y)]
-
+    # c(x,y,0): the monogon loop at the base corner of each square
+    h, v, c, labels = _grid(n, 1)
+    sigma = [0] * len(labels)
     # Pentagon of square (x,y) reads a b a^-1 b^-1 c; its c-loop hangs at
     # the base corner (x,y), with the monogon (reading c^-1) inside.
     for y in range(n + 1):
         for x in range(n + 1):
             cyc = []
             if y < n:
-                cyc.append(v_out(x, y))
+                cyc.append(v[x, y])
             if x < n and y < n:
-                cyc.append(2 * c_id[(x, y)])
-                cyc.append(2 * c_id[(x, y)] + 1)
+                cyc += [c[x, y, 0], c[x, y, 0] + 1]
             if x < n:
-                cyc.append(h_out(x, y))
+                cyc.append(h[x, y])
             if y > 0:
-                cyc.append(v_out(x, y - 1) ^ 1)
+                cyc.append(v[x, y - 1] ^ 1)
             if x > 0:
-                cyc.append(h_out(x - 1, y) ^ 1)
-            for i, dd in enumerate(cyc):
-                sigma[dd] = cyc[(i + 1) % len(cyc)]
-    return DiskDiagram(sigma, labels, alphabet, h_out(0, 0) ^ 1)
+                cyc.append(h[x - 1, y] ^ 1)
+            _set_rotation(sigma, cyc)
+    return DiskDiagram(sigma, labels, ("a", "b", "c"), h[0, 0] ^ 1)
 
 
 def _figure3(n: int) -> DiskDiagram:
-    alphabet = ("a1", "b1", "c1", "c2", "c3")
-    h_id: Dict[Tuple[int, int], int] = {}
-    v_id: Dict[Tuple[int, int], int] = {}
-    d_id: Dict[Tuple[int, int, int], int] = {}  # (x,y,i) i=0,1,2 along c1 c2 c3
-    e = 0
-    for y in range(n + 1):
-        for x in range(n):
-            h_id[(x, y)] = e
-            e += 1
-    for y in range(n):
-        for x in range(n + 1):
-            v_id[(x, y)] = e
-            e += 1
-    for y in range(n):
-        for x in range(n):
-            for i in range(3):
-                d_id[(x, y, i)] = e
-                e += 1
-    labels = [0] * (2 * e)
-    for eid in h_id.values():
-        labels[2 * eid], labels[2 * eid + 1] = 1, -1
-    for eid in v_id.values():
-        labels[2 * eid], labels[2 * eid + 1] = 2, -2
-    for (x, y, i), eid in d_id.items():
-        labels[2 * eid], labels[2 * eid + 1] = 3 + i, -(3 + i)
-    sigma = [0] * (2 * e)
-
-    def h_out(x, y):
-        return 2 * h_id[(x, y)]
-
-    def v_out(x, y):
-        return 2 * v_id[(x, y)]
-
-    def diag(x, y, i):  # dart along c_{i+1}, from (x,y+1) towards (x+1,y)
-        return 2 * d_id[(x, y, i)]
-
+    # diag(x,y,i): dart along c_{i+1}, from (x,y+1) towards (x+1,y)
+    h, v, diag, labels = _grid(n, 3)
+    sigma = [0] * len(labels)
     # interior diagonal vertices of square (x,y): between c1,c2 and c2,c3
     for y in range(n):
         for x in range(n):
             for i in (0, 1):
-                sigma[diag(x, y, i) ^ 1] = diag(x, y, i + 1)
-                sigma[diag(x, y, i + 1)] = diag(x, y, i) ^ 1
+                _set_rotation(sigma, [diag[x, y, i] ^ 1, diag[x, y, i + 1]])
     # grid vertices: cyclic order (v_out, h_out, diag-start, S, W, diag-end)
     for y in range(n + 1):
         for x in range(n + 1):
             cyc = []
             if y < n:
-                cyc.append(v_out(x, y))
+                cyc.append(v[x, y])
             if x < n:
-                cyc.append(h_out(x, y))
+                cyc.append(h[x, y])
             if x < n and y > 0:
-                cyc.append(diag(x, y - 1, 0))  # c1 leaving the top-left corner
+                cyc.append(diag[x, y - 1, 0])  # c1 leaving the top-left corner
             if y > 0:
-                cyc.append(v_out(x, y - 1) ^ 1)
+                cyc.append(v[x, y - 1] ^ 1)
             if x > 0:
-                cyc.append(h_out(x - 1, y) ^ 1)
+                cyc.append(h[x - 1, y] ^ 1)
             if x > 0 and y < n:
-                cyc.append(diag(x - 1, y, 2) ^ 1)  # c3 arriving at the bottom-right
-            for i, dd in enumerate(cyc):
-                sigma[dd] = cyc[(i + 1) % len(cyc)]
-    return DiskDiagram(sigma, labels, alphabet, h_out(0, 0) ^ 1)
+                cyc.append(diag[x - 1, y, 2] ^ 1)  # c3 arriving at the bottom-right
+            _set_rotation(sigma, cyc)
+    return DiskDiagram(sigma, labels, ("a1", "b1", "c1", "c2", "c3"), h[0, 0] ^ 1)
 
 
 # ----------------------------------------------------------------------
@@ -287,6 +248,14 @@ class PlanarCoords:
 
     vertex_coords: Tuple[Tuple[int, int], ...]
     face_squares: Dict[int, Tuple[Tuple[int, int], str]]  # face -> (base, "ur"/"ll")
+
+
+def _corners(base: Tuple[int, int], kind: str) -> set:
+    """Lattice corners of the upper-right or lower-left half of a square."""
+    x0, y0 = base
+    if kind == "ur":
+        return {(x0 + 1, y0), (x0 + 1, y0 + 1), (x0, y0 + 1)}
+    return {(x0, y0), (x0 + 1, y0), (x0, y0 + 1)}
 
 
 @dataclass(frozen=True)
@@ -349,13 +318,7 @@ def corner_classification(d: DiskDiagram, m: Optional[FreeProductModel] = None) 
     if reduced_witness(d) is not None:
         raise DiagramError("corner classification needs a reduced diagram")
     pc = torus_coordinates(d, m)
-    corners_of = {}
-    for fi, (base, kind) in pc.face_squares.items():
-        x0, y0 = base
-        if kind == "ur":
-            corners_of[fi] = {(x0 + 1, y0), (x0 + 1, y0 + 1), (x0, y0 + 1)}
-        else:
-            corners_of[fi] = {(x0, y0), (x0 + 1, y0), (x0, y0 + 1)}
+    corners_of = {fi: _corners(base, kind) for fi, (base, kind) in pc.face_squares.items()}
     p = min((c for cs in corners_of.values() for c in cs), key=lambda c: (c[1], c[0]))
     pentagons = {fi for fi, (_, kind) in pc.face_squares.items() if kind == "ur"}
     holders = sorted(fi for fi, cs in corners_of.items() if p in cs)
@@ -402,12 +365,6 @@ def find_face_by_corners(
 ) -> Optional[int]:
     """Locate the inner face covering a given half-square corner set."""
     for fi, (base, kind) in coords.face_squares.items():
-        x0, y0 = base
-        cs = (
-            {(x0 + 1, y0), (x0 + 1, y0 + 1), (x0, y0 + 1)}
-            if kind == "ur"
-            else {(x0, y0), (x0 + 1, y0), (x0, y0 + 1)}
-        )
-        if cs == set(corners):
+        if _corners(base, kind) == set(corners):
             return fi
     return None

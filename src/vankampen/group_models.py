@@ -223,21 +223,9 @@ def cell_embeds(r: CyclicWord, m: FreeProductModel) -> bool:
     Equivalently the cell's boundary circuit lifts to a simple circuit in
     the universal cover.
     """
-    w = r.letters
-    n = len(w)
-    if n == 0:
+    if not r.letters:
         raise ModelError("empty cell boundary")
-    names = m.presentation.names
-    doubled = w + w
-    for i in range(n):
-        g = GroupElement.identity()
-        for length in range(1, n):
-            x = doubled[i + length - 1]
-            img = m.images[names[abs(x) - 1]]
-            g = g * (img if x > 0 else img.inverse())
-            if g.is_identity:
-                return False
-    return True
+    return trivial_subword_witness(r, m) is None
 
 
 def trivial_subword_witness(r: CyclicWord, m: FreeProductModel):

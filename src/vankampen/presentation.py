@@ -32,18 +32,6 @@ class Generator:
             )
 
 
-@dataclass(frozen=True)
-class Letter:
-    """A signed generator occurrence."""
-
-    gen: str
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise PresentationError(f"letter sign must be +1 or -1, got {self.sign}")
-
-
 def _flip_case(name: str) -> str:
     return name[0].upper() + name[1:]
 
@@ -106,24 +94,34 @@ def invert_ints(letters: Sequence[int]) -> Tuple[int, ...]:
     return tuple(-x for x in reversed(letters))
 
 
-def rotation_key(letters: Sequence[int]) -> Tuple[int, ...]:
-    # generator-list order, positive before negative
-    return tuple((abs(x) - 1) * 2 + (0 if x > 0 else 1) for x in letters)
+def least_rotation(s: Sequence[int]) -> int:
+    """Start of the lexicographically least rotation of ``s`` (Booth's
+    algorithm); the smallest such start when several rotations tie."""
+    n = len(s)
+    if n <= 1:
+        return 0
+    s2 = tuple(s) + tuple(s)
+    f = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        sj = s2[j]
+        i = f[j - k - 1]
+        while i != -1 and sj != s2[k + i + 1]:
+            if sj < s2[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if sj != s2[k + i + 1]:
+            if sj < s2[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return k
 
 
-def least_rotation(letters: Sequence[int]) -> Tuple[int, ...]:
-    """Lexicographically least rotation under the fixed letter order."""
-    w = tuple(letters)
-    if not w:
-        return w
-    best = w
-    best_key = rotation_key(w)
-    for i in range(1, len(w)):
-        cand = w[i:] + w[:i]
-        key = rotation_key(cand)
-        if key < best_key:
-            best, best_key = cand, key
-    return best
+def _generator_order_start(letters: Sequence[int]) -> int:
+    # least rotation in generator-list order, positive before negative
+    return least_rotation([2 * abs(x) - (x > 0) for x in letters])
 
 
 class Word:
@@ -146,10 +144,6 @@ class Word:
 
     def text(self) -> str:
         return letters_text(self.letters, self.alphabet)
-
-    def named_letters(self) -> Iterator[Letter]:
-        for x in self.letters:
-            yield Letter(self.alphabet[abs(x) - 1], 1 if x > 0 else -1)
 
     def inverse(self) -> "Word":
         return Word(invert_ints(self.letters), self.alphabet)
@@ -186,8 +180,9 @@ class CyclicWord:
     __slots__ = ("letters", "alphabet")
 
     def __init__(self, letters: Iterable[int], alphabet: Sequence[str]):
-        w = Word(letters, alphabet)  # range validation
-        self.letters: Tuple[int, ...] = least_rotation(w.letters)
+        w = Word(letters, alphabet).letters  # range validation
+        k = _generator_order_start(w)
+        self.letters: Tuple[int, ...] = w[k:] + w[:k]
         self.alphabet: Tuple[str, ...] = tuple(alphabet)
 
     @classmethod
@@ -232,6 +227,19 @@ class CyclicWord:
         return f"CyclicWord({self.text()!r})"
 
 
+def symmetrized(
+    relators: Iterable[CyclicWord],
+) -> Iterator[Tuple[Tuple[int, ...], int, int, int]]:
+    """Every rotation of each relator and of its inverse, repeats included.
+
+    Yields ``(word, relator_index, rotation, orientation)``.
+    """
+    for idx, r in enumerate(relators):
+        for orient, base in ((1, r.letters), (-1, invert_ints(r.letters))):
+            for rot in range(len(base)):
+                yield base[rot:] + base[:rot], idx, rot, orient
+
+
 def free_reduce(w: Word) -> Word:
     """The unique freely reduced word equal to ``w``."""
     return Word(reduce_ints(w.letters), w.alphabet)
@@ -248,13 +256,9 @@ def cyclic_reduce(w: Word) -> Tuple[CyclicWord, Word]:
     while len(core) >= 2 and core[0] == -core[-1]:
         prefix.append(core[0])
         core = core[1:-1]
-    canonical = least_rotation(tuple(core))
-    if canonical != tuple(core):
-        for k in range(1, len(core)):
-            if tuple(core[k:] + core[:k]) == canonical:
-                prefix.extend(core[:k])
-                break
-    return CyclicWord(canonical, w.alphabet), Word(prefix, w.alphabet)
+    k = _generator_order_start(core)
+    prefix.extend(core[:k])
+    return CyclicWord(core[k:] + core[:k], w.alphabet), Word(prefix, w.alphabet)
 
 
 class Presentation:

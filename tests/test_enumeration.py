@@ -22,6 +22,7 @@ from vankampen.enumeration import (
     is_minimal,
 )
 from vankampen.gallery import figure_diagram, presentation
+from vankampen.group_models import FreeProductModel, GroupElement
 
 
 def test_thm2_area_one_exactly_two(galleries):
@@ -80,13 +81,6 @@ def test_perimeter_cap(galleries):
     _p, _m, x = galleries["thm2"]
     diags = list(enumerate_diagrams(x, EnumerationConfig(max_area=3, max_perimeter=7)))
     assert diags and all(d.perimeter <= 7 for d in diags)
-
-
-def test_chiral_enumeration_splits_mirror_pairs(galleries):
-    _p, _m, x = galleries["eq1"]
-    iso = list(enumerate_diagrams(x, EnumerationConfig(max_area=1)))
-    chiral = list(enumerate_diagrams(x, EnumerationConfig(max_area=1, up_to_iso=False)))
-    assert len(chiral) >= len(iso)
 
 
 def test_area_oracle_trivial_and_obstructed(galleries):
@@ -186,3 +180,19 @@ def test_enumerator_finds_figure1_at_area8(galleries):
             found = True
             break
     assert found
+
+
+def test_bound_cache_keyed_by_model_content():
+    from vankampen.enumeration import _bound_for
+
+    (p1, m1), (p2, m2) = presentation("eq1"), presentation("eq1")
+    assert m1 is not m2
+    assert _bound_for(presentation_complex(p1), m1) is _bound_for(presentation_complex(p2), m2)
+    # a valid torusT model with another lattice projection gets its own bound
+    p, m = presentation("torusT")
+    x = presentation_complex(p)
+    lattice = GroupElement.lattice
+    skew = FreeProductModel(
+        p, 2, 0, {"a1": lattice((2, 0)), "b1": lattice((0, 1)), "c1": lattice((2, -1))}
+    )
+    assert _bound_for(x, skew) is not _bound_for(x, m)

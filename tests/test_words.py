@@ -13,7 +13,9 @@ from vankampen.presentation import (
     parse_presentation_file,
     presentation_complex,
     presentation_file_text,
+    reduce_ints,
 )
+from vankampen.enumeration import canonical_cyclic
 
 ABC = ("a", "b", "c")
 
@@ -158,3 +160,26 @@ def test_presentation_file_roundtrip(tmp_path):
     text = presentation_file_text(p)
     assert parse_presentation_file(text) == p
     assert "gens: a b c" in text
+
+
+def generator_order(letters):
+    # a < A < b < B < ...
+    return [2 * abs(x) - (x > 0) for x in letters]
+
+
+def rotations(letters):
+    return [tuple(letters[i:] + letters[:i]) for i in range(len(letters))] or [()]
+
+
+@given(st.lists(letters, max_size=14))
+def test_cyclic_word_is_least_rotation_in_generator_order(xs):
+    assert CyclicWord(xs, ABC).letters == min(rotations(xs), key=generator_order)
+
+
+@given(st.lists(letters, max_size=14))
+def test_canonical_cyclic_is_least_rotation_of_core_or_inverse(xs):
+    core = list(reduce_ints(xs))
+    while len(core) >= 2 and core[0] == -core[-1]:
+        core = core[1:-1]
+    inverse = [-x for x in reversed(core)]
+    assert canonical_cyclic(xs) == min(rotations(core) + rotations(inverse))
