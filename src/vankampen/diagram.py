@@ -555,14 +555,15 @@ def reduced_witness(d: DiskDiagram) -> Optional[ReducedWitness]:
             continue
         if dart ^ 1 < dart:
             continue
-        wa = _face_word_from(d, dart)
-        wb = _face_word_from(d, dart ^ 1)
-        if len(wa) != len(wb):
-            continue
-        expected = (-wa[0],) + tuple(-x for x in reversed(wa[1:]))
-        if wb == expected:
+        if _face_word_from(d, dart ^ 1) == cancelling_partner(_face_word_from(d, dart)):
             return ReducedWitness(fa, fb, dart)
     return None
+
+
+def cancelling_partner(word: Sequence[int]) -> Tuple[int, ...]:
+    """The word a face must read from ``d ^ 1`` to cancel against a face
+    reading ``word`` from ``d``: the inverse, started at the shared edge."""
+    return (-word[0],) + tuple(-x for x in reversed(word[1:]))
 
 
 def _face_word_from(d: DiskDiagram, dart: int) -> Tuple[int, ...]:

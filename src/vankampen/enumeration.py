@@ -1,9 +1,9 @@
 """Exhaustive diagram generation and two independent minimal-area oracles.
 
 The enumerator grows reduced topological-disk diagrams one 2-cell at a
-time, gluing each relator form along every matching boundary arc and
-deduplicating up to isomorphism, so every reduced disk of area at most the
-bound is produced exactly once.
+time, gluing each relator form along every matching boundary arc that
+creates no cancelling pair and deduplicating up to isomorphism, so every
+reduced disk of area at most the bound is produced exactly once.
 
 ``area_oracle`` answers minimal-area queries two ways: ``relator_bfs``
 searches the word moves (insert a relator rotation anywhere, freely and
@@ -31,7 +31,9 @@ from .presentation import (
 from .group_models import FreeProductModel
 from .diagram import (
     DiskDiagram,
+    _face_word_from,
     attach_face,
+    cancelling_partner,
     is_topological_disk,
     reduced_witness,
     relator_forms,
@@ -74,67 +76,93 @@ def _seed_diagrams(x: TwoComplex) -> List[DiskDiagram]:
     return [DiskDiagram.from_face_word(w, alphabet) for (w, _i, _o) in relator_forms(x)]
 
 
+def _gluings(
+    parent: DiskDiagram, forms: Sequence[Tuple[int, ...]], max_len: int
+) -> Iterator[Tuple[int, int, Tuple[int, ...], bool]]:
+    """Every gluing ``(pos, k, w, cancels)`` of a form ``w`` along ``k >= 1``
+    outer darts of ``parent`` from ``O[pos]`` that ``attach_face`` accepts,
+    except closing the sphere.  ``cancels`` is decided without building the
+    child: the new face reads ``w[t:] + w[:t]`` from the glued dart
+    ``O[pos + t]``, and the child has a cancelling pair exactly when, for
+    some ``t < k``, that is the cancelling partner of what the inner face
+    behind it reads from ``O[pos + t] ^ 1``."""
+    O = parent.outer_orbit()
+    B = len(O)
+    partners = [cancelling_partner(_face_word_from(parent, q ^ 1)) for q in O]
+    for pos in range(B):
+        alive = forms
+        # the forms w with w[t:] + w[:t] == partners[pos + t] for a t < k
+        cancelling: set = set()
+        for k in range(1, min(B, max_len) + 1):
+            p = (pos + k - 1) % B
+            label = parent.labels[O[p]]
+            alive = [w for w in alive if len(w) >= k and w[k - 1] == label]
+            if not alive:
+                break
+            P = partners[p]
+            cut = len(P) - (k - 1)
+            if cut > 0:
+                cancelling.add(P[cut:] + P[:cut])
+            for w in alive:
+                if len(w) == k and k == B:
+                    continue  # would close the sphere
+                yield pos, k, w, w in cancelling
+
+
 def enumerate_diagrams(x: TwoComplex, cfg: EnumerationConfig) -> Iterator[DiskDiagram]:
     """All reduced topological-disk diagrams over ``x``, by area then code.
 
-    Diagrams are grown by attaching one 2-cell along a boundary arc (all
-    relator rotations and orientations, all overlap lengths, including the
-    pocket-closing gluings that pinch two boundary vertices together);
-    non-disk and non-reduced results are filtered, and isomorphism classes
-    are emitted once.
+    Level ``n + 1`` is grown from level ``n`` by attaching one 2-cell along
+    a boundary arc: every relator rotation and orientation, every overlap
+    length ``k >= 1``, including the pocket-closing gluings that pinch two
+    boundary vertices together.  Each isomorphism class is emitted once.
+
+    Admission is incremental and decided before the child is built.  The
+    parent is a reduced disk.  A gluing with ``k >= 1`` that does not close
+    the sphere always gives a disk again; it keeps every old face orbit and
+    every old-old adjacency, and its new edges border only the new face and
+    the outer face.  So the only pair that can cancel is the new face with
+    an inner face behind a glued dart, which ``_gluings`` tests from the
+    parent alone.  Cancelling gluings are skipped unbuilt, and neither
+    ``is_topological_disk`` nor ``reduced_witness`` runs on a child (the
+    tests check both invariants); only the one-cell seeds go through them.
+
+    ``max_perimeter`` filters what is emitted and does not prune growth,
+    since a child can have a shorter boundary than its parent.
+    ``max_candidates`` caps the gluings tried, cancelling ones included.
     """
     if not x.faces:
         raise ValueError("complex has no 2-cells")
     forms = [w for (w, _i, _o) in relator_forms(x)]
     max_len = max(len(w) for w in forms)
-    seen: set = set()
+    cap = cfg.max_perimeter
     candidates = 0
 
-    def admit(d: DiskDiagram) -> bool:
-        if cfg.max_perimeter is not None and d.perimeter > cfg.max_perimeter:
-            return False
-        return is_topological_disk(d) and reduced_witness(d) is None
+    def within_cap(level: List[DiskDiagram]) -> List[DiskDiagram]:
+        return level if cap is None else [d for d in level if d.perimeter <= cap]
 
+    # codes carry the area, so each level deduplicates on its own
     first: Dict[Tuple, DiskDiagram] = {}
     for d in _seed_diagrams(x):
-        if admit(d):
-            code = d.canonical_code()
-            if code not in seen:
-                seen.add(code)
-                first[code] = d
+        if is_topological_disk(d) and reduced_witness(d) is None:
+            first.setdefault(d.canonical_code(), d)
     level = [first[c] for c in sorted(first)]
-    yield from level
+    yield from within_cap(level)
 
     for _area in range(2, cfg.max_area + 1):
         nxt: Dict[Tuple, DiskDiagram] = {}
         for parent in level:
-            O = parent.outer_orbit()
-            B = len(O)
-            for pos in range(B):
-                alive = forms
-                glue: List[int] = []
-                for k in range(1, min(B, max_len) + 1):
-                    glue.append(parent.labels[O[(pos + k - 1) % B]])
-                    alive = [w for w in alive if len(w) >= k and w[k - 1] == glue[-1]]
-                    if not alive:
-                        break
-                    for w in alive:
-                        if len(w) == k and k == B:
-                            continue  # would close the sphere
-                        candidates += 1
-                        if cfg.max_candidates is not None and candidates > cfg.max_candidates:
-                            raise ResourceCapError(
-                                f"enumeration exceeded {cfg.max_candidates} candidate gluings"
-                            )
-                        child = attach_face(parent, pos, k, w)
-                        if child is None or not admit(child):
-                            continue
-                        code = child.canonical_code()
-                        if code not in seen:
-                            seen.add(code)
-                            nxt[code] = child
+            for pos, k, w, cancels in _gluings(parent, forms, max_len):
+                candidates += 1
+                if cfg.max_candidates is not None and candidates > cfg.max_candidates:
+                    raise ResourceCapError(
+                        f"enumeration exceeded {cfg.max_candidates} candidate gluings"
+                    )
+                if not cancels:
+                    child = attach_face(parent, pos, k, w)
+                    nxt.setdefault(child.canonical_code(), child)
         level = [nxt[c] for c in sorted(nxt)]
-        yield from level
+        yield from within_cap(level)
 
 
 def enumeration_summary(diagrams: Iterable[DiskDiagram]) -> Dict[int, int]:

@@ -7,6 +7,8 @@ from vankampen.diagram import (
     boundary_path,
     is_reduced,
     is_topological_disk,
+    reduced_witness,
+    relator_forms,
     validate,
 )
 from vankampen.enumeration import (
@@ -20,6 +22,7 @@ from vankampen.enumeration import (
     enumerate_diagrams,
     enumeration_summary,
     is_minimal,
+    _gluings,
 )
 from vankampen.gallery import figure_diagram, presentation
 from vankampen.group_models import FreeProductModel, GroupElement
@@ -83,6 +86,43 @@ def test_perimeter_cap(galleries):
     assert diags and all(d.perimeter <= 7 for d in diags)
 
 
+@pytest.mark.parametrize("gid,max_area,cap", [("eq1", 4, 4), ("eq1", 4, 6), ("thm2", 5, 7)])
+def test_perimeter_cap_filters_full_output(galleries, gid, max_area, cap):
+    # perimeter is not monotone under growth: eq1's [a1,b1] square has
+    # perimeter 4, its one-cell parents 5
+    _p, _m, x = galleries[gid]
+    full = enumerate_diagrams(x, EnumerationConfig(max_area=max_area))
+    capped = enumerate_diagrams(x, EnumerationConfig(max_area=max_area, max_perimeter=cap))
+    expected = [d.to_json() for d in full if d.perimeter <= cap]
+    assert expected and [d.to_json() for d in capped] == expected
+
+
+@pytest.mark.parametrize("gid,max_area", [("thm1", 3), ("thm2", 4), ("eq1", 3), ("eq2", 3)])
+def test_gluing_admission_matches_global_checks(galleries, gid, max_area):
+    # the enumerator admits children without the global checks; every
+    # gluing attach_face accepts must give a disk, and the pre-build
+    # cancellation test must agree with reduced_witness on the child
+    _p, _m, x = galleries[gid]
+    forms = [w for (w, _i, _o) in relator_forms(x)]
+    max_len = max(len(w) for w in forms)
+    cancelling = 0
+    for parent in enumerate_diagrams(x, EnumerationConfig(max_area=max_area)):
+        accepted = {}
+        for pos in range(parent.perimeter):
+            for w in forms:
+                for k in range(1, len(w) + 1):
+                    child = attach_face(parent, pos, k, w)
+                    if child is not None:
+                        accepted[(pos, k, w)] = child
+        gluings = {(pos, k, w): c for pos, k, w, c in _gluings(parent, forms, max_len)}
+        assert gluings.keys() == accepted.keys()
+        for key, child in accepted.items():
+            assert is_topological_disk(child), key
+            assert gluings[key] == (reduced_witness(child) is not None), key
+            cancelling += gluings[key]
+    assert cancelling
+
+
 def test_area_oracle_trivial_and_obstructed(galleries):
     p, m, x = galleries["thm2"]
     assert area_oracle(p.word(""), x, bound=3).value == 0
@@ -120,6 +160,24 @@ def test_oracles_agree_on_enumerated_boundaries(galleries, corpus_eq1_4):
         if bfs.certified_exact and ds.certified_exact:
             assert bfs.value == ds.value, key
         assert ds.value is not None and ds.value <= d.area
+
+
+CONJUGATED_RELATORS = (-1, 3, 2, 2, -1, 2, 3, -2)  # torusT: r0 . b1 r1 b1^-1
+
+
+def test_diagram_search_fills_conjugated_relators(galleries):
+    _p, _m, x = galleries["torusT"]
+    ds = area_oracle(CONJUGATED_RELATORS, x, bound=2, method="diagram_search")
+    assert ds.certified_exact and ds.value == 2
+
+
+@pytest.mark.xfail(strict=True, reason="relator_bfs's length term is not an admissible "
+                   "A* heuristic: it certifies 'lower bound 3 exceeds bound' for area 2")
+def test_oracles_agree_on_conjugated_relators(galleries):
+    _p, m, x = galleries["torusT"]
+    ds = area_oracle(CONJUGATED_RELATORS, x, bound=2, method="diagram_search")
+    bfs = area_oracle(CONJUGATED_RELATORS, x, bound=2, method="relator_bfs", model=m)
+    assert (bfs.value, bfs.certified_exact) == (ds.value, ds.certified_exact)
 
 
 def test_is_minimal_examples(galleries):

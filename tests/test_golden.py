@@ -1,9 +1,9 @@
 """Byte-identity pins on CLI output and dart surgery.
 
 Each test hashes an exact output: the stdout of ``cli.main`` for a few
-enumerations, figure emissions and presentation checks, the concatenated
-JSON of the surgery results over a small corpus, and the piece listing of
-every gallery.  A change to any byte (dart numbering, canonical order,
+enumerations, figure emissions and presentation checks, the ``to_json()``
+stream of larger enumerations, the concatenated JSON of the surgery results
+over a small corpus, and the piece listing of every gallery.  A change to any byte (dart numbering, canonical order,
 relator text) fails here.  The outputs do not depend on ``PYTHONHASHSEED``.
 """
 
@@ -56,6 +56,21 @@ CLI_GOLDEN = [
 def test_cli_output_pinned(capsys, argv, code, digest):
     assert main(argv.split()) == code
     assert sha(capsys.readouterr().out) == digest
+
+
+ENUMERATION_GOLDEN = [
+    ("thm1", 4, "98b38906622c84606da9400561e1a3eece4a8071780d765fd47e542f9f6b9f2e"),
+    ("thm2", 6, "ddbb5aded9b6dd2173eb7c0fc699a77cc032419cf3d46449a762f5dd38339c98"),
+    ("eq2", 4, "69174c68fc7f7665e2107b6103e8cfdea392a51ae668c30b1b00dcdb87acb0e3"),
+]
+
+
+@pytest.mark.parametrize("gid,max_area,digest", ENUMERATION_GOLDEN,
+                         ids=[f"{g}-{a}" for g, a, _d in ENUMERATION_GOLDEN])
+def test_enumeration_stream_pinned(galleries, gid, max_area, digest):
+    _p, _m, x = galleries[gid]
+    stream = "\n".join(d.to_json() for d in enumerate_diagrams(x, EnumerationConfig(max_area=max_area)))
+    assert sha(stream) == digest
 
 
 def surgery_outputs(x) -> str:
