@@ -29,4 +29,4 @@ print("cyclic_reduce:", conjugated.text(), "-> core", core.text(), "conjugator",
 p = Presentation.build("a b c", ["a b a^-1 b^-1 c", "c"])
 x = presentation_complex(p)
 print("presentation :", p)
-print("complex      : 1 vertex,", len(x.edges), "loop edges, face perimeters", x.perimeters())
+print("complex      : 1 vertex,", len(x.alphabet), "generator loops, face perimeters", x.perimeters())

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / property holds; 1 property violated; 2 usage
-error; 3 resource cap exceeded.  All algorithms are deterministic, so
-identical flags give identical output.
+error; 3 resource cap exceeded or uncertified result.  All algorithms are
+deterministic, so identical flags give identical output.
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ def _load_presentation(args) -> Tuple[Presentation, Optional[FreeProductModel]]:
             return gallery.presentation(gid)
         raise UsageError(f"unknown gallery id {gid!r} (have {', '.join(gallery.GALLERY_IDS)})")
     if path:
-        if path in gallery.GALLERY_IDS:
-            return gallery.presentation(path)
         with open(path) as fh:
             p = parse_presentation_file(fh.read())
         m = None
@@ -170,9 +168,7 @@ def cmd_area(args) -> int:
             + (f"  ({res.note})" if res.note else "")
         ],
     )
-    if res.value is None and not res.certified_exact:
-        return 3
-    return 0
+    return 0 if res.certified_exact else 3
 
 
 def cmd_table(args) -> int:
@@ -337,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_source(sp, model_flag=True):
         sp.add_argument("--gallery", help="gallery presentation id")
-        sp.add_argument("--presentation", help="presentation file (or gallery id)")
+        sp.add_argument("--presentation", help="presentation file")
         if model_flag:
             sp.add_argument("--model", help="free-product model file")
         sp.add_argument("--json", action="store_true", help="machine-readable output")

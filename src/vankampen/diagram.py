@@ -28,6 +28,33 @@ class LiftError(DiagramError):
     """Edge labels are inconsistent with the target group."""
 
 
+def _orbits(sigma: Sequence[int], flip: int) -> Tuple[Tuple[Tuple[int, ...], ...], List[int]]:
+    """Orbits of ``d -> sigma[d ^ flip]`` in order of their least dart, and
+    each dart's orbit index: vertices for ``flip`` 0, faces for 1."""
+    orbit_of = [-1] * len(sigma)
+    orbits = []
+    for d in range(len(sigma)):
+        if orbit_of[d] >= 0:
+            continue
+        k = len(orbits)
+        orbit = [d]
+        orbit_of[d] = k
+        e = sigma[d ^ flip]
+        while e != d:
+            orbit_of[e] = k
+            orbit.append(e)
+            e = sigma[e ^ flip]
+        orbits.append(tuple(orbit))
+    return tuple(orbits), orbit_of
+
+
+def _inverse(perm: Sequence[int]) -> List[int]:
+    inv = [0] * len(perm)
+    for d, e in enumerate(perm):
+        inv[e] = d
+    return inv
+
+
 class DiskDiagram:
     """Immutable planar map with labeled darts and a distinguished outer face."""
 
@@ -111,24 +138,8 @@ class DiskDiagram:
         return len(self.sigma) // 2
 
     def _compute_vertices(self):
-        if self._vertices is not None:
-            return
-        n = self.n_darts
-        vertex_of = [-1] * n
-        vertices = []
-        for d in range(n):
-            if vertex_of[d] >= 0:
-                continue
-            orbit = [d]
-            vertex_of[d] = len(vertices)
-            e = self.sigma[d]
-            while e != d:
-                vertex_of[e] = len(vertices)
-                orbit.append(e)
-                e = self.sigma[e]
-            vertices.append(tuple(orbit))
-        self._vertices = tuple(vertices)
-        self._vertex_of = vertex_of
+        if self._vertices is None:
+            self._vertices, self._vertex_of = _orbits(self.sigma, 0)
 
     @property
     def vertices(self) -> Tuple[Tuple[int, ...], ...]:
@@ -149,24 +160,8 @@ class DiskDiagram:
         return self.vertex_of(d ^ 1)
 
     def _compute_faces(self):
-        if self._faces is not None:
-            return
-        n = self.n_darts
-        face_of = [-1] * n
-        faces = []
-        for d in range(n):
-            if face_of[d] >= 0:
-                continue
-            orbit = [d]
-            face_of[d] = len(faces)
-            e = self.sigma[d ^ 1]
-            while e != d:
-                face_of[e] = len(faces)
-                orbit.append(e)
-                e = self.sigma[e ^ 1]
-            faces.append(tuple(orbit))
-        self._faces = tuple(faces)
-        self._face_of = face_of
+        if self._faces is None:
+            self._faces, self._face_of = _orbits(self.sigma, 1)
 
     @property
     def faces(self) -> Tuple[Tuple[int, ...], ...]:
@@ -305,9 +300,7 @@ class DiskDiagram:
             if best is None or code < best:
                 best = code
         # mirror image: reversed rotation, outer region on the opposite sides
-        sigma_inv = [0] * self.n_darts
-        for d, e in enumerate(self.sigma):
-            sigma_inv[e] = d
+        sigma_inv = _inverse(self.sigma)
         mirror_labels = [-outer_labels[0]] + [-x for x in reversed(outer_labels[1:])]
         for j in self._min_rotation_starts(mirror_labels):
             q = O[(B - j) % B] ^ 1
@@ -318,11 +311,8 @@ class DiskDiagram:
         return self._canon
 
     def mirror(self) -> "DiskDiagram":
-        sigma_inv = [0] * self.n_darts
-        for d, e in enumerate(self.sigma):
-            sigma_inv[e] = d
         outer = None if self.outer_dart is None else self.outer_dart ^ 1
-        return DiskDiagram(sigma_inv, self.labels, self.alphabet, outer)
+        return DiskDiagram(_inverse(self.sigma), self.labels, self.alphabet, outer)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DiskDiagram) and self.canonical_code() == other.canonical_code()
@@ -507,9 +497,6 @@ def face_tags(d: DiskDiagram, x: TwoComplex) -> Tuple[Optional[FaceTag], ...]:
 def validate(d: DiskDiagram, x: TwoComplex) -> ValidationReport:
     """Check the disk-diagram conditions over the complex ``x``."""
     entries: List[str] = []
-    if not x.is_one_vertex:
-        entries.append("target complex is not a one-vertex complex")
-        return ValidationReport(tuple(entries))
     if d.alphabet != x.alphabet:
         entries.append("diagram alphabet does not match complex edge labels")
         return ValidationReport(tuple(entries))
@@ -583,14 +570,9 @@ def find_spurs(d: DiskDiagram) -> List[FeatureWitness]:
     """Valence-1 vertices, each with its leading edge."""
     out = []
     for v, orbit in enumerate(d.vertices):
-        if len(orbit) == 1 and orbit != ():
+        if len(orbit) == 1:
             out.append(FeatureWitness("spur", vertex=v, darts=(orbit[0],)))
     return out
-
-
-def _free_flags(d: DiskDiagram, circuit: Sequence[int]) -> List[bool]:
-    outer = d.outer_face
-    return [d.face_of(t ^ 1) == outer for t in circuit]
 
 
 def find_shells(d: DiskDiagram) -> List[FeatureWitness]:
@@ -602,38 +584,39 @@ def find_shells(d: DiskDiagram) -> List[FeatureWitness]:
     previous one.  If a face traverses an edge twice, each traversal
     counts separately (the definition is about attaching maps).
     """
+    outer = d.outer_face
     out = []
     for fi in d.inner_face_indices:
         circuit = d.faces[fi]
-        n = len(circuit)
-        free = _free_flags(d, circuit)
-        if not any(free):
-            continue
+        free = [d.face_of(t ^ 1) == outer for t in circuit]
         # linked[t]: positions t-1 and t are both free and consecutive on
         # the boundary circle (no other structure at the shared vertex)
         linked = [
-            free[t]
-            and free[(t - 1) % n]
-            and d.sigma[circuit[t]] == circuit[(t - 1) % n] ^ 1
-            for t in range(n)
+            free[t] and free[t - 1] and d.sigma[circuit[t]] == circuit[t - 1] ^ 1
+            for t in range(len(circuit))
         ]
-        if all(free) and all(linked):
-            out.append(FeatureWitness("shell", face=fi, darts=tuple(circuit)))
-            continue
-        best: Tuple[int, ...] = ()
-        for t in range(n):
-            if not free[t] or linked[t]:
-                continue  # runs start where the chain breaks
-            run = [circuit[t]]
-            u = t
-            while linked[(u + 1) % n]:
-                u += 1
-                run.append(circuit[u % n])
-            if len(run) > len(best):
-                best = tuple(run)
-        if 2 * len(best) > n:
-            out.append(FeatureWitness("shell", face=fi, darts=best))
+        best = max(_cyclic_runs(free, linked), key=len, default=[])
+        if 2 * len(best) > len(circuit):
+            out.append(FeatureWitness("shell", face=fi, darts=tuple(circuit[u] for u in best)))
     return out
+
+
+def _cyclic_runs(member: Sequence[bool], linked: Sequence[bool]) -> List[List[int]]:
+    """Maximal runs of positions on a cycle.  ``linked[t]`` joins position
+    ``t`` to ``t - 1`` (both members); a run starts at a member not linked
+    to its predecessor.  When every position is linked, the whole cycle
+    is one run."""
+    n = len(member)
+    if n and all(linked):
+        return [list(range(n))]
+    runs = []
+    for t in range(n):
+        if member[t] and not linked[t]:
+            run = [t]
+            while linked[(run[-1] + 1) % n]:
+                run.append((run[-1] + 1) % n)
+            runs.append(run)
+    return runs
 
 
 def _outer_circle_slots(d: DiskDiagram) -> List[Tuple[str, int]]:
@@ -684,18 +667,6 @@ def _removal_disconnects(d: DiskDiagram, fi: int) -> bool:
     outer = d.outer_face
     # union-find over surviving faces, edges, vertices
     parent: Dict[Tuple[str, int], Tuple[str, int]] = {}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
     nodes = []
     for g in d.inner_face_indices:
         if g != fi:
@@ -716,19 +687,33 @@ def _removal_disconnects(d: DiskDiagram, fi: int) -> bool:
         for dart in (2 * e, 2 * e + 1):
             v = d.vertex_of(dart)
             if v not in bd_verts:
-                union(("e", e), ("v", v))
+                _union(parent, ("e", e), ("v", v))
             g = d.face_of(dart)
             if g != outer and g != fi:
-                union(("e", e), ("f", g))
+                _union(parent, ("e", e), ("f", g))
     for g in d.inner_face_indices:
         if g == fi:
             continue
         for dart in d.faces[g]:
             v = d.vertex_of(dart)
             if v not in bd_verts:
-                union(("f", g), ("v", v))
-    roots = {find(node) for node in nodes}
+                _union(parent, ("f", g), ("v", v))
+    roots = {_find(parent, node) for node in nodes}
     return len(roots) > 1
+
+
+def _find(parent: dict, a):
+    """Root of ``a`` in the union-find forest ``parent``, halving the path."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+def _union(parent: dict, a, b) -> None:
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra != rb:
+        parent[ra] = rb
 
 
 def _boundary_preimage_components(d: DiskDiagram, fi: int) -> List[List[Tuple[str, int]]]:
@@ -736,31 +721,12 @@ def _boundary_preimage_components(d: DiskDiagram, fi: int) -> List[List[Tuple[st
     bd_edges = {t >> 1 for t in circuit}
     bd_verts = {d.vertex_of(t) for t in circuit}
     slots = _outer_circle_slots(d)
-    if not slots:
-        return []
     hit = [
         (kind == "e" and idx in bd_edges) or (kind == "v" and idx in bd_verts)
         for kind, idx in slots
     ]
-    if all(hit):
-        return [list(slots)]
-    if not any(hit):
-        return []
-    m = len(slots)
-    comps = []
-    t = 0
-    while t < m:
-        if not hit[t] or hit[(t - 1) % m]:
-            t += 1
-            continue
-        comp = []
-        u = t
-        while hit[u % m]:
-            comp.append(slots[u % m])
-            u += 1
-        comps.append(comp)
-        t += 1
-    return comps
+    linked = [hit[t] and hit[t - 1] for t in range(len(hit))]
+    return [[slots[u] for u in run] for run in _cyclic_runs(hit, linked)]
 
 
 # ----------------------------------------------------------------------
@@ -838,6 +804,25 @@ def remove_shell(d: DiskDiagram, face: int | FeatureWitness) -> DiskDiagram:
     return _delete_darts(d, arc, hint)
 
 
+def _with_chain(d: DiskDiagram, word: Sequence[int]) -> Tuple[List[int], List[int], List[int]]:
+    """``d``'s sigma and labels extended by a chain of new edges reading
+    ``word``, joined head to tail at new valence-2 vertices; also the new
+    darts ``bs`` in chain direction.  The chain's two ends are left for the
+    caller to link."""
+    n = d.n_darts
+    m = len(word)
+    sigma = list(d.sigma) + [0] * (2 * m)
+    labels = list(d.labels) + [0] * (2 * m)
+    bs = [n + 2 * j for j in range(m)]
+    for j in range(m):
+        labels[bs[j]] = word[j]
+        labels[bs[j] ^ 1] = -word[j]
+    for j in range(m - 1):
+        sigma[bs[j] ^ 1] = bs[j + 1]
+        sigma[bs[j + 1]] = bs[j] ^ 1
+    return sigma, labels, bs
+
+
 def attach_face(
     d: DiskDiagram, pos: int, k: int, word: Sequence[int]
 ) -> Optional[DiskDiagram]:
@@ -862,16 +847,7 @@ def attach_face(
     if any(d.labels[a] != w[t] for t, a in enumerate(arc)):
         return None
     m = L - k
-    n = d.n_darts
-    sigma = list(d.sigma) + [0] * (2 * m)
-    labels = list(d.labels) + [0] * (2 * m)
-    bs = [n + 2 * j for j in range(m)]
-    for j in range(m):
-        labels[bs[j]] = w[k + j]
-        labels[bs[j] ^ 1] = -w[k + j]
-    for j in range(m - 1):
-        sigma[bs[j] ^ 1] = bs[j + 1]
-        sigma[bs[j + 1]] = bs[j] ^ 1
+    sigma, labels, bs = _with_chain(d, w[k:])
     if k == B:
         # face swallows the whole current boundary, new boundary is beta
         q_last = O[(pos + k - 1) % B]
@@ -910,19 +886,9 @@ def add_edge_path(d: DiskDiagram, pos: int, word: Sequence[int]) -> DiskDiagram:
     w = tuple(word)
     if not w:
         return d
-    n = d.n_darts
-    m = len(w)
-    sigma = list(d.sigma) + [0] * (2 * m)
-    labels = list(d.labels) + [0] * (2 * m)
-    bs = [n + 2 * j for j in range(m)]
-    for j in range(m):
-        labels[bs[j]] = w[j]
-        labels[bs[j] ^ 1] = -w[j]
-    for j in range(m - 1):
-        sigma[bs[j] ^ 1] = bs[j + 1]
-        sigma[bs[j + 1]] = bs[j] ^ 1
-    sigma[bs[m - 1] ^ 1] = bs[m - 1] ^ 1
-    if n == 0:
+    sigma, labels, bs = _with_chain(d, w)
+    sigma[bs[-1] ^ 1] = bs[-1] ^ 1
+    if d.n_darts == 0:
         sigma[bs[0]] = bs[0]
         return DiskDiagram(sigma, labels, d.alphabet, 1)
     O = d.outer_orbit()
@@ -956,22 +922,13 @@ def disk_pieces(d: DiskDiagram) -> List[DiskDiagram]:
         return []
     outer = d.outer_face
     parent = {fi: fi for fi in inner}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for e in range(d.n_edges):
         fa, fb = d.face_of(2 * e), d.face_of(2 * e + 1)
         if fa != outer and fb != outer and fa != fb:
-            ra, rb = find(fa), find(fb)
-            if ra != rb:
-                parent[ra] = rb
+            _union(parent, fa, fb)
     groups: Dict[int, List[int]] = {}
     for fi in inner:
-        groups.setdefault(find(fi), []).append(fi)
+        groups.setdefault(_find(parent, fi), []).append(fi)
     pieces = []
     for group in sorted(groups.values()):
         pieces.append(_extract_faces(d, set(group)))

@@ -511,6 +511,11 @@ def _solve_support(
 # ----------------------------------------------------------------------
 # area oracles
 
+# A* expansions before ``relator_bfs`` gives up uncertified, and nodes the
+# bound-perfect probe visits before handing over to A*
+MAX_EXPANSIONS = 500_000
+PROBE_NODE_BUDGET = 30_000
+
 
 @dataclass(frozen=True)
 class AreaResult:
@@ -538,8 +543,6 @@ def area_oracle(
     bound: int,
     method: str = "auto",
     model: Optional[FreeProductModel] = None,
-    length_cap: Optional[int] = None,
-    max_expansions: int = 500_000,
 ) -> AreaResult:
     """Minimal area of a filling of ``w`` over ``x``, up to ``bound``.
 
@@ -553,11 +556,11 @@ def area_oracle(
     if letters == ():
         return AreaResult(0, True, method)
     if method == "relator_bfs":
-        return _relator_bfs(letters, x, bound, model, length_cap, max_expansions)
+        return _relator_bfs(letters, x, bound, model)
     if method == "diagram_search":
         return _diagram_search(letters, x, bound)
     if method == "auto":
-        res = _relator_bfs(letters, x, bound, model, length_cap, max_expansions)
+        res = _relator_bfs(letters, x, bound, model)
         if res.certified_exact or bound > 6:
             return res  # enumerating past area 6 as a fallback is not worth it
         alt = _diagram_search(letters, x, bound)
@@ -583,7 +586,6 @@ def _perfect_probe(
     heuristic,
     forms: List[Tuple[int, ...]],
     length_cap: int,
-    node_budget: int = 30_000,
 ) -> Optional[int]:
     """Depth-first hunt for a filling that meets the lower bound exactly.
 
@@ -609,7 +611,7 @@ def _perfect_probe(
     stack.append((letters, successors(letters, h0)))
     while stack:
         nodes += 1
-        if nodes > node_budget:
+        if nodes > PROBE_NODE_BUDGET:
             return None
         cur, succ = stack[-1]
         if not succ:
@@ -633,13 +635,10 @@ def _relator_bfs(
     x: TwoComplex,
     bound: int,
     model: Optional[FreeProductModel],
-    length_cap: Optional[int],
-    max_expansions: int,
 ) -> AreaResult:
     forms = [w for (w, _i, _o) in relator_forms(x)]
     max_form = max(len(f) for f in forms)
-    if length_cap is None:
-        length_cap = len(letters) + max_form * bound
+    length_cap = len(letters) + max_form * bound
     hb = _bound_for(x, model)
 
     def heuristic(word: Tuple[int, ...]) -> Optional[int]:
@@ -669,12 +668,12 @@ def _relator_bfs(
         if dist.get(cur, -1) != g:
             continue
         if cur == ():
-            certified = (not capped and expanded <= max_expansions) or g == h0
+            certified = (not capped and expanded <= MAX_EXPANSIONS) or g == h0
             return AreaResult(g, certified, "relator_bfs", expanded=expanded)
         if g >= bound:
             continue
         expanded += 1
-        if expanded > max_expansions:
+        if expanded > MAX_EXPANSIONS:
             return AreaResult(None, False, "relator_bfs", expanded=expanded, capped=True,
                               note="expansion cap hit")
         for nxt in set(_moves(cur, forms)):

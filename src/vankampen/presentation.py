@@ -1,4 +1,4 @@
-"""Words over signed generator alphabets, presentations, and their 2-complexes.
+"""Words over signed generator alphabets, presentations, presentation complexes.
 
 Letters are stored as nonzero integers: ``+k`` / ``-k`` refer to the k-th
 generator (1-based) of a fixed alphabet of generator names.  Text form
@@ -311,65 +311,27 @@ class Presentation:
 
 @dataclass(frozen=True)
 class TwoComplex:
-    """A 2-complex with labeled directed edges.
+    """The presentation complex: one vertex, a loop edge per generator
+    named in ``alphabet``, and a 2-cell per relator whose boundary reads
+    ``faces[i]`` (signed 1-based letters).
 
-    ``edges[e] = (tail, head, label)``; faces are boundary circuits of
-    signed 1-based edge indices (negative means reversed traversal).
-    Presentation complexes have a single vertex and loop edges, one per
-    generator; that is the only case the diagram machinery labels against.
+    Compared and hashed by content, so equal presentations give one
+    cache key.
     """
 
-    num_vertices: int
-    edges: Tuple[Tuple[int, int, str], ...]
+    alphabet: Tuple[str, ...]
     faces: Tuple[Tuple[int, ...], ...]
 
-    def __post_init__(self):
-        for circuit in self.faces:
-            if not circuit:
-                raise PresentationError("empty face circuit")
-            at = None
-            start = None
-            for se in circuit:
-                e = abs(se) - 1
-                if e >= len(self.edges):
-                    raise PresentationError("face circuit references missing edge")
-                tail, head, _ = self.edges[e]
-                a, b = (tail, head) if se > 0 else (head, tail)
-                if at is None:
-                    start = a
-                elif at != a:
-                    raise PresentationError("face circuit is not an edge path")
-                at = b
-            if at != start:
-                raise PresentationError("face circuit is not closed")
-
-    @classmethod
-    def from_presentation(cls, p: Presentation) -> "TwoComplex":
-        names = p.names
-        edges = tuple((0, 0, name) for name in names)
-        faces = tuple(tuple(x for x in r.letters) for r in p.relators)
-        return cls(1, edges, faces)
-
-    @property
-    def alphabet(self) -> Tuple[str, ...]:
-        return tuple(e[2] for e in self.edges)
-
-    @property
-    def is_one_vertex(self) -> bool:
-        return self.num_vertices == 1 and all(t == 0 and h == 0 for t, h, _ in self.edges)
-
     def face_words(self) -> Tuple[CyclicWord, ...]:
-        if not self.is_one_vertex:
-            raise PresentationError("face words need a one-vertex complex")
-        return tuple(CyclicWord(circuit, self.alphabet) for circuit in self.faces)
+        return tuple(CyclicWord(f, self.alphabet) for f in self.faces)
 
     def perimeters(self) -> Tuple[int, ...]:
-        return tuple(len(circuit) for circuit in self.faces)
+        return tuple(len(f) for f in self.faces)
 
 
 def presentation_complex(p: Presentation) -> TwoComplex:
     """One vertex, a loop per generator, a 2-cell per relator."""
-    return TwoComplex.from_presentation(p)
+    return TwoComplex(p.names, tuple(r.letters for r in p.relators))
 
 
 def parse_presentation_file(text: str) -> Presentation:

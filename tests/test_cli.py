@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from vankampen import cli
 from vankampen.cli import main
+from vankampen.enumeration import AreaResult
 from vankampen.presentation import presentation_file_text
 from vankampen.group_models import model_file_text
 from vankampen.gallery import presentation
@@ -68,6 +70,14 @@ def test_area_command(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["value"] == 2 and data["certified_exact"]
+
+
+def test_area_uncertified_value_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "area_oracle", lambda *a, **k: AreaResult(3, False, "relator_bfs"))
+    code, out, _ = run_cli(capsys, "area", "--gallery", "thm2",
+                           "--word", "a b a^-1 b^-1", "--bound", "4")
+    assert code == 3
+    assert "Area(a b a^-1 b^-1) = 3 [uncertified]" in out
 
 
 def test_table_command(capsys):
@@ -161,6 +171,15 @@ def test_presentation_and_model_files(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "embed", "--presentation", str(pres_path),
                            "--model", str(model_path))
     assert code == 0
+
+
+def test_presentation_file_named_like_a_gallery_id(capsys, tmp_path, monkeypatch):
+    (tmp_path / "thm1").write_text("gens: a b\nrel: a b A B\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "area", "--presentation", "thm1",
+                           "--word", "a b A B", "--bound", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["value"] == 1
 
 
 def test_bad_usage_exit_2(capsys):

@@ -42,7 +42,10 @@ def test_gallery_presentations_shape():
 def test_gallery_ids_complete():
     assert set(GALLERY_IDS) == {"thm2", "thm1", "eq1", "eq2", "torusT"}
     for gid in GALLERY_IDS:
-        assert complex_for(gid).is_one_vertex
+        p, _m = presentation(gid)
+        x = complex_for(gid)
+        assert x.alphabet == p.names
+        assert x.faces == tuple(r.letters for r in p.relators)
 
 
 @pytest.mark.parametrize("fig,gid", [(1, "thm2"), (3, "eq1")])

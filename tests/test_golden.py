@@ -2,8 +2,10 @@
 
 Each test hashes an exact output: the stdout of ``cli.main`` for a few
 enumerations, figure emissions and presentation checks, the ``to_json()``
-stream of larger enumerations, the concatenated JSON of the surgery results
-over a small corpus, and the piece listing of every gallery.  A change to any byte (dart numbering, canonical order,
+stream of larger enumerations, the orbits, feature witnesses and validation
+reports of enumerated corpora, the concatenated JSON of the surgery results
+over a small corpus, and the piece listing of every gallery.  A change to
+any byte (dart numbering, orbit order, face indices, canonical order,
 relator text) fails here.  The outputs do not depend on ``PYTHONHASHSEED``.
 """
 
@@ -18,11 +20,13 @@ from vankampen.diagram import (
     add_edge_path,
     attach_face,
     disk_pieces,
+    find_cutcells,
     find_shells,
     find_spurs,
     relator_forms,
     remove_shell,
     remove_spur,
+    validate,
 )
 from vankampen.enumeration import EnumerationConfig, enumerate_diagrams
 from vankampen.gallery import GALLERY_IDS, presentation
@@ -71,6 +75,32 @@ def test_enumeration_stream_pinned(galleries, gid, max_area, digest):
     _p, _m, x = galleries[gid]
     stream = "\n".join(d.to_json() for d in enumerate_diagrams(x, EnumerationConfig(max_area=max_area)))
     assert sha(stream) == digest
+
+
+def feature_outputs(x, max_area: int) -> str:
+    """Vertex and face orbits, every feature detector and the validation
+    report of each enumerated diagram."""
+    lines = []
+    for d in enumerate_diagrams(x, EnumerationConfig(max_area=max_area)):
+        lines.append(repr((d.vertices, d.faces)))
+        lines.append(repr(find_spurs(d)))
+        lines.append(repr(find_shells(d)))
+        lines += [repr(find_cutcells(d, defn)) for defn in (1, 2, 3)]
+        lines.append(repr(validate(d, x)))
+    return "\n".join(lines)
+
+
+FEATURE_GOLDEN = [
+    ("thm1", 4, "129c8882d336ae9c42e1c163706eebe5c6a3e8cc0dc53c291db4bfc329778f6d"),
+    ("eq1", 4, "4131d7694d444a0a9451c4ebad15bf9bc971033c654d8de5b7caf2058651d871"),
+]
+
+
+@pytest.mark.parametrize("gid,max_area,digest", FEATURE_GOLDEN,
+                         ids=[f"{g}-{a}" for g, a, _d in FEATURE_GOLDEN])
+def test_features_and_validation_pinned(galleries, gid, max_area, digest):
+    _p, _m, x = galleries[gid]
+    assert sha(feature_outputs(x, max_area)) == digest
 
 
 def surgery_outputs(x) -> str:

@@ -6,7 +6,6 @@ from vankampen.presentation import (
     Generator,
     Presentation,
     PresentationError,
-    TwoComplex,
     Word,
     cyclic_reduce,
     free_reduce,
@@ -128,8 +127,8 @@ def test_generator_names_validated():
 def test_presentation_complex_thm2():
     p = Presentation.build("a b c", ["a b a^-1 b^-1 c", "c"])
     x = presentation_complex(p)
-    assert x.num_vertices == 1
-    assert len(x.edges) == 3
+    assert x.alphabet == ABC
+    assert x.faces == ((1, 2, -1, -2, 3), (3,))
     assert x.perimeters() == (5, 1)
 
 
@@ -139,20 +138,14 @@ def test_presentation_complex_thm1():
         ["a2 b1 b2 a2^-1 a1^-1 b2^-1 c1 c2 c3", "a1^-1 b1 c1 c2 c3"],
     )
     x = presentation_complex(p)
-    assert x.num_vertices == 1
-    assert len(x.edges) == 7
+    assert x.alphabet == p.names and len(x.alphabet) == 7
     assert sorted(x.perimeters()) == [5, 9]
 
 
 def test_presentation_complex_no_relators():
     p = Presentation.build("a b c", [])
     x = presentation_complex(p)
-    assert x.num_vertices == 1 and len(x.edges) == 3 and len(x.faces) == 0
-
-
-def test_two_complex_rejects_open_circuit():
-    with pytest.raises(PresentationError):
-        TwoComplex(2, ((0, 1, "a"),), ((1, 1),))
+    assert x.alphabet == ABC and x.faces == () and x.perimeters() == ()
 
 
 def test_presentation_file_roundtrip(tmp_path):
