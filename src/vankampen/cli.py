@@ -269,9 +269,6 @@ def cmd_export(args) -> int:
             d = DiskDiagram.from_json(fh.read())
     else:
         raise UsageError("need --id or --input")
-    if args.dot:  # --dot PATH is shorthand for --format dot -o PATH
-        args.format = "dot"
-        args.output = args.dot
     payload = d.to_json() if args.format == "json" else _dot_with_features(d)
     if args.output:
         with open(args.output, "w") as fh:
@@ -386,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", help="diagram JSON file")
     sp.add_argument("--format", default="dot", choices=["json", "dot"])
     sp.add_argument("--output", "-o")
-    sp.add_argument("--dot", help="write annotated DOT to this path")
     sp.set_defaults(func=cmd_export)
 
     sp = sub.add_parser("pieces", help="piece inventory and the no-big-pieces check")

@@ -156,9 +156,6 @@ class DiskDiagram:
         self._compute_vertices()
         return self._vertex_of[d]
 
-    def head_vertex_of(self, d: int) -> int:
-        return self.vertex_of(d ^ 1)
-
     def _compute_faces(self):
         if self._faces is None:
             self._faces, self._face_of = _orbits(self.sigma, 1)

@@ -28,7 +28,7 @@ from .presentation import (
     least_rotation,
     reduce_ints,
 )
-from .group_models import FreeProductModel
+from .group_models import FreeProductModel, is_trivial
 from .diagram import (
     DiskDiagram,
     _face_word_from,
@@ -523,7 +523,6 @@ class AreaResult:
     certified_exact: bool
     method: str
     expanded: int = 0
-    capped: bool = False
     note: str = ""
 
     def __post_init__(self):
@@ -547,9 +546,11 @@ def area_oracle(
     """Minimal area of a filling of ``w`` over ``x``, up to ``bound``.
 
     ``relator_bfs`` runs an A* search over cyclic words with relator
-    insertions as moves; a result is certified when the search space was
-    exhausted under the caps, or when the found value meets the invariant
-    lower bound.  ``diagram_search`` minimizes over enumerated disks glued
+    insertions as moves, guided by the invariant lower bound; its result is
+    certified unless the search hits ``MAX_EXPANSIONS``.  A "no filling" is
+    certified by the invariants, by the model's word problem when a model
+    is given, or by exhausting every move sequence of length at most
+    ``bound``.  ``diagram_search`` minimizes over enumerated disks glued
     at cut vertices.  ``auto`` tries the word search first and falls back.
     """
     letters = canonical_cyclic(_as_letters(w))
@@ -583,25 +584,24 @@ def _moves(cur: Tuple[int, ...], forms: List[Tuple[int, ...]]) -> Iterator[Tuple
 def _perfect_probe(
     letters: Tuple[int, ...],
     h0: int,
-    heuristic,
+    hb: _InvariantBound,
     forms: List[Tuple[int, ...]],
-    length_cap: int,
 ) -> Optional[int]:
     """Depth-first hunt for a filling that meets the lower bound exactly.
 
-    Only moves dropping the heuristic by exactly one are followed, so the
-    depth of every state is forced and a global visited set is sound.
+    Only moves dropping the invariant bound by exactly one are followed, so
+    the depth of every state is forced and a global visited set is sound.
     Returns the node count on success, None when the budget runs out or no
-    heuristic-perfect filling exists.
+    bound-perfect filling exists.
     """
     seen = {letters}
     nodes = 0
 
     def successors(cur: Tuple[int, ...], remaining: int) -> List[Tuple[int, ...]]:
-        out = {nxt for nxt in _moves(cur, forms) if len(nxt) <= length_cap and nxt not in seen}
+        out = {nxt for nxt in _moves(cur, forms) if nxt not in seen}
         keep = []
         for nxt in out:
-            h = heuristic(nxt)
+            h = hb.bound(nxt)
             if h is not None and h == remaining - 1:
                 keep.append(nxt)
         keep.sort(key=lambda w: (len(w), w))
@@ -637,59 +637,46 @@ def _relator_bfs(
     model: Optional[FreeProductModel],
 ) -> AreaResult:
     forms = [w for (w, _i, _o) in relator_forms(x)]
-    max_form = max(len(f) for f in forms)
-    length_cap = len(letters) + max_form * bound
     hb = _bound_for(x, model)
-
-    def heuristic(word: Tuple[int, ...]) -> Optional[int]:
-        # invariant bound joined with the length bound: one insertion can
-        # shorten a word by at most the longest relator length
-        hv = hb.bound(word)
-        if hv is None:
-            return None
-        return max(hv, -(-len(word) // max_form))
-
-    h0 = heuristic(letters)
+    h0 = hb.bound(letters)
     if h0 is None:
         return AreaResult(None, True, "relator_bfs", note="abelian obstruction: not null-homotopic")
+    # the model maps every relator to the identity, so a filling would make
+    # the word's image trivial
+    if model is not None and not is_trivial(Word(letters, x.alphabet), model):
+        return AreaResult(None, True, "relator_bfs", note="model word problem: not null-homotopic")
     if h0 > bound:
         return AreaResult(None, True, "relator_bfs", note=f"lower bound {h0} exceeds bound")
-    probe = _perfect_probe(letters, h0, heuristic, forms, length_cap)
+    probe = _perfect_probe(letters, h0, hb, forms)
     if probe is not None:
         return AreaResult(h0, True, "relator_bfs", expanded=probe,
                           note="filling meets the invariant lower bound")
     dist: Dict[Tuple[int, ...], int] = {letters: 0}
     heap: List[Tuple[int, int, int, Tuple[int, ...]]] = [(h0, 0, len(letters), letters)]
     expanded = 0
-    capped = False
     while heap:
         f, negg, _, cur = heapq.heappop(heap)
         g = -negg
         if dist.get(cur, -1) != g:
             continue
         if cur == ():
-            certified = (not capped and expanded <= MAX_EXPANSIONS) or g == h0
-            return AreaResult(g, certified, "relator_bfs", expanded=expanded)
+            return AreaResult(g, True, "relator_bfs", expanded=expanded)
         if g >= bound:
             continue
         expanded += 1
         if expanded > MAX_EXPANSIONS:
-            return AreaResult(None, False, "relator_bfs", expanded=expanded, capped=True,
+            return AreaResult(None, False, "relator_bfs", expanded=expanded,
                               note="expansion cap hit")
         for nxt in set(_moves(cur, forms)):
-            if len(nxt) > length_cap:
-                capped = True
-                continue
             g2 = g + 1
             if dist.get(nxt, bound + 1) <= g2:
                 continue
-            h = heuristic(nxt)
+            h = hb.bound(nxt)
             if h is None or g2 + h > bound:
                 continue
             dist[nxt] = g2
             heapq.heappush(heap, (g2 + h, -g2, len(nxt), nxt))
-    return AreaResult(None, not capped, "relator_bfs", expanded=expanded, capped=capped,
-                      note="no filling within bound" if not capped else "length cap hit")
+    return AreaResult(None, True, "relator_bfs", expanded=expanded, note="no filling within bound")
 
 
 _BOUND_CACHE: Dict[Tuple, _InvariantBound] = {}

@@ -169,10 +169,6 @@ class Word:
     def __repr__(self) -> str:
         return f"Word({self.text()!r})"
 
-    @property
-    def is_freely_reduced(self) -> bool:
-        return reduce_ints(self.letters) == self.letters
-
 
 class CyclicWord:
     """A word up to rotation; the least rotation is stored."""

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vankampen.presentation import Presentation, presentation_complex
+from vankampen.presentation import Presentation, invert_ints, presentation_complex, reduce_ints
 from vankampen.diagram import (
     DiskDiagram,
     attach_face,
@@ -171,13 +172,56 @@ def test_diagram_search_fills_conjugated_relators(galleries):
     assert ds.certified_exact and ds.value == 2
 
 
-@pytest.mark.xfail(strict=True, reason="relator_bfs's length term is not an admissible "
-                   "A* heuristic: it certifies 'lower bound 3 exceeds bound' for area 2")
 def test_oracles_agree_on_conjugated_relators(galleries):
     _p, m, x = galleries["torusT"]
     ds = area_oracle(CONJUGATED_RELATORS, x, bound=2, method="diagram_search")
     bfs = area_oracle(CONJUGATED_RELATORS, x, bound=2, method="relator_bfs", model=m)
     assert (bfs.value, bfs.certified_exact) == (ds.value, ds.certified_exact)
+
+
+# diagram_search's cost grows steeply with the word length (over torusT, a
+# 17-letter word takes about 25 times as long as a 13-letter one), so longer
+# draws are checked by relator_bfs alone
+CROSS_CHECK_MAX_LENGTH = 12
+
+
+@st.composite
+def conjugated_products(draw):
+    """(gallery, word, k): a product of k <= 3 relator forms, each conjugated
+    by a word of length <= 2, so the word has a filling of area <= k."""
+    gid = draw(st.sampled_from(["torusT", "thm2", "eq1"]))
+    p, _m = presentation(gid)
+    forms = [w for w, _i, _o in relator_forms(presentation_complex(p))]
+    n = len(p.names)
+    letter = st.integers(min_value=-n, max_value=n).filter(bool)
+    factors = draw(st.lists(
+        st.tuples(st.lists(letter, max_size=2), st.sampled_from(forms)), min_size=1, max_size=3
+    ))
+    word = [a for c, f in factors for a in (*c, *f, *invert_ints(c))]
+    return gid, reduce_ints(word), len(factors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugated_products())
+def test_relator_bfs_respects_known_fillings(galleries, case):
+    gid, word, k = case
+    _p, m, x = galleries[gid]
+    bfs = area_oracle(word, x, bound=k, method="relator_bfs", model=m)
+    assert bfs.certified_exact and bfs.value is not None and bfs.value <= k, bfs
+    if gid != "eq1" and len(canonical_cyclic(word)) <= CROSS_CHECK_MAX_LENGTH:
+        ds = area_oracle(word, x, bound=k, method="diagram_search")
+        assert ds.certified_exact and ds.value == bfs.value, (bfs, ds)
+
+
+def test_relator_bfs_refutes_by_astar_or_word_problem(galleries):
+    p, m, x = galleries["eq1"]
+    # free-factor commutator: invisible to the invariants, nontrivial in the model
+    w = p.word("c2 c3 c2^-1 c3^-1")
+    res = area_oracle(w, x, bound=2, method="relator_bfs")
+    assert res.value is None and res.certified_exact and res.expanded > 0
+    res = area_oracle(w, x, bound=2, method="relator_bfs", model=m)
+    assert res.value is None and res.certified_exact and res.expanded == 0
+    assert res.note.startswith("model word problem")
 
 
 def test_is_minimal_examples(galleries):

@@ -1,7 +1,6 @@
-"""One traced benchmark round per workload that the diagram layer drives,
-so that a change that breaks the tracer's patch points or the benchmark's
-output checks fails the suite.  ``certify`` is left out: it counts one
-known-fault query as failed in every round."""
+"""One traced benchmark round per workload that the diagram layer and the
+area oracles drive, so that a change that breaks the tracer's patch points
+or the benchmark's output checks fails the suite."""
 
 import json
 import subprocess
@@ -14,7 +13,7 @@ import pytest
 WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
 
-@pytest.mark.parametrize("workload", ["enumerate", "scan"])
+@pytest.mark.parametrize("workload", ["enumerate", "scan", "certify"])
 def test_traced_round_passes_its_checks(workload):
     argv = [sys.executable, str(WORKER), "--workload", workload, "--seed", "1",
             "--trace", "1", "--spawned-at", repr(time.monotonic())]
