@@ -9,7 +9,11 @@ reduced disk of area at most the bound is produced exactly once.
 searches the word moves (insert a relator rotation anywhere, freely and
 cyclically reducing) with an exact-arithmetic lower-bound heuristic, and
 ``diagram_search`` takes minima over the enumerated disks, assembling
-non-disk fillings by splitting the boundary word at cut vertices.
+non-disk fillings by splitting the boundary word at cut vertices.  It
+splits only where the first part can be null-homotopic: a filled part's
+exponent vector is an integer combination of the relators' vectors, so
+its class modulo their rational span is zero, and a cut whose part has a
+nonzero class could only have given "no filling".
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .presentation import (
@@ -443,7 +448,7 @@ class _InvariantBound:
 
     def _solve(self, b: Tuple[int, ...]) -> Optional[Fraction]:
         m, n = len(self.matrix), self.n
-        rank = _matrix_rank(self.matrix)
+        rank = len(_rref(self.matrix)[1])
         best: Optional[Fraction] = None
         feasible = False
         for size in range(0, min(rank, n) + 1):
@@ -458,10 +463,11 @@ class _InvariantBound:
         return best if feasible else None
 
 
-def _matrix_rank(matrix: List[List[Fraction]]) -> int:
+def _rref(matrix: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
+    """Reduced row echelon form: the nonzero rows and their pivot columns."""
     rows = [row[:] for row in matrix]
-    rank = 0
     cols = len(rows[0]) if rows else 0
+    pivots: List[int] = []
     r = 0
     for c in range(cols):
         piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
@@ -473,9 +479,9 @@ def _matrix_rank(matrix: List[List[Fraction]]) -> int:
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [vi - f * vr for vi, vr in zip(rows[i], rows[r])]
+        pivots.append(c)
         r += 1
-        rank += 1
-    return rank
+    return rows[:r], pivots
 
 
 def _solve_support(
@@ -551,7 +557,14 @@ def area_oracle(
     certified by the invariants, by the model's word problem when a model
     is given, or by exhausting every move sequence of length at most
     ``bound``.  ``diagram_search`` minimizes over enumerated disks glued
-    at cut vertices.  ``auto`` tries the word search first and falls back.
+    at cut vertices: the area of a cyclic word is the least of its
+    enumerated-disk area and ``best(u) + best(v)`` over its splits into two
+    arcs ``u`` and ``v``.  It tries only the splits at positions ``i < j``
+    whose prefix exponent vectors agree modulo the rational span of the
+    relators' vectors.  That is exact: a fillable ``u`` is null-homotopic,
+    so its exponent vector lies in the span, and each unordered split gives
+    the same two arcs, with the same sum, from either end.  ``auto`` tries
+    the word search first and falls back.
     """
     letters = canonical_cyclic(_as_letters(w))
     if letters == ():
@@ -707,8 +720,48 @@ def disk_boundary_table(x: TwoComplex, bound: int) -> Dict[Tuple[int, ...], int]
     return _TABLE_CACHE[key]
 
 
+def _letter_classes(x: TwoComplex) -> Dict[int, Tuple[int, ...]]:
+    """Each letter's exponent vector modulo the rational span of the
+    relators' exponent vectors.  A class is the tuple of values under
+    integer functionals that span the relator matrix's null space, so
+    they vanish together exactly on that span."""
+    n = len(x.alphabet)
+    matrix = [
+        [Fraction(sum((v == g) - (v == -g) for v in r.letters)) for g in range(1, n + 1)]
+        for r in x.face_words()
+    ]
+    rows, pivots = _rref(matrix)
+    functionals = []
+    for free in (c for c in range(n) if c not in pivots):
+        f = [Fraction(0)] * n
+        f[free] = Fraction(1)
+        for row, p in zip(rows, pivots):
+            f[p] = -row[free]
+        scale = lcm(*(v.denominator for v in f))
+        functionals.append([int(v * scale) for v in f])
+    return {
+        s * g: tuple(s * f[g - 1] for f in functionals)
+        for g in range(1, n + 1)
+        for s in (1, -1)
+    }
+
+
+def _prefix_classes(
+    letters: Sequence[int], letter_class: Dict[int, Tuple[int, ...]]
+) -> List[Tuple[int, ...]]:
+    """The class of every prefix ``letters[:i]``, for ``i`` from 0 to
+    ``len(letters)``; the last entry is the class of the whole word."""
+    cur = (0,) * len(next(iter(letter_class.values())))
+    out = [cur]
+    for v in letters:
+        cur = tuple(a + b for a, b in zip(cur, letter_class[v]))
+        out.append(cur)
+    return out
+
+
 def _diagram_search(letters: Tuple[int, ...], x: TwoComplex, bound: int) -> AreaResult:
     table = disk_boundary_table(x, bound)
+    letter_class = _letter_classes(x)
     memo: Dict[Tuple[int, ...], Optional[int]] = {}
 
     def best(wc: Tuple[int, ...]) -> Optional[int]:
@@ -717,22 +770,21 @@ def _diagram_search(letters: Tuple[int, ...], x: TwoComplex, bound: int) -> Area
         if wc in memo:
             return memo[wc]
         value = table.get(wc)
-        m = len(wc)
-        for rot in range(m):
-            rotated = wc[rot:] + wc[:rot]
-            for cut in range(1, m):
-                u = canonical_cyclic(rotated[:cut])
-                v = canonical_cyclic(rotated[cut:])
-                if u == wc or v == wc:
-                    continue
-                a = best(u)
+        # a fillable part wc[i:j] has class zero, i.e. the prefix classes
+        # at i and j agree; both parts are shorter than wc
+        cuts: Dict[Tuple[int, ...], List[int]] = {}
+        for i, c in enumerate(_prefix_classes(wc, letter_class)[:-1]):
+            cuts.setdefault(c, []).append(i)
+        for same in cuts.values():
+            for i, j in combinations(same, 2):
+                a = best(canonical_cyclic(wc[i:j]))
                 if a is None:
                     continue
-                bpart = best(v)
-                if bpart is None:
+                b = best(canonical_cyclic(wc[j:] + wc[:i]))
+                if b is None:
                     continue
-                if value is None or a + bpart < value:
-                    value = a + bpart
+                if value is None or a + b < value:
+                    value = a + b
         if value is not None and value > bound:
             value = None
         memo[wc] = value

@@ -24,6 +24,8 @@ from vankampen.enumeration import (
     enumeration_summary,
     is_minimal,
     _gluings,
+    _letter_classes,
+    _prefix_classes,
 )
 from vankampen.gallery import figure_diagram, presentation
 from vankampen.group_models import FreeProductModel, GroupElement
@@ -179,12 +181,6 @@ def test_oracles_agree_on_conjugated_relators(galleries):
     assert (bfs.value, bfs.certified_exact) == (ds.value, ds.certified_exact)
 
 
-# diagram_search's cost grows steeply with the word length (over torusT, a
-# 17-letter word takes about 25 times as long as a 13-letter one), so longer
-# draws are checked by relator_bfs alone
-CROSS_CHECK_MAX_LENGTH = 12
-
-
 @st.composite
 def conjugated_products(draw):
     """(gallery, word, k): a product of k <= 3 relator forms, each conjugated
@@ -208,9 +204,92 @@ def test_relator_bfs_respects_known_fillings(galleries, case):
     _p, m, x = galleries[gid]
     bfs = area_oracle(word, x, bound=k, method="relator_bfs", model=m)
     assert bfs.certified_exact and bfs.value is not None and bfs.value <= k, bfs
-    if gid != "eq1" and len(canonical_cyclic(word)) <= CROSS_CHECK_MAX_LENGTH:
-        ds = area_oracle(word, x, bound=k, method="diagram_search")
-        assert ds.certified_exact and ds.value == bfs.value, (bfs, ds)
+    ds = area_oracle(word, x, bound=k, method="diagram_search")
+    assert ds.certified_exact and ds.value == bfs.value, (bfs, ds)
+
+
+def _all_cuts_area(letters, x, bound, memo):
+    """diagram_search's value by brute force: every ordered split of every
+    rotation, with no class filter (``memo`` may be shared per complex and
+    bound, since the value of a word depends on nothing else)."""
+    table = disk_boundary_table(x, bound)
+
+    def best(wc):
+        if wc == ():
+            return 0
+        if wc in memo:
+            return memo[wc]
+        value = table.get(wc)
+        m = len(wc)
+        for rot in range(m):
+            rotated = wc[rot:] + wc[:rot]
+            for cut in range(1, m):
+                u = canonical_cyclic(rotated[:cut])
+                v = canonical_cyclic(rotated[cut:])
+                a = best(u)
+                if a is None:
+                    continue
+                b = best(v)
+                if b is None:
+                    continue
+                if value is None or a + b < value:
+                    value = a + b
+        if value is not None and value > bound:
+            value = None
+        memo[wc] = value
+        return value
+
+    return best(canonical_cyclic(letters))
+
+
+# the brute force takes seconds per word past 10 letters (about 10 s for
+# one 15-letter eq2 word), so the corpus stops there
+REFERENCE_MAX_LENGTH = 10
+
+
+def _split_search_corpus():
+    """(gallery, complex, word, bound): the canonical boundary words of the
+    enumerated disks, the words with one letter of them inverted, and the
+    products of two of them (which may need a split), each at the
+    gallery's area bound."""
+    out = []
+    for gid, n in (("eq1", 3), ("torusT", 4), ("eq2", 3)):
+        p, _m = presentation(gid)
+        x = presentation_complex(p)
+        words = {canonical_cyclic(d.boundary_word_ints())
+                 for d in enumerate_diagrams(x, EnumerationConfig(max_area=n))}
+        flips = {canonical_cyclic(w[:k] + (-w[k],) + w[k + 1:])
+                 for w in words for k in (0, len(w) // 2)}
+        products = {canonical_cyclic(u + v) for u in words for v in words}
+        out += [(gid, x, w, n) for w in sorted(words | flips | products)
+                if 0 < len(w) <= REFERENCE_MAX_LENGTH]
+    return out
+
+
+def test_diagram_search_matches_all_cuts_reference():
+    memos = {}
+    unfillable = glued = 0
+    for gid, x, w, n in _split_search_corpus():
+        ds = area_oracle(w, x, bound=n, method="diagram_search")
+        ref = _all_cuts_area(w, x, n, memos.setdefault((gid, n), {}))
+        assert (ds.value, ds.certified_exact) == (ref, True), (gid, w)
+        unfillable += ref is None
+        glued += ref is not None and w not in disk_boundary_table(x, n)
+    assert unfillable and glued
+
+
+def test_prefix_classes_are_zero_on_relators(galleries):
+    for gid in ("thm2", "thm1", "eq1", "eq2", "torusT"):
+        _p, _m, x = galleries[gid]
+        letter_class = _letter_classes(x)
+        for r in x.face_words():
+            assert not any(_prefix_classes(r.letters, letter_class)[-1]), (gid, r)
+    p, _m, x = galleries["eq2"]
+    letter_class = _letter_classes(x)
+    assert any(_prefix_classes(p.word("a1").letters, letter_class)[-1])
+    # a commutator's exponent vector is zero, so its ends share a class
+    classes = _prefix_classes(p.word("a1 b1 a1^-1 b1^-1").letters, letter_class)
+    assert len(classes) == 5 and classes[0] == classes[4] != classes[1]
 
 
 def test_relator_bfs_refutes_by_astar_or_word_problem(galleries):
