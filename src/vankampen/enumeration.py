@@ -22,7 +22,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import ceil, lcm
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .presentation import (
@@ -210,9 +210,10 @@ def _lp_mul(a: Dict, b: Dict) -> Dict:
     return out
 
 
-def _lp_divide(num: Dict, den: Dict, max_steps: int = 4096) -> Optional[Dict]:
-    """Exact division in the Laurent ring; None when it does not terminate
-    quickly or is not exact (lex-leading-term reduction)."""
+def _lp_divide(num: Dict, den: Dict) -> Optional[Dict]:
+    """Exact division in the Laurent ring; None when it takes more than
+    ``MAX_DIVISION_STEPS`` steps or is not exact (lex-leading-term
+    reduction)."""
     if not den:
         return None
     num = dict(num)
@@ -222,7 +223,7 @@ def _lp_divide(num: Dict, den: Dict, max_steps: int = 4096) -> Optional[Dict]:
     steps = 0
     while num:
         steps += 1
-        if steps > max_steps:
+        if steps > MAX_DIVISION_STEPS:
             return None
         lead_n = max(num)
         cn = num[lead_n]
@@ -252,80 +253,41 @@ def _lp_norm(a: Dict) -> int:
 class _InvariantBound:
     """Exact lower bound on filling area from abelianized invariants.
 
-    Rows are generator exponent sums plus, when a rank-2 lattice model is
-    available, twice the signed area of the projected boundary path.  Any
-    filling's signed face counts solve the linear system, so the minimal
-    l1-norm over rational solutions bounds the area from below.
+    A word is read once, into its Fox vector: per generator, the
+    position-weighted exponent sum over ``Z[Z^2]``, where a letter's
+    position is its prefix's projection under a rank-2 lattice model (with
+    no such model every position is zero, and the vector is the exponent
+    vector).  Every row of the plain system is linear in that vector: the
+    generator exponent sums and, with a model, twice the signed area of the
+    projected boundary path.  Any filling's signed face counts solve the
+    plain system, so the minimal l1-norm over rational solutions bounds the
+    area from below; with a model, the graded system over ``Z[Z^2]`` is
+    tried first and, when it pins each relator's translates, gives the
+    bound.  The Fox vector keys the one cache, which holds the final bound.
     """
 
     def __init__(self, x: TwoComplex, model: Optional[FreeProductModel] = None):
-        self.alphabet = x.alphabet
-        self.model = model if model is not None and model.abelian_rank == 2 else None
-        relators = [w.letters for w in x.face_words()]
-        self.n = len(relators)
-        self.rows: List[Callable[[Sequence[int]], int]] = []
-        for g in range(1, len(self.alphabet) + 1):
-            self.rows.append(self._exponent_row(g))
-        self.eq_matrix: Optional[List[List[Dict]]] = None
-        if self.model is not None:
-            self.pi_by_letter = {}
-            for i, name in enumerate(self.alphabet):
-                self.pi_by_letter[i + 1] = self.model.pi(name)
-            self.rows.append(self._area_row)
-            # position-weighted exponent sums over Z[Z^2] (Fox derivative,
-            # abelianized over the lattice quotient): one row per generator
-            self.eq_matrix = [
-                [self._e_vector(r)[g] for r in relators]
-                for g in range(len(self.alphabet))
-            ]
-            self._eq_cache: Dict[Tuple, Tuple] = {}
-        self.matrix = [[Fraction(row(r)) for r in relators] for row in self.rows]
-        self._cache: Dict[Tuple[int, ...], Optional[Fraction]] = {}
-
-    @staticmethod
-    def _exponent_row(g: int):
-        def row(word: Sequence[int]) -> int:
-            return sum(1 if v == g else -1 if v == -g else 0 for v in word)
-
-        return row
-
-    def _pi_path(self, word: Sequence[int]):
-        xx = yy = 0
-        pts = [(0, 0)]
-        for v in word:
-            px, py = self.pi_by_letter[abs(v)]
-            if v > 0:
-                xx += px
-                yy += py
-            else:
-                xx -= px
-                yy -= py
-            pts.append((xx, yy))
-        return pts
-
-    def _area_row(self, word: Sequence[int]) -> int:
-        pts = self._pi_path(word)
-        if pts[-1] != (0, 0):
-            raise ValueError("signed area needs a closed projected path")
-        twice = 0
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            twice += x0 * y1 - x1 * y0
-        return twice
-
-    def feasible_vector(self, word: Sequence[int]) -> Optional[Tuple[int, ...]]:
-        if self.model is not None and self._pi_path(word)[-1] != (0, 0):
-            return None
-        return tuple(int(row(word)) for row in self.rows)
+        graded = model is not None and model.abelian_rank == 2
+        self.pi = [model.pi(name) if graded else (0, 0) for name in x.alphabet]
+        es = [self._e_vector(w.letters) for w in x.face_words()]
+        self.n = len(es)
+        # one row per generator of the graded system, one column per relator
+        self.eq_matrix = [[e[g] for e in es] for g in range(len(self.pi))] if graded else None
+        cols = [self._rows(e) for e in es]
+        self.matrix = [
+            [Fraction(col[i]) for col in cols] for i in range(len(self.pi) + graded)
+        ]
+        self._cache: Dict[Tuple, Optional[int]] = {}
 
     def _e_vector(self, word: Sequence[int]) -> List[Dict]:
         """Per generator, the position-weighted exponent sum of the word:
         a letter g at projected prefix v contributes +z^v, an inverse
         letter the matching -z^(v - pi(g))."""
-        out: List[Dict] = [dict() for _ in self.alphabet]
+        out: List[Dict] = [dict() for _ in self.pi]
         vx = vy = 0
         for x in word:
             g = abs(x) - 1
-            px, py = self.pi_by_letter[abs(x)]
+            px, py = self.pi[g]
             if x > 0:
                 key = (vx, vy)
                 vx += px
@@ -342,23 +304,34 @@ class _InvariantBound:
                 coeffs.pop(key, None)
         return out
 
-    def _solve_equivariant(self, word: Sequence[int]) -> Tuple:
-        """('ok', bound) | ('infeasible',) | ('unknown',) solving the
-        Z[Z^2]-graded system: each relator's translate multiplicities are
-        pinned by Gaussian elimination with monomial pivots."""
-        bs = self._e_vector(word)
-        key = tuple(tuple(sorted(b.items())) for b in bs)
-        if key in self._eq_cache:
-            return self._eq_cache[key]
-        result = self._solve_laurent_system(bs)
-        self._eq_cache[key] = result
-        return result
+    def _rows(self, e: List[Dict]) -> Optional[Tuple[int, ...]]:
+        """The plain rows of a word from its Fox vector ``e``: each
+        generator's exponent sum (the sum of the coefficients of ``e[g]``)
+        and, with a model, twice the signed area of the projected path
+        (``c * (k x pi(g))`` summed over the terms ``c z^k`` of ``e[g]``).
+        None when the projected path, ending at the exponent sums times
+        the projections, does not close."""
+        sums = [sum(c.values()) for c in e]
+        if self.eq_matrix is None:
+            return tuple(sums)
+        if any(sum(s * p[i] for s, p in zip(sums, self.pi)) for i in (0, 1)):
+            return None
+        twice = sum(
+            c * (kx * py - ky * px)
+            for coeffs, (px, py) in zip(e, self.pi)
+            for (kx, ky), c in coeffs.items()
+        )
+        return (*sums, twice)
 
     def _solve_laurent_system(self, bs: List[Dict]) -> Tuple:
+        """('ok', bound) | ('infeasible',) | ('unknown',) solving the
+        Z[Z^2]-graded system for the Fox vector ``bs``: each relator's
+        translate multiplicities are pinned by Gaussian elimination with
+        monomial pivots."""
         n = self.n
         active: List[Tuple[List[Dict], Dict]] = [
             ([dict(self.eq_matrix[g][i]) for i in range(n)], dict(bs[g]))
-            for g in range(len(self.alphabet))
+            for g in range(len(self.pi))
         ]
         pivots: List[Tuple[int, List[Dict], Dict]] = []
         cols_left = set(range(n))
@@ -419,7 +392,7 @@ class _InvariantBound:
                     val = _lp_add(val, _lp_mul(coeffs[c2], values[c2]), -1)
             values[col] = val
         # verify against every original equation (unique-solution check)
-        for g in range(len(self.alphabet)):
+        for g in range(len(self.pi)):
             acc: Dict = {}
             for i in range(n):
                 acc = _lp_add(acc, _lp_mul(self.eq_matrix[g][i], values[i]))
@@ -430,37 +403,42 @@ class _InvariantBound:
     def bound(self, word: Sequence[int]) -> Optional[int]:
         """Exact lower bound: the graded system when it pins the relator
         placements, the plain invariant solve otherwise; None = infeasible."""
-        b = self.feasible_vector(word)
+        e = self._e_vector(word)
+        key = tuple(tuple(sorted(c.items())) for c in e)
+        if key not in self._cache:
+            self._cache[key] = self._bound(e)
+        return self._cache[key]
+
+    def _bound(self, e: List[Dict]) -> Optional[int]:
+        b = self._rows(e)
         if b is None:
             return None
         if self.eq_matrix is not None:
-            res = self._solve_equivariant(word)
+            res = self._solve_laurent_system(e)
             if res[0] == "infeasible":
                 return None
             if res[0] == "ok":
                 return res[1]
-        if b in self._cache:
-            val = self._cache[b]
-        else:
-            val = self._solve(b)
-            self._cache[b] = val
-        return None if val is None else int(-(-val.numerator // val.denominator)) if val.denominator != 1 else int(val)
+        val = self._solve(b)
+        return None if val is None else ceil(val)
 
     def _solve(self, b: Tuple[int, ...]) -> Optional[Fraction]:
-        m, n = len(self.matrix), self.n
-        rank = len(_rref(self.matrix)[1])
+        """The least l1-norm of a rational solution, over the supports whose
+        columns are independent and reach ``b``: those whose augmented
+        matrix has its pivots exactly on the support.  A larger support's
+        columns are dependent, so it fails that test."""
         best: Optional[Fraction] = None
-        feasible = False
-        for size in range(0, min(rank, n) + 1):
-            for support in combinations(range(n), size):
-                sol = _solve_support(self.matrix, b, support, n)
-                if sol is None:
+        for size in range(self.n + 1):
+            for support in combinations(range(self.n), size):
+                aug = [[row[j] for j in support] + [Fraction(bi)]
+                       for row, bi in zip(self.matrix, b)]
+                rows, pivots = _rref(aug)
+                if pivots != list(range(size)):
                     continue
-                feasible = True
-                norm = sum(abs(v) for v in sol)
+                norm = sum(abs(row[-1]) for row in rows)
                 if best is None or norm < best:
                     best = norm
-        return best if feasible else None
+        return best
 
 
 def _rref(matrix: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
@@ -484,36 +462,6 @@ def _rref(matrix: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]
     return rows[:r], pivots
 
 
-def _solve_support(
-    matrix: List[List[Fraction]], b: Sequence[int], support: Tuple[int, ...], n: int
-) -> Optional[List[Fraction]]:
-    """Solve A x = b with x zero off the support; None if inconsistent or
-    underdetermined on the support."""
-    cols = list(support)
-    rows = [[matrix[i][j] for j in cols] + [Fraction(b[i])] for i in range(len(matrix))]
-    r = 0
-    pivots = []
-    for c in range(len(cols)):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            return None  # underdetermined support; a smaller support covers it
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [v / rows[r][c] for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [vi - f * vr for vi, vr in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][-1] != 0:
-            return None  # inconsistent
-    sol = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        sol[cols[c]] = rows[i][-1]
-    return sol
-
-
 # ----------------------------------------------------------------------
 # area oracles
 
@@ -521,6 +469,10 @@ def _solve_support(
 # bound-perfect probe visits before handing over to A*
 MAX_EXPANSIONS = 500_000
 PROBE_NODE_BUDGET = 30_000
+# leading-term steps before ``_lp_divide`` gives up: division in the
+# Laurent ring need not terminate when the quotient is not a Laurent
+# polynomial, as with 1 / (1 - x), whose leading terms never run out
+MAX_DIVISION_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -566,6 +518,8 @@ def area_oracle(
     the same two arcs, with the same sum, from either end.  ``auto`` tries
     the word search first and falls back.
     """
+    if method not in ("auto", "relator_bfs", "diagram_search"):
+        raise ValueError(f"unknown oracle method {method!r}")
     letters = canonical_cyclic(_as_letters(w))
     if letters == ():
         return AreaResult(0, True, method)
@@ -583,7 +537,6 @@ def area_oracle(
                 f"oracle disagreement for {letters}: bfs={res.value} diagrams={alt.value}"
             )
         return alt if alt.certified_exact else res
-    raise ValueError(f"unknown oracle method {method!r}")
 
 
 def _moves(cur: Tuple[int, ...], forms: List[Tuple[int, ...]]) -> Iterator[Tuple[int, ...]]:

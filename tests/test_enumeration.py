@@ -1,7 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vankampen.presentation import Presentation, invert_ints, presentation_complex, reduce_ints
+from vankampen.presentation import (
+    Presentation,
+    Word,
+    invert_ints,
+    presentation_complex,
+    reduce_ints,
+)
 from vankampen.diagram import (
     DiskDiagram,
     attach_face,
@@ -23,12 +29,13 @@ from vankampen.enumeration import (
     enumerate_diagrams,
     enumeration_summary,
     is_minimal,
+    _bound_for,
     _gluings,
     _letter_classes,
     _prefix_classes,
 )
 from vankampen.gallery import figure_diagram, presentation
-from vankampen.group_models import FreeProductModel, GroupElement
+from vankampen.group_models import FreeProductModel, GroupElement, project_z2
 
 
 def test_thm2_area_one_exactly_two(galleries):
@@ -131,6 +138,14 @@ def test_area_oracle_trivial_and_obstructed(galleries):
     assert area_oracle(p.word(""), x, bound=3).value == 0
     res = area_oracle(p.word("a"), x, bound=3, model=m)
     assert res.value is None and res.certified_exact
+
+
+def test_area_oracle_rejects_unknown_method_on_trivial_words(galleries):
+    _p, _m, x = galleries["thm2"]
+    with pytest.raises(ValueError, match="bogus"):
+        area_oracle((1, -1), x, 3, method="bogus")
+    with pytest.raises(ValueError, match="relator_bsf"):
+        area_oracle((), x, 3, method="relator_bsf")
 
 
 def test_area_oracle_commutator_both_methods(galleries):
@@ -290,6 +305,60 @@ def test_prefix_classes_are_zero_on_relators(galleries):
     # a commutator's exponent vector is zero, so its ends share a class
     classes = _prefix_classes(p.word("a1 b1 a1^-1 b1^-1").letters, letter_class)
     assert len(classes) == 5 and classes[0] == classes[4] != classes[1]
+
+
+def _pi_path(word, pi_by_letter):
+    """The projected boundary path of a word, from the origin."""
+    xx = yy = 0
+    pts = [(0, 0)]
+    for v in word:
+        px, py = pi_by_letter[abs(v)]
+        if v > 0:
+            xx += px
+            yy += py
+        else:
+            xx -= px
+            yy -= py
+        pts.append((xx, yy))
+    return pts
+
+
+def _area_row(word, pi_by_letter):
+    """Twice the signed area of a closed projected path (shoelace)."""
+    pts = _pi_path(word, pi_by_letter)
+    assert pts[-1] == (0, 0)
+    return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:]))
+
+
+@st.composite
+def words_and_closures(draw):
+    """(gallery, word, closed): a random word, and the word followed by the
+    inverse of a shuffle of itself, whose projected path closes."""
+    gid = draw(st.sampled_from(["torusT", "eq1", "thm1"]))
+    n = len(presentation(gid)[0].names)
+    word = draw(st.lists(st.integers(min_value=-n, max_value=n).filter(bool),
+                         min_size=1, max_size=10))
+    shuffled = draw(st.permutations(word))
+    return gid, tuple(word), tuple(word) + invert_ints(shuffled)
+
+
+@settings(max_examples=80, deadline=None)
+@given(words_and_closures())
+def test_fox_vector_rows_match_direct_counts(galleries, case):
+    """The rows read off the Fox vector are the exponent counts and the
+    shoelace area of the projected path, and an open path has no bound."""
+    gid, word, closed = case
+    p, m, x = galleries[gid]
+    hb, plain = _bound_for(x, m), _bound_for(x, None)
+    pi_by_letter = {g: m.pi(name) for g, name in enumerate(p.names, start=1)}
+    for w in (word, closed):
+        counts = tuple(sum((v == g) - (v == -g) for v in w) for g in range(1, len(p.names) + 1))
+        assert plain._rows(plain._e_vector(w)) == counts
+        rows = hb._rows(hb._e_vector(w))
+        if project_z2(Word(w, p.names), m) != (0, 0):
+            assert rows is None and hb.bound(w) is None
+        else:
+            assert rows == (*counts, _area_row(w, pi_by_letter))
 
 
 def test_relator_bfs_refutes_by_astar_or_word_problem(galleries):

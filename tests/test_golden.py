@@ -1,15 +1,18 @@
-"""Byte-identity pins on CLI output and dart surgery.
+"""Byte-identity pins on CLI output, dart surgery and the area lower bound.
 
 Each test hashes an exact output: the stdout of ``cli.main`` for a few
 enumerations, figure emissions and presentation checks, the ``to_json()``
 stream of larger enumerations, the orbits, feature witnesses and validation
 reports of enumerated corpora, the concatenated JSON of the surgery results
-over a small corpus, and the piece listing of every gallery.  A change to
-any byte (dart numbering, orbit order, face indices, canonical order,
-relator text) fails here.  The outputs do not depend on ``PYTHONHASHSEED``.
+over a small corpus, the piece listing of every gallery, and the invariant
+lower bound over a fixed corpus of words.  A change to any byte (dart
+numbering, orbit order, face indices, canonical order, relator text, a
+bound's value) fails here.  The outputs do not depend on
+``PYTHONHASHSEED``.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -28,8 +31,14 @@ from vankampen.diagram import (
     remove_spur,
     validate,
 )
-from vankampen.enumeration import EnumerationConfig, enumerate_diagrams
+from vankampen.enumeration import (
+    EnumerationConfig,
+    _bound_for,
+    canonical_cyclic,
+    enumerate_diagrams,
+)
 from vankampen.gallery import GALLERY_IDS, presentation
+from vankampen.presentation import invert_ints, presentation_complex, reduce_ints
 
 
 def sha(text: str) -> str:
@@ -136,4 +145,46 @@ def test_pieces_pinned():
     )
     assert sha(listing) == (
         "782f09e9a0b504697f4ddc5e80651dc911cebe37bf8d2da0edbb0795efa48ce6"
+    )
+
+
+# enumerated boundary words up to this area feed the bound pin
+BOUND_PIN_AREA = {"thm2": 4, "thm1": 3, "eq1": 3, "eq2": 3, "torusT": 5}
+
+
+def bound_corpus(gid, x, rng):
+    """The canonical boundary words of the enumerated disks, then seeded
+    products of up to three relator forms conjugated by words of length at
+    most 2, then seeded random reduced words of length at most 8, each
+    alone and followed by the inverse of a shuffle of itself (a word with
+    a closed projected path and exponent vector zero)."""
+    words = sorted({canonical_cyclic(d.boundary_word_ints()) for d in
+                    enumerate_diagrams(x, EnumerationConfig(max_area=BOUND_PIN_AREA[gid]))})
+    forms = [w for w, _i, _o in relator_forms(x)]
+    letters = [s * g for g in range(1, len(x.alphabet) + 1) for s in (1, -1)]
+    for _ in range(40):
+        word = []
+        for _k in range(rng.randint(1, 3)):
+            c = [rng.choice(letters) for _j in range(rng.randint(0, 2))]
+            word += c + list(rng.choice(forms)) + list(invert_ints(c))
+        words.append(reduce_ints(word))
+    for _ in range(40):
+        word = [rng.choice(letters) for _j in range(rng.randint(1, 8))]
+        words.append(reduce_ints(word))
+        words.append(reduce_ints(word + list(invert_ints(rng.sample(word, len(word))))))
+    return words
+
+
+def test_invariant_bound_pinned():
+    rng = random.Random(8)
+    lines = []
+    for gid in GALLERY_IDS:
+        p, m = presentation(gid)
+        x = presentation_complex(p)
+        for word in bound_corpus(gid, x, rng):
+            for with_model in (True, False):
+                bound = _bound_for(x, m if with_model else None).bound(word)
+                lines.append(repr((gid, with_model, word, bound)))
+    assert sha("\n".join(lines)) == (
+        "5a32b6b7e72dab9e42fb46c0915628d623e5b034e7b792272d5b9741baee6149"
     )

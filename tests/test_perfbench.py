@@ -13,7 +13,7 @@ import pytest
 WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
 
-@pytest.mark.parametrize("workload", ["enumerate", "scan", "certify"])
+@pytest.mark.parametrize("workload", ["enumerate", "scan", "certify", "refute"])
 def test_traced_round_passes_its_checks(workload):
     argv = [sys.executable, str(WORKER), "--workload", workload, "--seed", "1",
             "--trace", "1", "--spawned-at", repr(time.monotonic())]
