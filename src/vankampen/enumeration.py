@@ -250,6 +250,12 @@ def _lp_norm(a: Dict) -> int:
 # invariant-based area lower bound
 
 
+def _flat(e: List[Dict]) -> Dict[Tuple[int, int, int], int]:
+    """A Fox vector as one dict: the term ``c z^(kx, ky)`` of generator
+    ``g`` is the entry ``(kx, ky, g): c``."""
+    return {(kx, ky, g): c for g, coeffs in enumerate(e) for (kx, ky), c in coeffs.items()}
+
+
 class _InvariantBound:
     """Exact lower bound on filling area from abelianized invariants.
 
@@ -263,7 +269,19 @@ class _InvariantBound:
     plain system, so the minimal l1-norm over rational solutions bounds the
     area from below; with a model, the graded system over ``Z[Z^2]`` is
     tried first and, when it pins each relator's translates, gives the
-    bound.  The Fox vector keys the one cache, which holds the final bound.
+    bound.  Its coefficient side depends only on the relators, so it is
+    eliminated once, here, and each solve replays the recorded row
+    operations on the word's vector alone.
+
+    The one cache holds the final bound, keyed by the Fox vector up to sign
+    and translation.  For a word whose projected path closes, rotating it
+    multiplies the vector by a monomial ``z^c``, inverting it negates the
+    vector, and free reduction leaves it unchanged.  Both systems give the
+    same bound on ``+-z^c e`` as on ``e``: their solutions map to each
+    other with the same norms, the graded solve's row operations are
+    linear, and ``_lp_divide`` takes the same steps on a translated or
+    negated dividend.  So a word's bound is its canonical form's bound,
+    and a search can score a move before canonicalising it.
     """
 
     def __init__(self, x: TwoComplex, model: Optional[FreeProductModel] = None):
@@ -278,6 +296,8 @@ class _InvariantBound:
             [Fraction(col[i]) for col in cols] for i in range(len(self.pi) + graded)
         ]
         self._cache: Dict[Tuple, Optional[int]] = {}
+        if graded:
+            self._eliminate()
 
     def _e_vector(self, word: Sequence[int]) -> List[Dict]:
         """Per generator, the position-weighted exponent sum of the word:
@@ -304,6 +324,10 @@ class _InvariantBound:
                 coeffs.pop(key, None)
         return out
 
+    def _closes(self, sums: Sequence[int]) -> bool:
+        """Whether a path with these exponent sums ends where it starts."""
+        return not any(sum(s * p[i] for s, p in zip(sums, self.pi)) for i in (0, 1))
+
     def _rows(self, e: List[Dict]) -> Optional[Tuple[int, ...]]:
         """The plain rows of a word from its Fox vector ``e``: each
         generator's exponent sum (the sum of the coefficients of ``e[g]``)
@@ -314,7 +338,7 @@ class _InvariantBound:
         sums = [sum(c.values()) for c in e]
         if self.eq_matrix is None:
             return tuple(sums)
-        if any(sum(s * p[i] for s, p in zip(sums, self.pi)) for i in (0, 1)):
+        if not self._closes(sums):
             return None
         twice = sum(
             c * (kx * py - ky * px)
@@ -323,22 +347,27 @@ class _InvariantBound:
         )
         return (*sums, twice)
 
-    def _solve_laurent_system(self, bs: List[Dict]) -> Tuple:
-        """('ok', bound) | ('infeasible',) | ('unknown',) solving the
-        Z[Z^2]-graded system for the Fox vector ``bs``: each relator's
-        translate multiplicities are pinned by Gaussian elimination with
-        monomial pivots."""
+    def _eliminate(self) -> None:
+        """Gaussian elimination with monomial pivots on the graded system's
+        coefficient side, recorded for ``_solve_laurent_system``.
+
+        ``_ops`` lists the right-hand-side operations in order: ``(g, f,
+        None)`` multiplies row ``g`` by the unit ``f = +-z^t``, ``(g, f,
+        h)`` subtracts ``f`` times row ``h`` from row ``g``.  ``_pivots``
+        holds ``(col, g, terms)``: row ``g`` reads ``x_col + sum(c *
+        x_c for c, _ in terms) = rhs``.  ``_left`` holds the other rows
+        ``(g, terms)`` over the columns no pivot took, in elimination
+        order.  Every operation is invertible, so the reduced system has
+        exactly the solutions of the original one."""
         n = self.n
-        active: List[Tuple[List[Dict], Dict]] = [
-            ([dict(self.eq_matrix[g][i]) for i in range(n)], dict(bs[g]))
-            for g in range(len(self.pi))
-        ]
-        pivots: List[Tuple[int, List[Dict], Dict]] = []
+        active = [(g, [dict(c) for c in row]) for g, row in enumerate(self.eq_matrix)]
+        ops: List[Tuple[int, Dict, Optional[int]]] = []
+        pivots: List[Tuple[int, int, List[Dict]]] = []
         cols_left = set(range(n))
         changed = True
         while changed and cols_left:
             changed = False
-            for idx, (coeffs, rhs) in enumerate(active):
+            for idx, (g, coeffs) in enumerate(active):
                 hit = None
                 for col in sorted(cols_left):
                     c = coeffs[col]
@@ -352,74 +381,112 @@ class _InvariantBound:
                 col, t, v = hit
                 inv = (-t[0], -t[1])
                 coeffs = [_lp_scale_mono(cc, v, inv) for cc in coeffs]
-                rhs = _lp_scale_mono(rhs, v, inv)
+                ops.append((g, {inv: v}, None))
                 active.pop(idx)
-                for j, (cj, rj) in enumerate(active):
+                for j, (gj, cj) in enumerate(active):
                     f = cj[col]
                     if f:
-                        cj = [_lp_add(cc, _lp_mul(f, pc), -1) for cc, pc in zip(cj, coeffs)]
-                        rj = _lp_add(rj, _lp_mul(f, rhs), -1)
-                        active[j] = (cj, rj)
-                for j, (pcol, pc2, pr2) in enumerate(pivots):
+                        active[j] = (gj, [_lp_add(cc, _lp_mul(f, pc), -1)
+                                          for cc, pc in zip(cj, coeffs)])
+                        ops.append((gj, f, g))
+                for j, (pcol, pg, pc2) in enumerate(pivots):
                     f = pc2[col]
                     if f:
-                        pc2 = [_lp_add(cc, _lp_mul(f, c2), -1) for cc, c2 in zip(pc2, coeffs)]
-                        pr2 = _lp_add(pr2, _lp_mul(f, rhs), -1)
-                        pivots[j] = (pcol, pc2, pr2)
-                pivots.append((col, coeffs, rhs))
+                        pivots[j] = (pcol, pg, [_lp_add(cc, _lp_mul(f, c2), -1)
+                                                for cc, c2 in zip(pc2, coeffs)])
+                        ops.append((pg, f, g))
+                pivots.append((col, g, coeffs))
                 cols_left.discard(col)
                 changed = True
                 break
-        solved: Dict[int, Dict] = {}
-        for coeffs, rhs in active:
-            nonzero = [col for col in cols_left if coeffs[col]]
-            if not nonzero:
-                if rhs:
+        self._ops = ops
+        self._pivots = [
+            (col, g, [(c, cc) for c, cc in enumerate(coeffs) if c != col and cc])
+            for col, g, coeffs in pivots
+        ]
+        self._left = [
+            (g, [(c, coeffs[c]) for c in sorted(cols_left) if coeffs[c]]) for g, coeffs in active
+        ]
+        self._free = len(cols_left)
+
+    def _solve_laurent_system(self, bs: List[Dict]) -> Tuple:
+        """('ok', bound, solution) | ('infeasible',) | ('unknown',) for the
+        Z[Z^2]-graded system with the Fox vector ``bs`` on the right: the
+        recorded row operations run on ``bs`` alone, each column no pivot
+        took is solved by exact division from the first row on it alone,
+        and the pivot columns follow by back-substitution.  The solution
+        holds on the pivot rows by construction and on the division rows
+        by exact division, and rows without columns are checked to be
+        zero; only the other rows are checked.  ``solution`` lists each
+        relator's translate multiplicities."""
+        rhs = list(bs)
+        for g, f, h in self._ops:
+            if h is None:
+                rhs[g] = _lp_mul(f, rhs[g])
+            else:
+                rhs[g] = _lp_add(rhs[g], _lp_mul(f, rhs[h]), -1)
+        values: Dict[int, Dict] = {}
+        unused = []
+        for g, terms in self._left:
+            if not terms:
+                if rhs[g]:
                     return ("infeasible",)
                 continue
-            if len(nonzero) > 1 or nonzero[0] in solved:
-                continue
-            q = _lp_divide(rhs, coeffs[nonzero[0]])
-            if q is not None:
-                solved[nonzero[0]] = q
-        if set(cols_left) - set(solved):
+            if len(terms) == 1 and terms[0][0] not in values:
+                col, den = terms[0]
+                q = _lp_divide(rhs[g], den)
+                if q is not None:
+                    values[col] = q
+                    continue
+            unused.append((g, terms))
+        if len(values) < self._free:
             return ("unknown",)
-        values: Dict[int, Dict] = dict(solved)
-        for col, coeffs, rhs in reversed(pivots):
-            val = dict(rhs)
-            for c2 in range(n):
-                if c2 != col and coeffs[c2]:
-                    val = _lp_add(val, _lp_mul(coeffs[c2], values[c2]), -1)
+        for col, g, terms in reversed(self._pivots):
+            val = rhs[g]
+            for c, cc in terms:
+                val = _lp_add(val, _lp_mul(cc, values[c]), -1)
             values[col] = val
-        # verify against every original equation (unique-solution check)
-        for g in range(len(self.pi)):
+        for g, terms in unused:
             acc: Dict = {}
-            for i in range(n):
-                acc = _lp_add(acc, _lp_mul(self.eq_matrix[g][i], values[i]))
-            if acc != {k: v for k, v in bs[g].items() if v}:
+            for c, cc in terms:
+                acc = _lp_add(acc, _lp_mul(cc, values[c]))
+            if acc != rhs[g]:
                 return ("infeasible",)
-        return ("ok", sum(_lp_norm(values[i]) for i in range(n)))
+        solution = [values[i] for i in range(self.n)]
+        return ("ok", sum(map(_lp_norm, solution)), solution)
 
     def bound(self, word: Sequence[int]) -> Optional[int]:
         """Exact lower bound: the graded system when it pins the relator
         placements, the plain invariant solve otherwise; None = infeasible."""
-        e = self._e_vector(word)
-        key = tuple(tuple(sorted(c.items())) for c in e)
+        return self.vector_bound(_flat(self._e_vector(word)))
+
+    def vector_bound(self, fox: Dict[Tuple[int, int, int], int]) -> Optional[int]:
+        """The bound of a word whose flat Fox vector is ``fox``, through the
+        cache.  The key is ``fox`` translated so that its least term sits
+        at the origin, and negated if that term's coefficient is negative.
+        A miss computes the bound from the key itself, so a cached value
+        does not depend on which word filled it."""
+        items = sorted(fox.items())
+        (mx, my, _g), lead = items[0] if items else ((0, 0, 0), 1)
+        s = 1 if lead > 0 else -1
+        key = tuple([(kx - mx, ky - my, g, s * v) for (kx, ky, g), v in items])
         if key not in self._cache:
+            e: List[Dict] = [dict() for _ in self.pi]
+            for kx, ky, g, v in key:
+                e[g][kx, ky] = v
             self._cache[key] = self._bound(e)
         return self._cache[key]
 
     def _bound(self, e: List[Dict]) -> Optional[int]:
-        b = self._rows(e)
-        if b is None:
-            return None
         if self.eq_matrix is not None:
+            if not self._closes([sum(c.values()) for c in e]):
+                return None
             res = self._solve_laurent_system(e)
             if res[0] == "infeasible":
                 return None
             if res[0] == "ok":
                 return res[1]
-        val = self._solve(b)
+        val = self._solve(self._rows(e))
         return None if val is None else ceil(val)
 
     def _solve(self, b: Tuple[int, ...]) -> Optional[Fraction]:
@@ -505,7 +572,12 @@ def area_oracle(
 
     ``relator_bfs`` runs an A* search over cyclic words with relator
     insertions as moves, guided by the invariant lower bound; its result is
-    certified unless the search hits ``MAX_EXPANSIONS``.  A "no filling" is
+    certified unless the search hits ``MAX_EXPANSIONS``.  Each move is
+    scored from the parent's Fox vector plus the inserted form's, shifted
+    to the insertion point, and only the moves the search keeps are
+    canonicalised.  That is exact: canonicalising a closed word rotates,
+    inverts and freely reduces it, which changes its Fox vector only by
+    sign and translation, and the bound is invariant under both.  A "no filling" is
     certified by the invariants, by the model's word problem when a model
     is given, or by exhausting every move sequence of length at most
     ``bound``.  ``diagram_search`` minimizes over enumerated disks glued
@@ -539,39 +611,71 @@ def area_oracle(
         return alt if alt.certified_exact else res
 
 
-def _moves(cur: Tuple[int, ...], forms: List[Tuple[int, ...]]) -> Iterator[Tuple[int, ...]]:
-    """Canonical forms of ``cur`` with a relator form inserted at each position."""
-    m = len(cur)
-    for formw in forms:
-        for i in range(m):
-            yield canonical_cyclic(cur[:i] + formw + cur[i:])
+def _fox_forms(x: TwoComplex, hb: _InvariantBound) -> List[Tuple[Tuple[int, ...], List[Tuple]]]:
+    """Each relator form of ``x`` with the items of its flat Fox vector,
+    as ``_moves`` takes them."""
+    return [(w, list(_flat(hb._e_vector(w)).items())) for (w, _i, _o) in relator_forms(x)]
+
+
+def _moves(
+    cur: Tuple[int, ...], forms: List[Tuple[Tuple[int, ...], List[Tuple]]], hb: _InvariantBound
+) -> Iterator[Tuple[Optional[int], int, Tuple[int, ...]]]:
+    """Every insertion of a relator form into ``cur``, scored before it is
+    canonicalised: yields ``(h, i, w)``, where ``h`` is the bound of
+    ``cur[:i] + w + cur[i:]``.  ``forms`` pairs each form with the items
+    of its flat Fox vector.  A form's projected path closes, so the
+    inserted word's vector is ``cur``'s plus the form's, shifted to the
+    projected prefix at ``i``; the bound's cache is keyed up to sign and
+    translation, so ``h`` is also the bound of the canonical form."""
+    base = _flat(hb._e_vector(cur))
+    starts = []
+    vx = vy = 0
+    for x in cur:
+        starts.append((vx, vy))
+        px, py = hb.pi[abs(x) - 1]
+        if x > 0:
+            vx += px
+            vy += py
+        else:
+            vx -= px
+            vy -= py
+    for w, terms in forms:
+        for i, (sx, sy) in enumerate(starts):
+            fox = base.copy()
+            for (kx, ky, g), v in terms:
+                k = (kx + sx, ky + sy, g)
+                nv = fox.get(k, 0) + v
+                if nv:
+                    fox[k] = nv
+                else:
+                    del fox[k]
+            yield hb.vector_bound(fox), i, w
 
 
 def _perfect_probe(
     letters: Tuple[int, ...],
     h0: int,
     hb: _InvariantBound,
-    forms: List[Tuple[int, ...]],
+    forms: List[Tuple[Tuple[int, ...], List[Tuple]]],
 ) -> Optional[int]:
     """Depth-first hunt for a filling that meets the lower bound exactly.
 
     Only moves dropping the invariant bound by exactly one are followed, so
     the depth of every state is forced and a global visited set is sound.
-    Returns the node count on success, None when the budget runs out or no
-    bound-perfect filling exists.
+    Moves are scored before they are canonicalised (see ``_moves``), and
+    only the ones kept are.  Returns the node count on success, None when
+    the budget runs out or no bound-perfect filling exists.
     """
     seen = {letters}
     nodes = 0
 
     def successors(cur: Tuple[int, ...], remaining: int) -> List[Tuple[int, ...]]:
-        out = {nxt for nxt in _moves(cur, forms) if nxt not in seen}
-        keep = []
-        for nxt in out:
-            h = hb.bound(nxt)
-            if h is not None and h == remaining - 1:
-                keep.append(nxt)
-        keep.sort(key=lambda w: (len(w), w))
-        return keep
+        keep = {
+            canonical_cyclic(cur[:i] + w + cur[i:])
+            for h, i, w in _moves(cur, forms, hb)
+            if h == remaining - 1
+        }
+        return sorted(keep - seen, key=lambda w: (len(w), w))
 
     stack: List[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]] = []
     stack.append((letters, successors(letters, h0)))
@@ -602,7 +706,6 @@ def _relator_bfs(
     bound: int,
     model: Optional[FreeProductModel],
 ) -> AreaResult:
-    forms = [w for (w, _i, _o) in relator_forms(x)]
     hb = _bound_for(x, model)
     h0 = hb.bound(letters)
     if h0 is None:
@@ -613,6 +716,7 @@ def _relator_bfs(
         return AreaResult(None, True, "relator_bfs", note="model word problem: not null-homotopic")
     if h0 > bound:
         return AreaResult(None, True, "relator_bfs", note=f"lower bound {h0} exceeds bound")
+    forms = _fox_forms(x, hb)
     probe = _perfect_probe(letters, h0, hb, forms)
     if probe is not None:
         return AreaResult(h0, True, "relator_bfs", expanded=probe,
@@ -633,12 +737,12 @@ def _relator_bfs(
         if expanded > MAX_EXPANSIONS:
             return AreaResult(None, False, "relator_bfs", expanded=expanded,
                               note="expansion cap hit")
-        for nxt in set(_moves(cur, forms)):
-            g2 = g + 1
-            if dist.get(nxt, bound + 1) <= g2:
-                continue
-            h = hb.bound(nxt)
+        g2 = g + 1
+        for h, i, w in _moves(cur, forms, hb):
             if h is None or g2 + h > bound:
+                continue
+            nxt = canonical_cyclic(cur[:i] + w + cur[i:])
+            if dist.get(nxt, bound + 1) <= g2:
                 continue
             dist[nxt] = g2
             heapq.heappush(heap, (g2 + h, -g2, len(nxt), nxt))
@@ -713,39 +817,44 @@ def _prefix_classes(
 
 
 def _diagram_search(letters: Tuple[int, ...], x: TwoComplex, bound: int) -> AreaResult:
-    table = disk_boundary_table(x, bound)
-    letter_class = _letter_classes(x)
-    memo: Dict[Tuple[int, ...], Optional[int]] = {}
-
-    def best(wc: Tuple[int, ...]) -> Optional[int]:
-        if wc == ():
-            return 0
-        if wc in memo:
-            return memo[wc]
-        value = table.get(wc)
-        # a fillable part wc[i:j] has class zero, i.e. the prefix classes
-        # at i and j agree; both parts are shorter than wc
-        cuts: Dict[Tuple[int, ...], List[int]] = {}
-        for i, c in enumerate(_prefix_classes(wc, letter_class)[:-1]):
-            cuts.setdefault(c, []).append(i)
-        for same in cuts.values():
-            for i, j in combinations(same, 2):
-                a = best(canonical_cyclic(wc[i:j]))
-                if a is None:
-                    continue
-                b = best(canonical_cyclic(wc[j:] + wc[:i]))
-                if b is None:
-                    continue
-                if value is None or a + b < value:
-                    value = a + b
-        if value is not None and value > bound:
-            value = None
-        memo[wc] = value
-        return value
-
-    value = best(letters)
+    value = _best_filling(letters, {}, disk_boundary_table(x, bound), _letter_classes(x), bound)
     note = "" if value is not None else "no filling within bound"
     return AreaResult(value, True, "diagram_search", note=note)
+
+
+def _best_filling(
+    wc: Tuple[int, ...],
+    memo: Dict[Tuple[int, ...], Optional[int]],
+    table: Dict[Tuple[int, ...], int],
+    letter_class: Dict[int, Tuple[int, ...]],
+    bound: int,
+) -> Optional[int]:
+    """The least area, at most ``bound``, of the canonical word ``wc``
+    over its enumerated disks and its splits into two filled arcs."""
+    if wc == ():
+        return 0
+    if wc in memo:
+        return memo[wc]
+    value = table.get(wc)
+    # a fillable part wc[i:j] has class zero, i.e. the prefix classes at i
+    # and j agree; both parts are shorter than wc
+    cuts: Dict[Tuple[int, ...], List[int]] = {}
+    for i, c in enumerate(_prefix_classes(wc, letter_class)[:-1]):
+        cuts.setdefault(c, []).append(i)
+    for same in cuts.values():
+        for i, j in combinations(same, 2):
+            a = _best_filling(canonical_cyclic(wc[i:j]), memo, table, letter_class, bound)
+            if a is None:
+                continue
+            b = _best_filling(canonical_cyclic(wc[j:] + wc[:i]), memo, table, letter_class, bound)
+            if b is None:
+                continue
+            if value is None or a + b < value:
+                value = a + b
+    if value is not None and value > bound:
+        value = None
+    memo[wc] = value
+    return value
 
 
 def is_minimal(

@@ -30,11 +30,16 @@ from vankampen.enumeration import (
     enumeration_summary,
     is_minimal,
     _bound_for,
+    _fox_forms,
     _gluings,
     _letter_classes,
+    _lp_add,
+    _lp_mul,
+    _lp_norm,
+    _moves,
     _prefix_classes,
 )
-from vankampen.gallery import figure_diagram, presentation
+from vankampen.gallery import GALLERY_IDS, figure_diagram, presentation
 from vankampen.group_models import FreeProductModel, GroupElement, project_z2
 
 
@@ -446,3 +451,79 @@ def test_bound_cache_keyed_by_model_content():
         p, 2, 0, {"a1": lattice((2, 0)), "b1": lattice((0, 1)), "c1": lattice((2, -1))}
     )
     assert _bound_for(x, skew) is not _bound_for(x, m)
+
+
+@st.composite
+def closed_words(draw):
+    """(gallery, word): a random word followed by the inverse of a shuffle
+    of itself, so that its projected path closes under any model, with up
+    to two relator forms spliced in, each conjugated by a word of length
+    at most 2."""
+    gid = draw(st.sampled_from(GALLERY_IDS))
+    p, _m = presentation(gid)
+    forms = [w for w, _i, _o in relator_forms(presentation_complex(p))]
+    n = len(p.names)
+    letter = st.integers(min_value=-n, max_value=n).filter(bool)
+    word = draw(st.lists(letter, max_size=4))
+    word += invert_ints(draw(st.permutations(word)))
+    factors = draw(st.lists(
+        st.tuples(st.lists(letter, max_size=2), st.sampled_from(forms)), max_size=2
+    ))
+    for c, f in factors:
+        i = draw(st.integers(min_value=0, max_value=len(word)))
+        word[i:i] = [*c, *f, *invert_ints(c)]
+    return gid, tuple(word)
+
+
+@settings(max_examples=50, deadline=None)
+@given(closed_words(), st.data())
+def test_bound_invariant_under_sign_and_translation(galleries, case, data):
+    """The bound's cache is keyed by the Fox vector up to sign and
+    translation, which is exact only if the uncached bound agrees on a
+    closed word's rotations, its inverse and the word with a cancelling
+    pair inserted, and on each scored move and its canonical form."""
+    gid, word = case
+    _p, m, x = galleries[gid]
+    n = len(x.alphabet)
+    for hb in (_bound_for(x, m), _bound_for(x, None)):
+        def uncached(w):
+            return hb._bound(hb._e_vector(w))
+
+        h = uncached(word)
+        assert hb.bound(word) == h
+        for r in range(1, len(word)):
+            assert uncached(word[r:] + word[:r]) == h, r
+        assert uncached(invert_ints(word)) == h
+        i = data.draw(st.integers(min_value=0, max_value=len(word)))
+        a = data.draw(st.integers(min_value=-n, max_value=n).filter(bool))
+        assert uncached(word[:i] + (a, -a) + word[i:]) == h
+        # every insertion of two drawn forms (an uncached bound can take
+        # milliseconds, and the longest galleries have 36 forms)
+        forms = _fox_forms(x, hb)
+        picked = data.draw(st.sets(st.sampled_from([w for w, _t in forms]), min_size=1, max_size=2))
+        cur = canonical_cyclic(word)
+        for h2, i, w in _moves(cur, forms, hb):
+            if w in picked:
+                assert h2 == uncached(canonical_cyclic(cur[:i] + w + cur[i:])), (i, w)
+
+
+@settings(max_examples=50, deadline=None)
+@given(closed_words())
+def test_graded_solution_solves_the_system(galleries, case):
+    """The graded solve checks only the reduced rows it did not use; every
+    solution it calls "ok", multiplied through the coefficient matrix,
+    gives back the word's Fox vector."""
+    gid, word = case
+    _p, m, x = galleries[gid]
+    hb = _bound_for(x, m)
+    for w in (word, invert_ints(word), word[1:] + word[:1]):
+        e = hb._e_vector(w)
+        res = hb._solve_laurent_system(e)
+        if res[0] != "ok":
+            continue
+        assert res[1] == sum(_lp_norm(v) for v in res[2])
+        for g, row in enumerate(hb.eq_matrix):
+            acc = {}
+            for coeff, v in zip(row, res[2]):
+                acc = _lp_add(acc, _lp_mul(coeff, v))
+            assert acc == e[g], (w, g)

@@ -4,10 +4,11 @@ Each test hashes an exact output: the stdout of ``cli.main`` for a few
 enumerations, figure emissions and presentation checks, the ``to_json()``
 stream of larger enumerations, the orbits, feature witnesses and validation
 reports of enumerated corpora, the concatenated JSON of the surgery results
-over a small corpus, the piece listing of every gallery, and the invariant
-lower bound over a fixed corpus of words.  A change to any byte (dart
+over a small corpus, the piece listing of every gallery, the invariant
+lower bound over a fixed corpus of words, and every field of the word-move
+oracle's answers on a fixed corpus.  A change to any byte (dart
 numbering, orbit order, face indices, canonical order, relator text, a
-bound's value) fails here.  The outputs do not depend on
+bound's value, a probe's node count) fails here.  The outputs do not depend on
 ``PYTHONHASHSEED``.
 """
 
@@ -34,6 +35,7 @@ from vankampen.diagram import (
 from vankampen.enumeration import (
     EnumerationConfig,
     _bound_for,
+    area_oracle,
     canonical_cyclic,
     enumerate_diagrams,
 )
@@ -187,4 +189,44 @@ def test_invariant_bound_pinned():
                 lines.append(repr((gid, with_model, word, bound)))
     assert sha("\n".join(lines)) == (
         "5a32b6b7e72dab9e42fb46c0915628d623e5b034e7b792272d5b9741baee6149"
+    )
+
+
+def commutator_power(n: int) -> tuple:
+    return (1,) * n + (2,) * n + (-1,) * n + (-2,) * n
+
+
+def relator_bfs_corpus():
+    """(gallery, word, bound, with model): the distinct canonical boundary
+    words of the eq1 disks of area <= 3 and the torusT disks of area <= 5,
+    each at its least enumerated area; thm2's [a^n, b^n] for n = 1..3 at
+    bound 18; and eq1's free-factor commutator without a model, which A*
+    refutes by exhausting its moves."""
+    out = []
+    for gid, area in (("eq1", 3), ("torusT", 5)):
+        x = presentation_complex(presentation(gid)[0])
+        least = {}
+        for d in enumerate_diagrams(x, EnumerationConfig(max_area=area)):
+            w = canonical_cyclic(d.boundary_word_ints())
+            least[w] = min(least.get(w, d.area), d.area)
+        out += [(gid, w, a, True) for w, a in sorted(least.items())]
+    out += [("thm2", commutator_power(n), 18, True) for n in (1, 2, 3)]
+    p, _m = presentation("eq1")
+    out.append(("eq1", p.word("c2 c3 c2^-1 c3^-1").letters, 2, False))
+    return out
+
+
+def test_relator_bfs_pinned():
+    """Every field of the word-move oracle's answers, so a change in the
+    probe's node count or A*'s expansions fails here."""
+    lines = []
+    for gid, word, bound, with_model in relator_bfs_corpus():
+        p, m = presentation(gid)
+        x = presentation_complex(p)
+        res = area_oracle(word, x, bound=bound, method="relator_bfs",
+                          model=m if with_model else None)
+        fields = (res.value, res.certified_exact, res.method, res.expanded, res.note)
+        lines.append(repr((gid, word, bound, with_model, fields)))
+    assert sha("\n".join(lines)) == (
+        "5bd7d3fae4e6688c09650f6a1ff004e2d4fdef6cc03ce828b8c1a2ca5cf09b61"
     )
