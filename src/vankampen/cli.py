@@ -21,6 +21,7 @@ from .presentation import (
 )
 from .group_models import FreeProductModel, ModelError, parse_model_file
 from .diagram import (
+    DiagramError,
     DiskDiagram,
     boundary_path,
     find_cutcells,
@@ -407,7 +408,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PresentationError, ModelError, FileNotFoundError) as exc:
+    except (PresentationError, ModelError, DiagramError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:

@@ -143,7 +143,6 @@ def pieces(p: Presentation) -> List[Piece]:
     """
     forms = [(w, PieceSite(idx, rot, orient)) for w, idx, rot, orient in symmetrized(p.relators)]
     out: List[Piece] = []
-    seen = set()
     for i in range(len(forms)):
         wa, sa = forms[i]
         for j in range(i + 1, len(forms)):
@@ -152,13 +151,8 @@ def pieces(p: Presentation) -> List[Piece]:
             limit = min(len(wa), len(wb))
             while n < limit and wa[n] == wb[n]:
                 n += 1
-            if n == 0:
-                continue
-            key = (wa[:n], sa, sb)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(Piece(Word(wa[:n], p.names), sa, sb))
+            if n:
+                out.append(Piece(Word(wa[:n], p.names), sa, sb))
     return out
 
 

@@ -343,42 +343,56 @@ class DiskDiagram:
 
     @classmethod
     def from_json(cls, text: str) -> "DiskDiagram":
-        data = json.loads(text)
-        n = data["darts"]
-        opposite = data.get("opposite") or [d ^ 1 for d in range(n)]
-        if sorted(opposite) != list(range(n)) or any(opposite[opposite[d]] != d or opposite[d] == d for d in range(n)):
-            raise DiagramError("opposite is not a fixed-point-free involution")
-        alphabet = tuple(data["alphabet"]) if "alphabet" in data else None
-        raw_labels = data["labels"]
-        if alphabet is None:
-            seen = []
+        """The diagram that ``to_json`` wrote; DiagramError on any malformed
+        input."""
+        try:
+            data = json.loads(text)
+            n = data["darts"]
+            opposite = data.get("opposite") or [d ^ 1 for d in range(n)]
+            if sorted(opposite) != list(range(n)) or any(opposite[opposite[d]] != d or opposite[d] == d for d in range(n)):
+                raise DiagramError("opposite is not a fixed-point-free involution")
+            alphabet = tuple(data["alphabet"]) if "alphabet" in data else None
+            raw_labels = data["labels"]
+            if len(raw_labels) != n:
+                raise DiagramError("need one label per dart")
+            if alphabet is None:
+                seen = []
+                for s in raw_labels:
+                    name = s[:-3] if s.endswith("^-1") else s
+                    if name not in seen:
+                        seen.append(name)
+                alphabet = tuple(sorted(seen))
+            labels = []
             for s in raw_labels:
-                name = s[:-3] if s.endswith("^-1") else s
-                if name not in seen:
-                    seen.append(name)
-            alphabet = tuple(sorted(seen))
-        labels = []
-        for s in raw_labels:
-            if s.endswith("^-1"):
-                labels.append(-(alphabet.index(s[:-3]) + 1))
-            else:
-                labels.append(alphabet.index(s) + 1)
-        # remap so opposite pairs become (2i, 2i + 1)
-        remap = [-1] * n
-        nxt = 0
-        for d in range(n):
-            if remap[d] < 0:
-                remap[d] = nxt
-                remap[opposite[d]] = nxt + 1
-                nxt += 2
-        sigma = [0] * n
-        new_labels = [0] * n
-        for d in range(n):
-            sigma[remap[d]] = remap[data["sigma"][d]]
-            new_labels[remap[d]] = labels[d]
-        outer = data.get("outer_face_dart")
-        outer = None if outer is None else remap[outer]
-        return cls(sigma, new_labels, alphabet, outer)
+                if s.endswith("^-1"):
+                    labels.append(-(alphabet.index(s[:-3]) + 1))
+                else:
+                    labels.append(alphabet.index(s) + 1)
+            # remap so opposite pairs become (2i, 2i + 1)
+            remap = [-1] * n
+            nxt = 0
+            for d in range(n):
+                if remap[d] < 0:
+                    remap[d] = nxt
+                    remap[opposite[d]] = nxt + 1
+                    nxt += 2
+            # checked here, since a negative index would wrap around in remap
+            if sorted(data["sigma"]) != list(range(n)):
+                raise DiagramError("sigma is not a permutation of the darts")
+            outer = data.get("outer_face_dart")
+            if outer is not None and outer not in range(n):
+                raise DiagramError("outer dart out of range")
+            sigma = [0] * n
+            new_labels = [0] * n
+            for d in range(n):
+                sigma[remap[d]] = remap[data["sigma"][d]]
+                new_labels[remap[d]] = labels[d]
+            outer = None if outer is None else remap[outer]
+            return cls(sigma, new_labels, alphabet, outer)
+        except DiagramError:
+            raise
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+            raise DiagramError(f"malformed diagram JSON: {exc!r}") from exc
 
     def to_dot(self, features: Optional[Sequence["FeatureWitness"]] = None) -> str:
         """DOT rendering: vertices, labeled directed edges, feature colors."""

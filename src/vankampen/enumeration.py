@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import ceil, lcm
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -192,11 +193,6 @@ def _lp_add(a: Dict, b: Dict, sign: int = 1) -> Dict:
     return out
 
 
-def _lp_scale_mono(a: Dict, coeff: int, shift: Tuple[int, int]) -> Dict:
-    sx, sy = shift
-    return {(k[0] + sx, k[1] + sy): coeff * v for k, v in a.items()}
-
-
 def _lp_mul(a: Dict, b: Dict) -> Dict:
     out: Dict = {}
     for (ax, ay), av in a.items():
@@ -210,35 +206,44 @@ def _lp_mul(a: Dict, b: Dict) -> Dict:
     return out
 
 
-def _lp_divide(num: Dict, den: Dict) -> Optional[Dict]:
-    """Exact division in the Laurent ring; None when it takes more than
-    ``MAX_DIVISION_STEPS`` steps or is not exact (lex-leading-term
-    reduction)."""
-    if not den:
-        return None
+def _lp_box(a: Dict) -> Tuple[int, int, int, int]:
+    """The least and greatest x, then y, exponents of a nonzero ``a``."""
+    xs, ys = zip(*a)
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+def _lp_divide(num: Dict, den: Dict, den_box: Tuple[int, int, int, int]) -> Optional[Dict]:
+    """The exact quotient ``num / den`` in the Laurent ring, or None when
+    there is none; ``den_box`` is ``_lp_box(den)``.
+
+    If ``num = q * den``, the Newton polytope of ``num`` is the sum of its
+    factors' polytopes, so the exponents of ``q`` lie in the box that the
+    x- and y-ranges of ``num`` and ``den`` set.  Lex-leading-term reduction
+    finds the terms of ``q`` in strictly decreasing order, so a step that
+    leaves the box, or a leading coefficient that does not divide, proves
+    there is no quotient, and the loop ends within the box."""
+    if not num:
+        return {}
+    nx0, nx1, ny0, ny1 = _lp_box(num)
+    dx0, dx1, dy0, dy1 = den_box
     num = dict(num)
     lead_d = max(den)
     cd = den[lead_d]
     quo: Dict = {}
-    steps = 0
     while num:
-        steps += 1
-        if steps > MAX_DIVISION_STEPS:
-            return None
         lead_n = max(num)
         cn = num[lead_n]
-        if cn % cd:
+        sx, sy = lead_n[0] - lead_d[0], lead_n[1] - lead_d[1]
+        if cn % cd or not (nx0 - dx0 <= sx <= nx1 - dx1 and ny0 - dy0 <= sy <= ny1 - dy1):
             return None
-        c = cn // cd
-        shift = (lead_n[0] - lead_d[0], lead_n[1] - lead_d[1])
-        quo[shift] = quo.get(shift, 0) + c
-        for k, v in den.items():
-            kk = (k[0] + shift[0], k[1] + shift[1])
+        c = quo[sx, sy] = cn // cd
+        for (kx, ky), v in den.items():
+            kk = (kx + sx, ky + sy)
             nv = num.get(kk, 0) - c * v
             if nv:
                 num[kk] = nv
             else:
-                num.pop(kk, None)
+                del num[kk]
     return quo
 
 
@@ -250,28 +255,25 @@ def _lp_norm(a: Dict) -> int:
 # invariant-based area lower bound
 
 
-def _flat(e: List[Dict]) -> Dict[Tuple[int, int, int], int]:
-    """A Fox vector as one dict: the term ``c z^(kx, ky)`` of generator
-    ``g`` is the entry ``(kx, ky, g): c``."""
-    return {(kx, ky, g): c for g, coeffs in enumerate(e) for (kx, ky), c in coeffs.items()}
-
-
 class _InvariantBound:
     """Exact lower bound on filling area from abelianized invariants.
 
-    A word is read once, into its Fox vector: per generator, the
-    position-weighted exponent sum over ``Z[Z^2]``, where a letter's
-    position is its prefix's projection under a rank-2 lattice model (with
-    no such model every position is zero, and the vector is the exponent
-    vector).  Every row of the plain system is linear in that vector: the
-    generator exponent sums and, with a model, twice the signed area of the
+    Built from the complex and ``pi``, the rank-2 lattice projection of
+    each generator under a model, or None without one (then every position
+    is zero).  A word is read in one projected walk: the prefix point at
+    each position, and the word's Fox vector, the flat dict ``(kx, ky, g)
+    -> c`` of its position-weighted exponent sums over ``Z[Z^2]``.  Every
+    row of the plain system is linear in that vector: the generator
+    exponent sums and, with a projection, twice the signed area of the
     projected boundary path.  Any filling's signed face counts solve the
     plain system, so the minimal l1-norm over rational solutions bounds the
-    area from below; with a model, the graded system over ``Z[Z^2]`` is
-    tried first and, when it pins each relator's translates, gives the
+    area from below; with a projection, the graded system over ``Z[Z^2]``
+    is tried first and, when it pins each relator's translates, gives the
     bound.  Its coefficient side depends only on the relators, so it is
     eliminated once, here, and each solve replays the recorded row
-    operations on the word's vector alone.
+    operations on the word's vector alone, split per generator.  The
+    relator forms' vectors are computed once per bound too, for the word
+    moves.
 
     The one cache holds the final bound, keyed by the Fox vector up to sign
     and translation.  For a word whose projected path closes, rotating it
@@ -279,72 +281,86 @@ class _InvariantBound:
     vector, and free reduction leaves it unchanged.  Both systems give the
     same bound on ``+-z^c e`` as on ``e``: their solutions map to each
     other with the same norms, the graded solve's row operations are
-    linear, and ``_lp_divide`` takes the same steps on a translated or
-    negated dividend.  So a word's bound is its canonical form's bound,
+    linear, and exact division commutes with both.  So a word's bound is
+    its canonical form's bound, whichever rotation or reduction is asked,
     and a search can score a move before canonicalising it.
     """
 
-    def __init__(self, x: TwoComplex, model: Optional[FreeProductModel] = None):
-        graded = model is not None and model.abelian_rank == 2
-        self.pi = [model.pi(name) if graded else (0, 0) for name in x.alphabet]
-        es = [self._e_vector(w.letters) for w in x.face_words()]
+    def __init__(self, x: TwoComplex, pi: Optional[Tuple[Tuple[int, int], ...]] = None):
+        graded = pi is not None
+        self.pi = pi if graded else ((0, 0),) * len(x.alphabet)
+        es = [self._walk(w.letters)[1] for w in x.face_words()]
         self.n = len(es)
         # one row per generator of the graded system, one column per relator
-        self.eq_matrix = [[e[g] for e in es] for g in range(len(self.pi))] if graded else None
+        self.eq_matrix = [list(col) for col in zip(*map(self._split, es))] if graded else None
         cols = [self._rows(e) for e in es]
         self.matrix = [
             [Fraction(col[i]) for col in cols] for i in range(len(self.pi) + graded)
         ]
+        self._x = x
         self._cache: Dict[Tuple, Optional[int]] = {}
         if graded:
             self._eliminate()
 
-    def _e_vector(self, word: Sequence[int]) -> List[Dict]:
-        """Per generator, the position-weighted exponent sum of the word:
-        a letter g at projected prefix v contributes +z^v, an inverse
-        letter the matching -z^(v - pi(g))."""
-        out: List[Dict] = [dict() for _ in self.pi]
+    @cached_property
+    def forms(self) -> List[Tuple[Tuple[int, ...], List[Tuple]]]:
+        """Each relator form with the items of its Fox vector, for
+        ``_moves``: computed on first use, since a bound whose words are all
+        refuted by the invariants or the model's word problem needs none."""
+        return [(w, list(self._walk(w)[1].items())) for (w, _i, _o) in relator_forms(self._x)]
+
+    def _walk(self, word: Sequence[int]) -> Tuple[List[Tuple[int, int]], Dict]:
+        """The projected prefix point before each letter of the word, and
+        its Fox vector: a letter g at prefix point v contributes +z^v to
+        generator g, an inverse letter the matching -z^(v - pi(g))."""
+        starts = []
+        fox: Dict[Tuple[int, int, int], int] = {}
         vx = vy = 0
         for x in word:
+            starts.append((vx, vy))
             g = abs(x) - 1
             px, py = self.pi[g]
             if x > 0:
-                key = (vx, vy)
+                key = (vx, vy, g)
                 vx += px
                 vy += py
             else:
                 vx -= px
                 vy -= py
-                key = (vx, vy)
-            coeffs = out[g]
-            nv = coeffs.get(key, 0) + (1 if x > 0 else -1)
+                key = (vx, vy, g)
+            nv = fox.get(key, 0) + (1 if x > 0 else -1)
             if nv:
-                coeffs[key] = nv
+                fox[key] = nv
             else:
-                coeffs.pop(key, None)
-        return out
+                del fox[key]
+        return starts, fox
 
-    def _closes(self, sums: Sequence[int]) -> bool:
-        """Whether a path with these exponent sums ends where it starts."""
-        return not any(sum(s * p[i] for s, p in zip(sums, self.pi)) for i in (0, 1))
+    def _split(self, fox: Dict) -> List[Dict]:
+        """A Fox vector per generator, as the graded system's rows take it."""
+        e: List[Dict] = [{} for _ in self.pi]
+        for (kx, ky, g), c in fox.items():
+            e[g][kx, ky] = c
+        return e
 
-    def _rows(self, e: List[Dict]) -> Optional[Tuple[int, ...]]:
-        """The plain rows of a word from its Fox vector ``e``: each
-        generator's exponent sum (the sum of the coefficients of ``e[g]``)
-        and, with a model, twice the signed area of the projected path
-        (``c * (k x pi(g))`` summed over the terms ``c z^k`` of ``e[g]``).
-        None when the projected path, ending at the exponent sums times
-        the projections, does not close."""
-        sums = [sum(c.values()) for c in e]
+    def _rows(self, fox: Dict) -> Optional[Tuple[int, ...]]:
+        """The plain rows of a word from its Fox vector: each generator's
+        exponent sum (the sum of its coefficients) and, with a projection,
+        twice the signed area of the projected path (``c * (k x pi(g))``
+        summed over the terms ``c z^k`` of generator ``g``).  None when the
+        projected path, ending at the exponent sums times the projections,
+        does not close."""
+        sums = [0] * len(self.pi)
+        ex = ey = twice = 0
+        for (kx, ky, g), c in fox.items():
+            px, py = self.pi[g]
+            sums[g] += c
+            ex += c * px
+            ey += c * py
+            twice += c * (kx * py - ky * px)
         if self.eq_matrix is None:
             return tuple(sums)
-        if not self._closes(sums):
+        if ex or ey:
             return None
-        twice = sum(
-            c * (kx * py - ky * px)
-            for coeffs, (px, py) in zip(e, self.pi)
-            for (kx, ky), c in coeffs.items()
-        )
         return (*sums, twice)
 
     def _eliminate(self) -> None:
@@ -356,9 +372,10 @@ class _InvariantBound:
         h)`` subtracts ``f`` times row ``h`` from row ``g``.  ``_pivots``
         holds ``(col, g, terms)``: row ``g`` reads ``x_col + sum(c *
         x_c for c, _ in terms) = rhs``.  ``_left`` holds the other rows
-        ``(g, terms)`` over the columns no pivot took, in elimination
-        order.  Every operation is invertible, so the reduced system has
-        exactly the solutions of the original one."""
+        ``(g, terms, box)`` over the columns no pivot took, in elimination
+        order, where ``box`` is the divisor's ``_lp_box`` on a row with one
+        column and None otherwise.  Every operation is invertible, so the
+        reduced system has exactly the solutions of the original one."""
         n = self.n
         active = [(g, [dict(c) for c in row]) for g, row in enumerate(self.eq_matrix)]
         ops: List[Tuple[int, Dict, Optional[int]]] = []
@@ -379,9 +396,9 @@ class _InvariantBound:
                 if hit is None:
                     continue
                 col, t, v = hit
-                inv = (-t[0], -t[1])
-                coeffs = [_lp_scale_mono(cc, v, inv) for cc in coeffs]
-                ops.append((g, {inv: v}, None))
+                unit = {(-t[0], -t[1]): v}
+                coeffs = [_lp_mul(unit, cc) for cc in coeffs]
+                ops.append((g, unit, None))
                 active.pop(idx)
                 for j, (gj, cj) in enumerate(active):
                     f = cj[col]
@@ -404,21 +421,24 @@ class _InvariantBound:
             (col, g, [(c, cc) for c, cc in enumerate(coeffs) if c != col and cc])
             for col, g, coeffs in pivots
         ]
-        self._left = [
-            (g, [(c, coeffs[c]) for c in sorted(cols_left) if coeffs[c]]) for g, coeffs in active
-        ]
+        self._left = []
+        for g, coeffs in active:
+            terms = [(c, coeffs[c]) for c in sorted(cols_left) if coeffs[c]]
+            self._left.append((g, terms, _lp_box(terms[0][1]) if len(terms) == 1 else None))
         self._free = len(cols_left)
 
     def _solve_laurent_system(self, bs: List[Dict]) -> Tuple:
         """('ok', bound, solution) | ('infeasible',) | ('unknown',) for the
-        Z[Z^2]-graded system with the Fox vector ``bs`` on the right: the
-        recorded row operations run on ``bs`` alone, each column no pivot
-        took is solved by exact division from the first row on it alone,
-        and the pivot columns follow by back-substitution.  The solution
-        holds on the pivot rows by construction and on the division rows
-        by exact division, and rows without columns are checked to be
-        zero; only the other rows are checked.  ``solution`` lists each
-        relator's translate multiplicities."""
+        Z[Z^2]-graded system with the Fox vector ``bs``, split per
+        generator, on the right: the recorded row operations run on ``bs``
+        alone, each column no pivot took is solved by exact division from
+        the first row on it alone, and the pivot columns follow by
+        back-substitution.  A row without columns that is not zero, or a
+        division with no quotient, proves the system infeasible, since
+        every operation is invertible.  The solution holds on the pivot
+        rows by construction and on the division rows by exact division;
+        only the other rows are checked.  ``solution`` lists each relator's
+        translate multiplicities."""
         rhs = list(bs)
         for g, f, h in self._ops:
             if h is None:
@@ -427,18 +447,18 @@ class _InvariantBound:
                 rhs[g] = _lp_add(rhs[g], _lp_mul(f, rhs[h]), -1)
         values: Dict[int, Dict] = {}
         unused = []
-        for g, terms in self._left:
+        for g, terms, box in self._left:
             if not terms:
                 if rhs[g]:
                     return ("infeasible",)
-                continue
-            if len(terms) == 1 and terms[0][0] not in values:
+            elif box is not None and terms[0][0] not in values:
                 col, den = terms[0]
-                q = _lp_divide(rhs[g], den)
-                if q is not None:
-                    values[col] = q
-                    continue
-            unused.append((g, terms))
+                q = _lp_divide(rhs[g], den, box)
+                if q is None:
+                    return ("infeasible",)
+                values[col] = q
+            else:
+                unused.append((g, terms))
         if len(values) < self._free:
             return ("unknown",)
         for col, g, terms in reversed(self._pivots):
@@ -458,10 +478,10 @@ class _InvariantBound:
     def bound(self, word: Sequence[int]) -> Optional[int]:
         """Exact lower bound: the graded system when it pins the relator
         placements, the plain invariant solve otherwise; None = infeasible."""
-        return self.vector_bound(_flat(self._e_vector(word)))
+        return self.vector_bound(self._walk(word)[1])
 
     def vector_bound(self, fox: Dict[Tuple[int, int, int], int]) -> Optional[int]:
-        """The bound of a word whose flat Fox vector is ``fox``, through the
+        """The bound of a word whose Fox vector is ``fox``, through the
         cache.  The key is ``fox`` translated so that its least term sits
         at the origin, and negated if that term's coefficient is negative.
         A miss computes the bound from the key itself, so a cached value
@@ -471,22 +491,22 @@ class _InvariantBound:
         s = 1 if lead > 0 else -1
         key = tuple([(kx - mx, ky - my, g, s * v) for (kx, ky, g), v in items])
         if key not in self._cache:
-            e: List[Dict] = [dict() for _ in self.pi]
-            for kx, ky, g, v in key:
-                e[g][kx, ky] = v
-            self._cache[key] = self._bound(e)
+            self._cache[key] = self._bound({(kx, ky, g): v for kx, ky, g, v in key})
         return self._cache[key]
 
-    def _bound(self, e: List[Dict]) -> Optional[int]:
+    def _bound(self, fox: Dict[Tuple[int, int, int], int]) -> Optional[int]:
+        # every relator's projected path closes, so the graded system has
+        # no solution for a word whose path does not, and needs no test
         if self.eq_matrix is not None:
-            if not self._closes([sum(c.values()) for c in e]):
-                return None
-            res = self._solve_laurent_system(e)
+            res = self._solve_laurent_system(self._split(fox))
             if res[0] == "infeasible":
                 return None
             if res[0] == "ok":
                 return res[1]
-        val = self._solve(self._rows(e))
+        rows = self._rows(fox)
+        if rows is None:
+            return None
+        val = self._solve(rows)
         return None if val is None else ceil(val)
 
     def _solve(self, b: Tuple[int, ...]) -> Optional[Fraction]:
@@ -536,10 +556,6 @@ def _rref(matrix: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]
 # bound-perfect probe visits before handing over to A*
 MAX_EXPANSIONS = 500_000
 PROBE_NODE_BUDGET = 30_000
-# leading-term steps before ``_lp_divide`` gives up: division in the
-# Laurent ring need not terminate when the quotient is not a Laurent
-# polynomial, as with 1 / (1 - x), whose leading terms never run out
-MAX_DIVISION_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -574,21 +590,23 @@ def area_oracle(
     insertions as moves, guided by the invariant lower bound; its result is
     certified unless the search hits ``MAX_EXPANSIONS``.  Each move is
     scored from the parent's Fox vector plus the inserted form's, shifted
-    to the insertion point, and only the moves the search keeps are
+    to the projected prefix at the insertion point, once per form and
+    distinct prefix, and only the moves the search keeps are
     canonicalised.  That is exact: canonicalising a closed word rotates,
     inverts and freely reduces it, which changes its Fox vector only by
-    sign and translation, and the bound is invariant under both.  A "no filling" is
-    certified by the invariants, by the model's word problem when a model
-    is given, or by exhausting every move sequence of length at most
-    ``bound``.  ``diagram_search`` minimizes over enumerated disks glued
+    sign and translation, and the bound is invariant under both.  A "no
+    filling" is certified by the invariants, by the model's word problem
+    when a model is given, or by exhausting every move sequence of length
+    at most ``bound``.  ``diagram_search`` minimizes over enumerated disks glued
     at cut vertices: the area of a cyclic word is the least of its
     enumerated-disk area and ``best(u) + best(v)`` over its splits into two
     arcs ``u`` and ``v``.  It tries only the splits at positions ``i < j``
     whose prefix exponent vectors agree modulo the rational span of the
     relators' vectors.  That is exact: a fillable ``u`` is null-homotopic,
     so its exponent vector lies in the span, and each unordered split gives
-    the same two arcs, with the same sum, from either end.  ``auto`` tries
-    the word search first and falls back.
+    the same two arcs, with the same sum, from either end; its answer is
+    always certified.  ``auto`` runs ``relator_bfs`` and, when that is
+    uncertified and ``bound <= 6``, answers with ``diagram_search``.
     """
     if method not in ("auto", "relator_bfs", "diagram_search"):
         raise ValueError(f"unknown oracle method {method!r}")
@@ -603,60 +621,43 @@ def area_oracle(
         res = _relator_bfs(letters, x, bound, model)
         if res.certified_exact or bound > 6:
             return res  # enumerating past area 6 as a fallback is not worth it
-        alt = _diagram_search(letters, x, bound)
-        if res.value is not None and alt.value is not None and res.value != alt.value:
-            raise AssertionError(
-                f"oracle disagreement for {letters}: bfs={res.value} diagrams={alt.value}"
-            )
-        return alt if alt.certified_exact else res
-
-
-def _fox_forms(x: TwoComplex, hb: _InvariantBound) -> List[Tuple[Tuple[int, ...], List[Tuple]]]:
-    """Each relator form of ``x`` with the items of its flat Fox vector,
-    as ``_moves`` takes them."""
-    return [(w, list(_flat(hb._e_vector(w)).items())) for (w, _i, _o) in relator_forms(x)]
+        return _diagram_search(letters, x, bound)
 
 
 def _moves(
-    cur: Tuple[int, ...], forms: List[Tuple[Tuple[int, ...], List[Tuple]]], hb: _InvariantBound
+    cur: Tuple[int, ...], hb: _InvariantBound
 ) -> Iterator[Tuple[Optional[int], int, Tuple[int, ...]]]:
     """Every insertion of a relator form into ``cur``, scored before it is
     canonicalised: yields ``(h, i, w)``, where ``h`` is the bound of
-    ``cur[:i] + w + cur[i:]``.  ``forms`` pairs each form with the items
-    of its flat Fox vector.  A form's projected path closes, so the
-    inserted word's vector is ``cur``'s plus the form's, shifted to the
-    projected prefix at ``i``; the bound's cache is keyed up to sign and
-    translation, so ``h`` is also the bound of the canonical form."""
-    base = _flat(hb._e_vector(cur))
-    starts = []
-    vx = vy = 0
-    for x in cur:
-        starts.append((vx, vy))
-        px, py = hb.pi[abs(x) - 1]
-        if x > 0:
-            vx += px
-            vy += py
-        else:
-            vx -= px
-            vy -= py
-    for w, terms in forms:
-        for i, (sx, sy) in enumerate(starts):
-            fox = base.copy()
-            for (kx, ky, g), v in terms:
-                k = (kx + sx, ky + sy, g)
-                nv = fox.get(k, 0) + v
-                if nv:
-                    fox[k] = nv
-                else:
-                    del fox[k]
-            yield hb.vector_bound(fox), i, w
+    ``cur[:i] + w + cur[i:]``.  A form's projected path closes, so the
+    inserted word's Fox vector is ``cur``'s plus the form's, shifted to the
+    projected prefix at ``i``; it depends on ``i`` only through that
+    prefix, so each form is scored once per distinct prefix (with no
+    projection, every prefix is the origin).  The bound's cache is keyed up
+    to sign and translation, so ``h`` is also the bound of the canonical
+    form."""
+    starts, base = hb._walk(cur)
+    for w, terms in hb.forms:
+        scores: Dict[Tuple[int, int], Optional[int]] = {}
+        for i, start in enumerate(starts):
+            if start not in scores:
+                sx, sy = start
+                fox = base.copy()
+                for (kx, ky, g), v in terms:
+                    k = (kx + sx, ky + sy, g)
+                    nv = fox.get(k, 0) + v
+                    if nv:
+                        fox[k] = nv
+                    else:
+                        del fox[k]
+                scores[start] = hb.vector_bound(fox)
+            yield scores[start], i, w
 
 
 def _perfect_probe(
     letters: Tuple[int, ...],
     h0: int,
     hb: _InvariantBound,
-    forms: List[Tuple[Tuple[int, ...], List[Tuple]]],
 ) -> Optional[int]:
     """Depth-first hunt for a filling that meets the lower bound exactly.
 
@@ -672,7 +673,7 @@ def _perfect_probe(
     def successors(cur: Tuple[int, ...], remaining: int) -> List[Tuple[int, ...]]:
         keep = {
             canonical_cyclic(cur[:i] + w + cur[i:])
-            for h, i, w in _moves(cur, forms, hb)
+            for h, i, w in _moves(cur, hb)
             if h == remaining - 1
         }
         return sorted(keep - seen, key=lambda w: (len(w), w))
@@ -716,8 +717,7 @@ def _relator_bfs(
         return AreaResult(None, True, "relator_bfs", note="model word problem: not null-homotopic")
     if h0 > bound:
         return AreaResult(None, True, "relator_bfs", note=f"lower bound {h0} exceeds bound")
-    forms = _fox_forms(x, hb)
-    probe = _perfect_probe(letters, h0, hb, forms)
+    probe = _perfect_probe(letters, h0, hb)
     if probe is not None:
         return AreaResult(h0, True, "relator_bfs", expanded=probe,
                           note="filling meets the invariant lower bound")
@@ -738,7 +738,7 @@ def _relator_bfs(
             return AreaResult(None, False, "relator_bfs", expanded=expanded,
                               note="expansion cap hit")
         g2 = g + 1
-        for h, i, w in _moves(cur, forms, hb):
+        for h, i, w in _moves(cur, hb):
             if h is None or g2 + h > bound:
                 continue
             nxt = canonical_cyclic(cur[:i] + w + cur[i:])
@@ -760,7 +760,7 @@ def _bound_for(x: TwoComplex, model: Optional[FreeProductModel]) -> _InvariantBo
         pi = tuple(map(model.pi, x.alphabet))
     hb = _BOUND_CACHE.get((x, pi))
     if hb is None:
-        hb = _BOUND_CACHE[x, pi] = _InvariantBound(x, model)
+        hb = _BOUND_CACHE[x, pi] = _InvariantBound(x, pi)
     return hb
 
 
@@ -858,24 +858,18 @@ def _best_filling(
 
 
 def is_minimal(
-    d: DiskDiagram,
-    x: TwoComplex,
-    bound: Optional[int] = None,
-    model: Optional[FreeProductModel] = None,
-    method: str = "auto",
+    d: DiskDiagram, x: TwoComplex, model: Optional[FreeProductModel] = None
 ) -> Optional[bool]:
     """Whether the diagram's area equals the certified minimal area of its
-    boundary word; None when the oracle cannot certify within the bound
-    (default: the diagram's own area, which always suffices)."""
+    boundary word; None when ``area_oracle`` (auto, at the diagram's own
+    area, since no larger area matters) cannot certify it.  The invariant
+    bound is asked first, about the boundary word as it stands: the bound
+    does not see rotation, inversion or free reduction, so the word need not
+    be canonicalised, and a diagram that meets the bound is minimal."""
     letters = d.boundary_word_ints()
-    canon = canonical_cyclic(letters)
-    hb = _bound_for(x, model)
-    h0 = hb.bound(canon) if canon else 0
-    if h0 is not None and h0 == d.area:
-        return True  # the diagram itself meets the invariant lower bound
-    if bound is None or bound > d.area:
-        bound = d.area  # anything beyond the achieved area is irrelevant
-    res = area_oracle(canon, x, bound=bound, method=method, model=model)
+    if _bound_for(x, model).bound(letters) == d.area:
+        return True
+    res = area_oracle(letters, x, bound=d.area, model=model)
     if not res.certified_exact:
         return None
     if res.value is None:

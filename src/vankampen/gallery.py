@@ -264,7 +264,7 @@ class CornerWitness:
     face: int
 
 
-def torus_coordinates(d: DiskDiagram, m: Optional[FreeProductModel] = None, basepoint: int = 0) -> PlanarCoords:
+def torus_coordinates(d: DiskDiagram, m: FreeProductModel) -> PlanarCoords:
     """Project vertex lifts to the plane tessellation of the torus cover.
 
     Works over any gallery presentation whose lattice projection sends the
@@ -272,11 +272,9 @@ def torus_coordinates(d: DiskDiagram, m: Optional[FreeProductModel] = None, base
     pentagon-type faces land on upper-right half-squares, triangle-type
     faces on lower-left ones.
     """
-    if m is None:
-        m = presentation("thm1")[1]
     if d.n_darts == 0:
         return PlanarCoords(((0, 0),), {})
-    lifts = vertex_lift(d, m, basepoint)
+    lifts = vertex_lift(d, m)
     coords: list = [None] * d.n_vertices
     for v, g in lifts.items():
         part = g.lattice_part()
@@ -300,7 +298,7 @@ def torus_coordinates(d: DiskDiagram, m: Optional[FreeProductModel] = None, base
     return PlanarCoords(tuple(coords), face_squares)
 
 
-def corner_classification(d: DiskDiagram, m: Optional[FreeProductModel] = None) -> CornerWitness:
+def corner_classification(d: DiskDiagram, m: FreeProductModel) -> CornerWitness:
     """Classify the corner cell of a reduced disk over the thm1 complex.
 
     Finds the sweep point p (minimal x among points of minimal y of the
@@ -309,8 +307,6 @@ def corner_classification(d: DiskDiagram, m: Optional[FreeProductModel] = None) 
     pentagon abutting the corner triangle across its diagonal is a shell
     (when the rest of its boundary is free) or a strong cutcell.
     """
-    if m is None:
-        m = presentation("thm1")[1]
     if d.area < 2:
         raise DiagramError("corner classification needs at least two cells")
     if not is_topological_disk(d):

@@ -13,6 +13,7 @@ from typing import Dict, NamedTuple, Sequence, Tuple
 from .presentation import (
     CyclicWord,
     Presentation,
+    PresentationError,
     Word,
     invert_ints,
     parse_letters,
@@ -249,7 +250,8 @@ def parse_model_file(text: str, presentation: Presentation) -> FreeProductModel:
     """Parse ``abelian_rank`` / ``free_rank`` / ``image g = expr`` lines.
 
     Expressions are words in the lattice basis ``e1..ed`` and free letters
-    ``f1..fk``.
+    ``f1..fk``.  Malformed text, an image of an unknown generator and a
+    generator given twice raise ModelError.
     """
     d = k = None
     image_lines = []
@@ -258,10 +260,13 @@ def parse_model_file(text: str, presentation: Presentation) -> FreeProductModel:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "abelian_rank":
-            d = int(parts[1])
-        elif parts[0] == "free_rank":
-            k = int(parts[1])
+        if parts[0] in ("abelian_rank", "free_rank"):
+            if len(parts) != 2 or not parts[1].isdigit():
+                raise ModelError(f"bad rank line {line!r}")
+            if parts[0] == "abelian_rank":
+                d = int(parts[1])
+            else:
+                k = int(parts[1])
         elif parts[0] == "image":
             rest = line[len("image") :].strip()
             if "=" not in rest:
@@ -275,16 +280,23 @@ def parse_model_file(text: str, presentation: Presentation) -> FreeProductModel:
     basis = tuple(f"e{i + 1}" for i in range(d)) + tuple(f"f{i + 1}" for i in range(k))
     images = {}
     for gen, expr in image_lines:
+        if gen not in presentation.names:
+            raise ModelError(f"image for unknown generator {gen!r}")
+        if gen in images:
+            raise ModelError(f"generator {gen!r} has more than one image")
         g = GroupElement.identity()
-        if expr not in ("", "1"):
-            for x in parse_letters(expr, basis):
-                idx = abs(x) - 1
-                if idx < d:
-                    vec = [0] * d
-                    vec[idx] = 1 if x > 0 else -1
-                    g = g * GroupElement.lattice(vec)
-                else:
-                    g = g * GroupElement.free((x - d if x > 0 else x + d,))
+        try:
+            letters = () if expr in ("", "1") else parse_letters(expr, basis)
+        except PresentationError as exc:
+            raise ModelError(f"bad image of {gen!r}: {exc}") from exc
+        for x in letters:
+            idx = abs(x) - 1
+            if idx < d:
+                vec = [0] * d
+                vec[idx] = 1 if x > 0 else -1
+                g = g * GroupElement.lattice(vec)
+            else:
+                g = g * GroupElement.free((x - d if x > 0 else x + d,))
         images[gen] = g
     return FreeProductModel(presentation, d, k, images)
 

@@ -10,7 +10,7 @@ from vankampen.cli import main
 from vankampen.enumeration import AreaResult
 from vankampen.presentation import presentation_file_text
 from vankampen.group_models import model_file_text
-from vankampen.gallery import presentation
+from vankampen.gallery import figure_diagram, presentation
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -197,3 +197,55 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "f(0..5)" in proc.stdout
+
+
+def _fig1_json(**edits) -> str:
+    """fig1 at n = 1 as JSON, each named field replaced by what its edit
+    returns for the old value."""
+    data = json.loads(figure_diagram(1, 1).to_json())
+    for field, edit in edits.items():
+        data[field] = edit(data[field])
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    "{}",
+    _fig1_json(sigma=lambda s: [5] + s[1:]),
+    # -1 in place of the last dart, 9
+    _fig1_json(sigma=lambda s: s[:8] + [-1] + s[9:]),
+    _fig1_json(outer_face_dart=lambda _o: -1),
+    _fig1_json(labels=lambda labels: labels + labels[:1]),
+], ids=["not-json", "no-fields", "sigma-not-a-permutation", "sigma-negative", "outer-negative",
+        "labels-too-many"])
+def test_export_malformed_input_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "export", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("edit", [
+    ("abelian_rank 2", "abelian_rank x"),
+    ("abelian_rank 2", "abelian_rank"),
+    ("free_rank 2", "free_rank 2\nimage zz = e1"),
+    ("free_rank 2", "free_rank 2\nimage a1 = e1"),
+], ids=["rank-not-a-number", "rank-missing", "unknown-generator", "generator-twice"])
+def test_malformed_model_file_exits_2(capsys, tmp_path, edit):
+    p, m = presentation("eq1")
+    pres_path = tmp_path / "eq1.pres"
+    model_path = tmp_path / "eq1.model"
+    pres_path.write_text(presentation_file_text(p))
+    model_path.write_text(model_file_text(m).replace(*edit))
+    code, out, err = run_cli(capsys, "embed", "--presentation", str(pres_path),
+                             "--model", str(model_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_presentation_directory_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "area", "--presentation", str(tmp_path),
+                             "--word", "a", "--bound", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")

@@ -30,10 +30,11 @@ from vankampen.enumeration import (
     enumeration_summary,
     is_minimal,
     _bound_for,
-    _fox_forms,
     _gluings,
     _letter_classes,
     _lp_add,
+    _lp_box,
+    _lp_divide,
     _lp_mul,
     _lp_norm,
     _moves,
@@ -358,8 +359,8 @@ def test_fox_vector_rows_match_direct_counts(galleries, case):
     pi_by_letter = {g: m.pi(name) for g, name in enumerate(p.names, start=1)}
     for w in (word, closed):
         counts = tuple(sum((v == g) - (v == -g) for v in w) for g in range(1, len(p.names) + 1))
-        assert plain._rows(plain._e_vector(w)) == counts
-        rows = hb._rows(hb._e_vector(w))
+        assert plain._rows(plain._walk(w)[1]) == counts
+        rows = hb._rows(hb._walk(w)[1])
         if project_z2(Word(w, p.names), m) != (0, 0):
             assert rows is None and hb.bound(w) is None
         else:
@@ -487,7 +488,7 @@ def test_bound_invariant_under_sign_and_translation(galleries, case, data):
     n = len(x.alphabet)
     for hb in (_bound_for(x, m), _bound_for(x, None)):
         def uncached(w):
-            return hb._bound(hb._e_vector(w))
+            return hb._bound(hb._walk(w)[1])
 
         h = uncached(word)
         assert hb.bound(word) == h
@@ -499,10 +500,9 @@ def test_bound_invariant_under_sign_and_translation(galleries, case, data):
         assert uncached(word[:i] + (a, -a) + word[i:]) == h
         # every insertion of two drawn forms (an uncached bound can take
         # milliseconds, and the longest galleries have 36 forms)
-        forms = _fox_forms(x, hb)
-        picked = data.draw(st.sets(st.sampled_from([w for w, _t in forms]), min_size=1, max_size=2))
+        picked = data.draw(st.sets(st.sampled_from([w for w, _t in hb.forms]), min_size=1, max_size=2))
         cur = canonical_cyclic(word)
-        for h2, i, w in _moves(cur, forms, hb):
+        for h2, i, w in _moves(cur, hb):
             if w in picked:
                 assert h2 == uncached(canonical_cyclic(cur[:i] + w + cur[i:])), (i, w)
 
@@ -517,7 +517,7 @@ def test_graded_solution_solves_the_system(galleries, case):
     _p, m, x = galleries[gid]
     hb = _bound_for(x, m)
     for w in (word, invert_ints(word), word[1:] + word[:1]):
-        e = hb._e_vector(w)
+        e = hb._split(hb._walk(w)[1])
         res = hb._solve_laurent_system(e)
         if res[0] != "ok":
             continue
@@ -527,3 +527,31 @@ def test_graded_solution_solves_the_system(galleries, case):
             for coeff, v in zip(row, res[2]):
                 acc = _lp_add(acc, _lp_mul(coeff, v))
             assert acc == e[g], (w, g)
+
+
+laurent = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-3, 3).filter(bool), max_size=5
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent, laurent.filter(bool))
+def test_lp_divide_inverts_lp_mul(q, d):
+    assert _lp_divide(_lp_mul(q, d), d, _lp_box(d)) == q
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent, laurent.filter(lambda d: len(d) >= 2), st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
+def test_lp_divide_refuses_a_product_plus_a_monomial(q, d, k):
+    """A monomial is divisible only by a monomial, so ``q * d + z^k`` is
+    not divisible by a ``d`` of two or more terms."""
+    num = _lp_add(_lp_mul(q, d), {k: 1})
+    assert _lp_divide(num, d, _lp_box(d)) is None
+
+
+def test_lp_divide_ends_without_a_quotient():
+    """The lex-leading terms of 1 / (1 - x) never run out; the step that
+    leaves the box of possible quotient exponents ends the division."""
+    d = {(0, 0): 1, (1, 0): -1}
+    assert _lp_divide({(0, 0): 1}, d, _lp_box(d)) is None
+    assert _lp_divide({(0, 0): 1, (3, 0): -1}, d, _lp_box(d)) == {(0, 0): 1, (1, 0): 1, (2, 0): 1}

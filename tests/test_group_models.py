@@ -154,3 +154,10 @@ def test_model_file_roundtrip():
     for name in p.names:
         assert m.images[name] == m2.images[name]
     assert "abelian_rank 2" in text and "free_rank 2" in text
+
+
+def test_model_file_image_outside_the_basis():
+    p, m = presentation("eq1")
+    text = model_file_text(m).replace("image a1 = e1", "image a1 = e3")
+    with pytest.raises(ModelError, match="a1"):
+        parse_model_file(text, p)
