@@ -5,8 +5,9 @@ enumerations, figure emissions and presentation checks, the ``to_json()``
 stream of larger enumerations, the orbits, feature witnesses and validation
 reports of enumerated corpora, the concatenated JSON of the surgery results
 over a small corpus, the piece listing of every gallery, the invariant
-lower bound over a fixed corpus of words, and every field of the word-move
-oracle's answers on a fixed corpus.  A change to any byte (dart
+lower bound over a fixed corpus of words, every field of the word-move
+oracle's answers on a fixed corpus, and the model layer's normal forms,
+trivial subwords and vertex lifts.  A change to any byte (dart
 numbering, orbit order, face indices, canonical order, relator text, a
 bound's value, a probe's node count) fails here.  The outputs do not depend on
 ``PYTHONHASHSEED``.
@@ -31,6 +32,7 @@ from vankampen.diagram import (
     remove_shell,
     remove_spur,
     validate,
+    vertex_lift,
 )
 from vankampen.enumeration import (
     EnumerationConfig,
@@ -40,7 +42,8 @@ from vankampen.enumeration import (
     enumerate_diagrams,
 )
 from vankampen.gallery import GALLERY_IDS, presentation
-from vankampen.presentation import invert_ints, presentation_complex, reduce_ints
+from vankampen.group_models import normal_form, trivial_subword_witness
+from vankampen.presentation import Word, invert_ints, presentation_complex, reduce_ints
 
 
 def sha(text: str) -> str:
@@ -229,4 +232,26 @@ def test_relator_bfs_pinned():
         lines.append(repr((gid, word, bound, with_model, fields)))
     assert sha("\n".join(lines)) == (
         "5bd7d3fae4e6688c09650f6a1ff004e2d4fdef6cc03ce828b8c1a2ca5cf09b61"
+    )
+
+
+def test_model_layer_pinned(galleries):
+    """The normal form of seeded random words of length at most 12 and the
+    trivial subword of every relator over each gallery's model, then the
+    lattice part of every vertex lift over the thm1 disks of area <= 3."""
+    rng = random.Random(11)
+    lines = []
+    for gid in GALLERY_IDS:
+        p, m = presentation(gid)
+        letters = [s * g for g in range(1, len(p.names) + 1) for s in (1, -1)]
+        for _ in range(60):
+            w = Word([rng.choice(letters) for _j in range(rng.randint(0, 12))], p.names)
+            lines.append(repr((gid, w, normal_form(w, m))))
+        lines += [repr((gid, r, trivial_subword_witness(r, m))) for r in p.relators]
+    _p, m, x = galleries["thm1"]
+    for d in enumerate_diagrams(x, EnumerationConfig(max_area=3)):
+        lift = vertex_lift(d, m)
+        lines.append(repr([lift[v].lattice_part() for v in sorted(lift)]))
+    assert sha("\n".join(lines)) == (
+        "99d04e387f910ecab7a9102305a69abe2d34dfe674364ca5dd7105835bd15a48"
     )
