@@ -15,13 +15,11 @@ from typing import Optional, Tuple
 from .presentation import (
     CyclicWord,
     Presentation,
-    PresentationError,
     presentation_complex,
     parse_presentation_file,
 )
-from .group_models import FreeProductModel, ModelError, parse_model_file
+from .group_models import FreeProductModel, parse_model_file
 from .diagram import (
-    DiagramError,
     DiskDiagram,
     boundary_path,
     find_cutcells,
@@ -405,10 +403,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PresentationError, ModelError, DiagramError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:

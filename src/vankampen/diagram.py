@@ -971,8 +971,7 @@ def vertex_lift(
     defined exactly when all face labels are relators of the model's
     presentation, and raises LiftError otherwise.
     """
-    names = m.presentation.names
-    if d.alphabet != names:
+    if d.alphabet != m.presentation.names:
         raise LiftError("diagram alphabet does not match the model's presentation")
     if d.n_darts == 0:
         return {0: GroupElement.identity()}
@@ -982,9 +981,7 @@ def vertex_lift(
         v = stack.pop()
         g = lifted[v]
         for t in d.vertices[v]:
-            x = d.labels[t]
-            img = m.images[names[abs(x) - 1]]
-            h = g * (img if x > 0 else img.inverse())
+            h = g * m.letter_image(d.labels[t])
             u = d.vertex_of(t ^ 1)
             if u in lifted:
                 if lifted[u] != h:

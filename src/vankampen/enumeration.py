@@ -77,11 +77,6 @@ def canonical_cyclic(letters: Sequence[int]) -> Tuple[int, ...]:
     return min(w[i:] + w[:i], inv[j:] + inv[:j])
 
 
-def _seed_diagrams(x: TwoComplex) -> List[DiskDiagram]:
-    alphabet = x.alphabet
-    return [DiskDiagram.from_face_word(w, alphabet) for (w, _i, _o) in relator_forms(x)]
-
-
 def _gluings(
     parent: DiskDiagram, forms: Sequence[Tuple[int, ...]], max_len: int
 ) -> Iterator[Tuple[int, int, Tuple[int, ...], bool]]:
@@ -149,7 +144,8 @@ def enumerate_diagrams(x: TwoComplex, cfg: EnumerationConfig) -> Iterator[DiskDi
 
     # codes carry the area, so each level deduplicates on its own
     first: Dict[Tuple, DiskDiagram] = {}
-    for d in _seed_diagrams(x):
+    for w in forms:
+        d = DiskDiagram.from_face_word(w, x.alphabet)
         if is_topological_disk(d) and reduced_witness(d) is None:
             first.setdefault(d.canonical_code(), d)
     level = [first[c] for c in sorted(first)]

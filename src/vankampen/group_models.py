@@ -35,25 +35,18 @@ Syllable = Tuple[str, Tuple[int, ...]]
 
 
 class GroupElement:
-    """Normal form in Z^d * F_k."""
+    """Normal form in Z^d * F_k.
+
+    ``syllables`` must already be a normal form: alternating kinds, nonzero
+    lattice vectors and nonempty freely reduced free words.  It is stored
+    unchecked.  ``identity``, ``lattice``, ``free``, ``*`` and ``inverse``
+    each keep the normal form, and elements are built only through them.
+    """
 
     __slots__ = ("syllables",)
 
     def __init__(self, syllables: Sequence[Syllable] = ()):
         self.syllables: Tuple[Syllable, ...] = tuple(syllables)
-        prev = None
-        for kind, data in self.syllables:
-            if kind == "z":
-                if not any(data):
-                    raise ModelError("trivial lattice syllable")
-            elif kind == "f":
-                if not data or reduce_ints(data) != tuple(data):
-                    raise ModelError("free syllable must be nonempty and reduced")
-            else:
-                raise ModelError(f"bad syllable kind {kind!r}")
-            if prev == kind:
-                raise ModelError("syllables must alternate")
-            prev = kind
 
     @classmethod
     def identity(cls) -> "GroupElement":
@@ -112,30 +105,18 @@ class GroupElement:
 
 
 def _push(stack: list, syl: Syllable) -> None:
+    """Multiply the normal form on ``stack`` by one nonempty syllable.
+
+    Only the last syllable can have the same kind; merging into it is the
+    only reduction.  A merge to nothing leaves a syllable of the other kind
+    on top, which the next syllable of an alternating product merges with.
+    """
     kind, data = syl
-    while True:
-        if kind == "z" and not any(data):
-            return
-        if kind == "f" and not data:
-            return
-        if not stack or stack[-1][0] != kind:
-            stack.append((kind, tuple(data)))
-            return
-        pkind, pdata = stack.pop()
-        if kind == "z":
-            data = tuple(a + b for a, b in zip(pdata, data))
-            if any(data):
-                stack.append((kind, data))
-                return
-        else:
-            data = reduce_ints(pdata + tuple(data))
-            if data:
-                stack.append((kind, data))
-                return
-        # merged to nothing: the neighbours (same kind) may now combine
-        if not stack:
-            return
-        kind, data = stack.pop()
+    if stack and stack[-1][0] == kind:
+        prev = stack.pop()[1]
+        data = tuple(a + b for a, b in zip(prev, data)) if kind == "z" else reduce_ints(prev + data)
+    if any(data):
+        stack.append((kind, data))
 
 
 class FreeProductModel:
@@ -145,7 +126,7 @@ class FreeProductModel:
     construction.
     """
 
-    __slots__ = ("presentation", "abelian_rank", "free_rank", "images", "_pi")
+    __slots__ = ("presentation", "abelian_rank", "free_rank", "images", "_pi", "_letter_images")
 
     def __init__(
         self,
@@ -168,19 +149,26 @@ class FreeProductModel:
                 if kind == "f" and any(abs(x) > free_rank for x in data):
                     raise ModelError("free letter outside free rank")
         self._pi = {}
-        for name in presentation.names:
-            part = self.images[name].lattice_part()
+        self._letter_images: Dict[int, GroupElement] = {}
+        for i, name in enumerate(presentation.names, 1):
+            img = self.images[name]
+            part = img.lattice_part()
             self._pi[name] = part if part else (0,) * abelian_rank
+            self._letter_images[i] = img
+            self._letter_images[-i] = img.inverse()
         for r in presentation.relators:
             if not self._product(r.letters).is_identity:
                 raise ModelError(f"relator {r.text()!r} is nontrivial under the model")
 
+    def letter_image(self, x: int) -> GroupElement:
+        """Image of the signed letter ``x``: generator ``|x|``, inverted when
+        ``x < 0``."""
+        return self._letter_images[x]
+
     def _product(self, letters: Sequence[int]) -> GroupElement:
-        names = self.presentation.names
         out = GroupElement.identity()
         for x in letters:
-            img = self.images[names[abs(x) - 1]]
-            out = out * (img if x > 0 else img.inverse())
+            out = out * self.letter_image(x)
         return out
 
     def pi(self, name: str) -> Tuple[int, ...]:
@@ -233,14 +221,11 @@ def trivial_subword_witness(r: CyclicWord, m: FreeProductModel):
     """A proper nonempty cyclic subword that dies in the group, if any."""
     w = r.letters
     n = len(w)
-    names = m.presentation.names
     doubled = w + w
     for i in range(n):
         g = GroupElement.identity()
         for length in range(1, n):
-            x = doubled[i + length - 1]
-            img = m.images[names[abs(x) - 1]]
-            g = g * (img if x > 0 else img.inverse())
+            g = g * m.letter_image(doubled[i + length - 1])
             if g.is_identity:
                 return Word(doubled[i : i + length], r.alphabet)
     return None

@@ -249,3 +249,17 @@ def test_presentation_directory_exits_2(capsys, tmp_path):
                              "--word", "a", "--bound", "1")
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    "enumerate --gallery thm2 --max-area 0",
+    "check --gallery thm2 --property dehn --max-area 0",
+    "fbound --c 0 --n 5",
+    "fbound --c 3 --n 2",
+    "gallery emit --id fig1 --n 0",
+    "export --id fig1 --n 0",
+])
+def test_out_of_range_number_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")

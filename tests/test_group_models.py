@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vankampen.presentation import CyclicWord, Word
+from vankampen.presentation import CyclicWord, Word, reduce_ints
 from vankampen.group_models import (
     FreeProductModel,
     GroupElement,
@@ -14,7 +14,7 @@ from vankampen.group_models import (
     parse_model_file,
     project_z2,
 )
-from vankampen.gallery import presentation
+from vankampen.gallery import GALLERY_IDS, presentation
 
 
 def test_group_element_normal_form_basics():
@@ -34,6 +34,56 @@ def test_group_element_collapse_remerges_neighbors():
     g = f1 * z * f1.inverse()
     h = f1 * z.inverse() * f1.inverse()
     assert (g * h).is_identity
+
+
+def is_normal_form(g):
+    """Alternating kinds, nonzero lattice syllables, and nonempty, freely
+    reduced free syllables."""
+    kinds = [kind for kind, _data in g.syllables]
+    if any(a == b for a, b in zip(kinds, kinds[1:])):
+        return False
+    for kind, data in g.syllables:
+        if kind not in ("z", "f"):
+            return False
+        if kind == "z" and not any(data):
+            return False
+        if kind == "f" and (not data or reduce_ints(data) != data):
+            return False
+    return True
+
+
+# small entries and two free letters, so products cancel often
+group_elements = st.recursive(
+    st.one_of(
+        st.tuples(st.integers(-1, 1), st.integers(-1, 1)).map(GroupElement.lattice),
+        st.lists(st.sampled_from((1, -1, 2, -2)), max_size=4).map(GroupElement.free),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda ab: ab[0] * ab[1]),
+        inner.map(GroupElement.inverse),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(group_elements, group_elements, group_elements)
+def test_products_and_inverses_keep_the_normal_form(a, b, c):
+    for g in (a, b, a * b, b * a, a.inverse(), (a * b).inverse(), a * b.inverse(), a * b * c):
+        assert is_normal_form(g), g
+    assert (a * a.inverse()).is_identity
+    assert (a * b) * c == a * (b * c)
+    assert a * b * b.inverse() == a
+
+
+def test_letter_images_invert_each_other():
+    for gid in GALLERY_IDS:
+        p, m = presentation(gid)
+        for g, name in enumerate(p.names, 1):
+            assert m.letter_image(g) == m.images[name]
+            for x in (g, -g):
+                assert is_normal_form(m.letter_image(x))
+                assert (m.letter_image(x) * m.letter_image(-x)).is_identity, (gid, x)
 
 
 def test_models_send_relators_to_identity():
