@@ -261,6 +261,8 @@ def _dot_with_features(d: DiskDiagram) -> str:
 
 
 def cmd_export(args) -> int:
+    if args.id and args.input:
+        raise UsageError("give either --id or --input, not both")
     if args.id:
         d = _gallery_diagram(args)
     elif args.input:

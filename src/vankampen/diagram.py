@@ -28,7 +28,7 @@ class LiftError(DiagramError):
     """Edge labels are inconsistent with the target group."""
 
 
-def _orbits(sigma: Sequence[int], flip: int) -> Tuple[Tuple[Tuple[int, ...], ...], List[int]]:
+def _orbits(sigma: Sequence[int], flip: int) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
     """Orbits of ``d -> sigma[d ^ flip]`` in order of their least dart, and
     each dart's orbit index: vertices for ``flip`` 0, faces for 1."""
     orbit_of = [-1] * len(sigma)
@@ -45,7 +45,7 @@ def _orbits(sigma: Sequence[int], flip: int) -> Tuple[Tuple[Tuple[int, ...], ...
             orbit.append(e)
             e = sigma[e ^ flip]
         orbits.append(tuple(orbit))
-    return tuple(orbits), orbit_of
+    return tuple(orbits), tuple(orbit_of)
 
 
 def _inverse(perm: Sequence[int]) -> List[int]:
@@ -63,10 +63,13 @@ class DiskDiagram:
         "labels",
         "alphabet",
         "outer_dart",
+        "faces",
+        "face_of",
+        "outer_face",
+        "inner_face_indices",
+        "area",
         "_vertex_of",
         "_vertices",
-        "_faces",
-        "_face_of",
         "_canon",
     )
 
@@ -96,10 +99,13 @@ class DiskDiagram:
                 raise DiagramError("single-vertex diagram has no outer dart")
         elif outer_dart is None or not 0 <= outer_dart < n:
             raise DiagramError("missing or out-of-range outer dart")
+        # every use reads the faces; the vertices wait for their first use
+        self.faces, self.face_of = _orbits(self.sigma, 1)
+        self.outer_face = self.face_of[outer_dart] if n else None
+        self.inner_face_indices = tuple(i for i in range(len(self.faces)) if i != self.outer_face)
+        self.area = len(self.inner_face_indices)
         self._vertex_of = None
         self._vertices = None
-        self._faces = None
-        self._face_of = None
         self._canon = None
 
     # ------------------------------------------------------------------
@@ -156,43 +162,11 @@ class DiskDiagram:
         self._compute_vertices()
         return self._vertex_of[d]
 
-    def _compute_faces(self):
-        if self._faces is None:
-            self._faces, self._face_of = _orbits(self.sigma, 1)
-
-    @property
-    def faces(self) -> Tuple[Tuple[int, ...], ...]:
-        self._compute_faces()
-        return self._faces
-
-    def face_of(self, d: int) -> int:
-        self._compute_faces()
-        return self._face_of[d]
-
-    @property
-    def outer_face(self) -> Optional[int]:
-        if self.n_darts == 0:
-            return None
-        return self.face_of(self.outer_dart)
-
-    @property
-    def inner_face_indices(self) -> Tuple[int, ...]:
-        if self.n_darts == 0:
-            return ()
-        outer = self.outer_face
-        return tuple(i for i in range(len(self.faces)) if i != outer)
-
-    @property
-    def area(self) -> int:
-        return len(self.inner_face_indices)
-
     def face_word_ints(self, fi: int) -> Tuple[int, ...]:
         return tuple(self.labels[d] for d in self.faces[fi])
 
     def outer_orbit(self) -> Tuple[int, ...]:
-        if self.n_darts == 0:
-            return ()
-        return self.faces[self.outer_face]
+        return self.faces[self.outer_face] if self.n_darts else ()
 
     def boundary_circuit(self) -> Tuple[int, ...]:
         """Darts around the disk, read with the inner faces' orientation."""
@@ -496,7 +470,7 @@ def face_tags(d: DiskDiagram, x: TwoComplex) -> Tuple[Optional[FaceTag], ...]:
         table.setdefault(w, (idx, orient))
     tags: List[Optional[FaceTag]] = []
     outer = d.outer_face
-    for fi in range(len(d.faces) if d.n_darts else 0):
+    for fi in range(len(d.faces)):
         if fi == outer:
             tags.append(FaceTag("outer"))
             continue
@@ -517,7 +491,7 @@ def validate(d: DiskDiagram, x: TwoComplex) -> ValidationReport:
         entries.append(
             f"Euler count V-E+F = {d.euler_characteristic} != 2 (not a sphere decomposition)"
         )
-    tags = face_tags(d, x) if d.n_darts else ()
+    tags = face_tags(d, x)
     clean_tags: List[FaceTag] = []
     for fi, tag in enumerate(tags):
         if tag is None:
@@ -547,8 +521,8 @@ def reduced_witness(d: DiskDiagram) -> Optional[ReducedWitness]:
     """
     outer = d.outer_face
     for dart in range(d.n_darts):
-        fa = d.face_of(dart)
-        fb = d.face_of(dart ^ 1)
+        fa = d.face_of[dart]
+        fb = d.face_of[dart ^ 1]
         if fa == outer or fb == outer or fa == fb:
             continue
         if dart ^ 1 < dart:
@@ -599,7 +573,7 @@ def find_shells(d: DiskDiagram) -> List[FeatureWitness]:
     out = []
     for fi in d.inner_face_indices:
         circuit = d.faces[fi]
-        free = [d.face_of(t ^ 1) == outer for t in circuit]
+        free = [d.face_of[t ^ 1] == outer for t in circuit]
         # linked[t]: positions t-1 and t are both free and consecutive on
         # the boundary circle (no other structure at the shared vertex)
         linked = [
@@ -692,6 +666,8 @@ def _removal_disconnects(d: DiskDiagram, fi: int) -> bool:
         return False
     for node in nodes:
         parent[node] = node
+    # the edges join each face to its vertices off the boundary too: such a
+    # vertex ends an edge of the face off the boundary, as boundary edges end on it
     for e in range(d.n_edges):
         if e in bd_edges:
             continue
@@ -699,16 +675,9 @@ def _removal_disconnects(d: DiskDiagram, fi: int) -> bool:
             v = d.vertex_of(dart)
             if v not in bd_verts:
                 _union(parent, ("e", e), ("v", v))
-            g = d.face_of(dart)
+            g = d.face_of[dart]
             if g != outer and g != fi:
                 _union(parent, ("e", e), ("f", g))
-    for g in d.inner_face_indices:
-        if g == fi:
-            continue
-        for dart in d.faces[g]:
-            v = d.vertex_of(dart)
-            if v not in bd_verts:
-                _union(parent, ("f", g), ("v", v))
     roots = {_find(parent, node) for node in nodes}
     return len(roots) > 1
 
@@ -920,7 +889,7 @@ def is_topological_disk(d: DiskDiagram) -> bool:
         return False
     outer = d.outer_face
     for e in range(d.n_edges):
-        if d.face_of(2 * e) == outer and d.face_of(2 * e + 1) == outer:
+        if d.face_of[2 * e] == outer and d.face_of[2 * e + 1] == outer:
             return False
     tails = [d.vertex_of(q) for q in d.outer_orbit()]
     return len(tails) == len(set(tails))
@@ -934,7 +903,7 @@ def disk_pieces(d: DiskDiagram) -> List[DiskDiagram]:
     outer = d.outer_face
     parent = {fi: fi for fi in inner}
     for e in range(d.n_edges):
-        fa, fb = d.face_of(2 * e), d.face_of(2 * e + 1)
+        fa, fb = d.face_of[2 * e], d.face_of[2 * e + 1]
         if fa != outer and fb != outer and fa != fb:
             _union(parent, fa, fb)
     groups: Dict[int, List[int]] = {}
@@ -950,9 +919,9 @@ def _extract_faces(d: DiskDiagram, faces_keep: set) -> DiskDiagram:
     keep = {
         t
         for t in range(d.n_darts)
-        if d.face_of(t) in faces_keep or d.face_of(t ^ 1) in faces_keep
+        if d.face_of[t] in faces_keep or d.face_of[t ^ 1] in faces_keep
     }
-    outer = next((t for t in sorted(keep) if d.face_of(t) not in faces_keep), None)
+    outer = next((t for t in sorted(keep) if d.face_of[t] not in faces_keep), None)
     if outer is None:
         raise DiagramError("face extraction lost the outer region")
     return _restrict(d, keep, outer)

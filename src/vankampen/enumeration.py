@@ -366,8 +366,11 @@ class _InvariantBound:
         ``_ops`` lists the right-hand-side operations in order: ``(g, f,
         None)`` multiplies row ``g`` by the unit ``f = +-z^t``, ``(g, f,
         h)`` subtracts ``f`` times row ``h`` from row ``g``.  ``_pivots``
-        holds ``(col, g, terms)``: row ``g`` reads ``x_col + sum(c *
-        x_c for c, _ in terms) = rhs``.  ``_left`` holds the other rows
+        holds ``(col, g, terms)`` in pivot order: row ``g`` reads ``x_col +
+        sum(c * x_c for c, _ in terms) = rhs``.  A pivot's column is cleared
+        from the rows still active only, so a pivot row names no earlier
+        pivot's column but may name a later one's, and the pivot columns
+        are solved in reverse pivot order.  ``_left`` holds the other rows
         ``(g, terms, box)`` over the columns no pivot took, in elimination
         order, where ``box`` is the divisor's ``_lp_box`` on a row with one
         column and None otherwise.  Every operation is invertible, so the
@@ -402,12 +405,6 @@ class _InvariantBound:
                         active[j] = (gj, [_lp_add(cc, _lp_mul(f, pc), -1)
                                           for cc, pc in zip(cj, coeffs)])
                         ops.append((gj, f, g))
-                for j, (pcol, pg, pc2) in enumerate(pivots):
-                    f = pc2[col]
-                    if f:
-                        pivots[j] = (pcol, pg, [_lp_add(cc, _lp_mul(f, c2), -1)
-                                                for cc, c2 in zip(pc2, coeffs)])
-                        ops.append((pg, f, g))
                 pivots.append((col, g, coeffs))
                 cols_left.discard(col)
                 changed = True
@@ -429,10 +426,12 @@ class _InvariantBound:
         generator, on the right: the recorded row operations run on ``bs``
         alone, each column no pivot took is solved by exact division from
         the first row on it alone, and the pivot columns follow by
-        back-substitution.  A row without columns that is not zero, or a
-        division with no quotient, proves the system infeasible, since
-        every operation is invertible.  The solution holds on the pivot
-        rows by construction and on the division rows by exact division;
+        back-substitution in reverse pivot order, each pivot row naming only
+        later pivots' columns and those no pivot took.  A row without
+        columns that is not zero, or a division with no quotient, proves the
+        system infeasible, since every operation is invertible.  The
+        solution holds on the pivot rows by construction and on the
+        division rows by exact division;
         only the other rows are checked.  ``solution`` lists each relator's
         translate multiplicities."""
         rhs = list(bs)
@@ -813,7 +812,10 @@ def _prefix_classes(
 
 
 def _diagram_search(letters: Tuple[int, ...], x: TwoComplex, bound: int) -> AreaResult:
-    value = _best_filling(letters, {}, disk_boundary_table(x, bound), _letter_classes(x), bound)
+    # a nonempty cyclically reduced word has no filling of area below 1
+    value = None
+    if bound >= 1:
+        value = _best_filling(letters, {}, disk_boundary_table(x, bound), _letter_classes(x), bound)
     note = "" if value is not None else "no filling within bound"
     return AreaResult(value, True, "diagram_search", note=note)
 

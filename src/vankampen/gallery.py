@@ -330,19 +330,19 @@ def corner_classification(d: DiskDiagram, m: FreeProductModel) -> CornerWitness:
         name = d.alphabet[abs(d.labels[t]) - 1]
         if name in ("c1", "c2", "c3"):
             c_dart[name] = t
-    free_c = {name: d.face_of(t ^ 1) == outer for name, t in c_dart.items()}
+    free_c = {name: d.face_of[t ^ 1] == outer for name, t in c_dart.items()}
     if free_c["c1"] or free_c["c3"]:
         # the free diagonal end extends the left-bottom arc past half
         return CornerWitness("shell", tri)
     if free_c["c2"]:
         # two separated boundary arcs, each with an edge: R itself is strong
         return CornerWitness("cutcell3", tri)
-    q = d.face_of(c_dart["c1"] ^ 1)
+    q = d.face_of[c_dart["c1"] ^ 1]
     if q not in pentagons:
         raise DiagramError("cell across the corner diagonal is not a pentagon")
     c_idx = {d.alphabet.index(nm) + 1 for nm in ("c1", "c2", "c3")}
     free = all(
-        d.face_of(t ^ 1) == outer
+        d.face_of[t ^ 1] == outer
         for t in d.faces[q]
         if abs(d.labels[t]) not in c_idx
     )

@@ -132,6 +132,14 @@ def test_export_roundtrip_json(capsys, tmp_path):
     assert DiskDiagram.from_json(out) == figure_diagram(3, 2)
 
 
+def test_export_id_and_input_exits_2(capsys, tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text(figure_diagram(1, 2).to_json())
+    code, out, err = run_cli(capsys, "export", "--id", "fig1", "--input", str(path))
+    assert code == 2 and out == ""
+    assert "error: give either --id or --input, not both" in err
+
+
 def test_pieces_command_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "pieces", "--gallery", "eq2", "--json")
     assert code == 0

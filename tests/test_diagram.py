@@ -57,6 +57,33 @@ def pentagon_triangle(p, x):
     raise AssertionError("no gluing found")
 
 
+@pytest.mark.parametrize(
+    "sigma, labels, outer",
+    [
+        ((0,), (1,), 0),  # odd number of darts
+        ((0, 1), (1,), 0),  # one label short
+        ((1, 5), (1, -1), 0),  # sigma entry out of range
+        ((0, 0), (1, -1), 0),  # repeated sigma entry
+        ((0, 1), (0, 0), 0),  # zero label
+        ((0, 1), (1, 1), 0),  # opposite labels not inverses
+        ((0, 1), (3, -3), 0),  # label outside the alphabet
+        ((0, 1), (1, -1), None),  # missing outer dart
+        ((0, 1), (1, -1), 2),  # outer dart out of range
+        ((), (), 0),  # outer dart on the single-vertex diagram
+    ],
+)
+def test_constructor_rejects(sigma, labels, outer):
+    with pytest.raises(DiagramError):
+        DiskDiagram(sigma, labels, ("a", "b"), outer)
+
+
+def test_single_vertex_structure():
+    d = DiskDiagram.single_vertex(("a", "b"))
+    assert d.faces == () and d.outer_face is None
+    assert d.inner_face_indices == () and d.area == 0
+    assert d.vertices == ((),)
+
+
 def test_single_pentagon_valid(thm2):
     p, _m, x = thm2
     d = single_pentagon(p)
@@ -293,7 +320,7 @@ def test_vertex_lift_pentagon(thm2):
     d = single_pentagon(p)
     lifts = vertex_lift(d, m, basepoint=d.vertex_of(0))
     # circuit a b a^-1 b^-1 c: successive corners 1, a, ab, b, 1
-    zs = [lifts[d.vertex_of(t)] for t in d.faces[d.face_of(0)]]
+    zs = [lifts[d.vertex_of(t)] for t in d.faces[d.face_of[0]]]
     expected = [
         GroupElement.identity(),
         GroupElement.lattice((1, 0)),

@@ -154,6 +154,19 @@ def test_area_oracle_rejects_unknown_method_on_trivial_words(galleries):
         area_oracle((), x, 3, method="relator_bsf")
 
 
+@pytest.mark.parametrize("gid", GALLERY_IDS)
+@pytest.mark.parametrize("bound", [0, -1])
+def test_oracles_certify_no_filling_below_area_one(galleries, gid, bound):
+    p, m, x = galleries[gid]
+    words = [r.letters for r in p.relators] + [(1,), (1, 2, -1, -2)]
+    for w in words:
+        bfs = area_oracle(w, x, bound=bound, method="relator_bfs", model=m)
+        ds = area_oracle(w, x, bound=bound, method="diagram_search")
+        assert bfs.value is ds.value is None, w
+        assert bfs.certified_exact and ds.certified_exact, w
+        assert ds.note == "no filling within bound", w
+
+
 def test_area_oracle_commutator_both_methods(galleries):
     p, m, x = galleries["thm2"]
     w = p.word("a b a^-1 b^-1")
