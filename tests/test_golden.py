@@ -6,7 +6,8 @@ stream of larger enumerations, the orbits, feature witnesses and validation
 reports of enumerated corpora, the concatenated JSON of the surgery results
 over a small corpus, the piece listing of every gallery, the invariant
 lower bound over a fixed corpus of words, every field of the word-move
-oracle's answers on a fixed corpus, and the model layer's normal forms,
+oracle's answers on a fixed corpus and on seeded words that A* searches
+with a model, and the model layer's normal forms,
 trivial subwords and vertex lifts.  A change to any byte (dart
 numbering, orbit order, face indices, canonical order, relator text, a
 bound's value, a probe's node count) fails here.  The outputs do not depend on
@@ -232,6 +233,47 @@ def test_relator_bfs_pinned():
         lines.append(repr((gid, word, bound, with_model, fields)))
     assert sha("\n".join(lines)) == (
         "5bd7d3fae4e6688c09650f6a1ff004e2d4fdef6cc03ce828b8c1a2ca5cf09b61"
+    )
+
+
+# seeded conjugated relator products per gallery for the A* pin
+ASTAR_PIN_WORDS = 120
+
+
+def conjugated_products(x, rng, count):
+    """``count`` seeded products of one to three relator forms, each
+    conjugated by a word of length at most 2, freely reduced: each has a
+    filling of area at most 3."""
+    forms = [w for w, _i, _o in relator_forms(x)]
+    letters = [s * g for g in range(1, len(x.alphabet) + 1) for s in (1, -1)]
+    words = []
+    for _ in range(count):
+        word = []
+        for _k in range(rng.randint(1, 3)):
+            c = [rng.choice(letters) for _j in range(rng.randint(0, 2))]
+            word += c + list(rng.choice(forms)) + list(invert_ints(c))
+        words.append(reduce_ints(word))
+    return words
+
+
+def test_relator_bfs_astar_pinned():
+    """Every field of the word-move oracle's answers at bound 3, with each
+    gallery's model, on the conjugated relator products whose bound-perfect
+    probe fails, so that A* searches with a model; the corpus pin above has
+    no such run, since the probe answers each of its model queries."""
+    rng = random.Random(13)
+    lines = []
+    for gid in GALLERY_IDS:
+        p, m = presentation(gid)
+        x = presentation_complex(p)
+        for word in conjugated_products(x, rng, ASTAR_PIN_WORDS):
+            res = area_oracle(word, x, bound=3, method="relator_bfs", model=m)
+            if res.expanded and not res.note.startswith("filling meets"):
+                fields = (res.value, res.certified_exact, res.method, res.expanded, res.note)
+                lines.append(repr((gid, word, fields)))
+    assert len(lines) >= 20
+    assert sha("\n".join(lines)) == (
+        "4de5e1519ddc069a7dd08d704fc239f7ef233429898f0d7e776f113fe3cdc5db"
     )
 
 
