@@ -15,6 +15,7 @@ from typing import Optional, Tuple
 from .presentation import (
     CyclicWord,
     Presentation,
+    invert_ints,
     presentation_complex,
     parse_presentation_file,
 )
@@ -176,10 +177,12 @@ def cmd_table(args) -> int:
     names = p.names
     if len(names) < 2:
         raise UsageError("the commutator family needs two generators")
-    g1, g2 = 1, 2
+    # a gallery's lattice-basis words, or a file's first two generators
+    basis = gallery.LATTICE_BASIS[args.gallery] if args.gallery else names[:2]
+    u, v = (p.word(t).letters for t in basis)
 
     def family(n: int) -> CyclicWord:
-        letters = (g1,) * n + (g2,) * n + (-g1,) * n + (-g2,) * n
+        letters = u * n + v * n + invert_ints(u) * n + invert_ints(v) * n
         return CyclicWord(letters, names)
 
     ns = range(args.n_min, args.n_max + 1)
@@ -193,7 +196,7 @@ def cmd_table(args) -> int:
         }
         for r in rows
     ]
-    lines = [f"commutator-power area table over [{names[0]},{names[1]}]:"]
+    lines = [f"commutator-power area table over [{basis[0]},{basis[1]}]:"]
     for r in rows:
         flag = "" if r.area.certified_exact else "  (uncertified)"
         lines.append(f"  n={r.n}  |w|={r.word_length}  Area={r.area.value}{flag}")

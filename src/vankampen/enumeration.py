@@ -267,12 +267,15 @@ class _InvariantBound:
     is tried first and, when it pins each relator's translates, gives the
     bound.  Its coefficient side depends only on the relators, so it is
     eliminated once, here, and each solve replays the recorded row
-    operations on the word's vector alone, split per generator.  The
-    relator forms' vectors are computed once per bound too, for the word
-    moves.
+    operations on the word's vector alone, split per generator.  The bound
+    is ``pinned`` when that elimination leaves every column a pivot or an
+    exact division: then a feasible word has exactly one graded solution.
+    The relator forms' vectors, and on a pinned bound their solutions, are
+    computed once per bound too, for the word moves.
 
-    The one cache holds the final bound, keyed by the Fox vector up to sign
-    and translation.  For a word whose projected path closes, rotating it
+    The one cache holds ``(bound, solution)``, keyed by the Fox vector up
+    to sign and translation, with the graded solution (or None) in the
+    key's frame.  For a word whose projected path closes, rotating it
     multiplies the vector by a monomial ``z^c``, inverting it negates the
     vector, and free reduction leaves it unchanged.  Both systems give the
     same bound on ``+-z^c e`` as on ``e``: their solutions map to each
@@ -294,16 +297,42 @@ class _InvariantBound:
             [Fraction(col[i]) for col in cols] for i in range(len(self.pi) + graded)
         ]
         self._x = x
-        self._cache: Dict[Tuple, Optional[int]] = {}
+        self._cache: Dict[Tuple, Tuple[Optional[int], Optional[List[Dict]]]] = {}
         if graded:
             self._eliminate()
 
     @cached_property
-    def forms(self) -> List[Tuple[Tuple[int, ...], List[Tuple]]]:
-        """Each relator form with the items of its Fox vector, for
-        ``_moves``: computed on first use, since a bound whose words are all
-        refuted by the invariants or the model's word problem needs none."""
-        return [(w, list(self._walk(w)[1].items())) for (w, _i, _o) in relator_forms(self._x)]
+    def pinned(self) -> bool:
+        """Whether every column no pivot took has a row in ``_left`` on it
+        alone.  Then the graded solve solves each such column by exact
+        division, never returns "unknown", and gives a feasible word exactly
+        one solution.  This reads only ``_eliminate``'s record of the
+        coefficient side, so it holds for every word or for none."""
+        if self.eq_matrix is None:
+            return False
+        divided = {terms[0][0] for _g, terms, box in self._left if box is not None}
+        return len(divided) == self._free
+
+    @cached_property
+    def forms(self) -> List[Tuple[Tuple[int, ...], List[Tuple], Optional[Tuple]]]:
+        """Each relator form ``w`` with the items of its Fox vector and, on a
+        pinned bound, its graded solution ``(j, t, s)``, for ``_moves``.  A
+        form's vector is ``s z^t`` times relator ``j``'s column, for a sign
+        ``s``, so its one solution is that monomial in column ``j``; every
+        form of relator ``j`` shares one cache key.  Computed on first use,
+        since a bound whose words are all refuted by the invariants or the
+        model's word problem needs none."""
+        out = []
+        for w, _i, _o in relator_forms(self._x):
+            fox = self._walk(w)[1]
+            mono = None
+            if self.pinned:
+                (mx, my), s, (_h, sol) = self._entry(fox)
+                ((j, col),) = [(j, col) for j, col in enumerate(sol) if col]
+                (((tx, ty), v),) = col.items()
+                mono = (j, (tx + mx, ty + my), s * v)
+            out.append((w, list(fox.items()), mono))
+        return out
 
     def _walk(self, word: Sequence[int]) -> Tuple[List[Tuple[int, int]], Dict]:
         """The projected prefix point before each letter of the word, and
@@ -477,32 +506,44 @@ class _InvariantBound:
 
     def vector_bound(self, fox: Dict[Tuple[int, int, int], int]) -> Optional[int]:
         """The bound of a word whose Fox vector is ``fox``, through the
-        cache.  The key is ``fox`` translated so that its least term sits
-        at the origin, and negated if that term's coefficient is negative.
-        A miss computes the bound from the key itself, so a cached value
-        does not depend on which word filled it."""
+        cache."""
+        return self._entry(fox)[2][0]
+
+    def _entry(self, fox: Dict[Tuple[int, int, int], int]) -> Tuple:
+        """``(m, s, (bound, solution))`` for the Fox vector ``fox``: the
+        cache entry of its key, which is ``fox`` translated by ``-m`` so
+        that its least term sits at the origin, times the sign ``s`` of that
+        term's coefficient.  A miss computes the entry from the key itself,
+        so a cached value does not depend on which word filled it.  The
+        solution is in the key's frame: ``fox``'s is ``s z^m`` times it."""
         items = sorted(fox.items())
         (mx, my, _g), lead = items[0] if items else ((0, 0, 0), 1)
         s = 1 if lead > 0 else -1
         key = tuple([(kx - mx, ky - my, g, s * v) for (kx, ky, g), v in items])
-        if key not in self._cache:
-            self._cache[key] = self._bound({(kx, ky, g): v for kx, ky, g, v in key})
-        return self._cache[key]
+        entry = self._cache.get(key)
+        if entry is None:
+            entry = self._cache[key] = self._bound({(kx, ky, g): v for kx, ky, g, v in key})
+        return (mx, my), s, entry
 
-    def _bound(self, fox: Dict[Tuple[int, int, int], int]) -> Optional[int]:
+    def _bound(
+        self, fox: Dict[Tuple[int, int, int], int]
+    ) -> Tuple[Optional[int], Optional[List[Dict]]]:
+        """``(bound, solution)``, where the solution is the graded one when
+        the graded solve is "ok" (on a pinned bound, for every feasible
+        word) and None otherwise."""
         # every relator's projected path closes, so the graded system has
         # no solution for a word whose path does not, and needs no test
         if self.eq_matrix is not None:
             res = self._solve_laurent_system(self._split(fox))
             if res[0] == "infeasible":
-                return None
+                return None, None
             if res[0] == "ok":
-                return res[1]
+                return res[1], res[2]
         rows = self._rows(fox)
         if rows is None:
-            return None
+            return None, None
         val = self._solve(rows)
-        return None if val is None else ceil(val)
+        return (None if val is None else ceil(val)), None
 
     def _solve(self, b: Tuple[int, ...]) -> Optional[Fraction]:
         """The least l1-norm of a rational solution, over the supports whose
@@ -584,12 +625,15 @@ def area_oracle(
     ``relator_bfs`` runs an A* search over cyclic words with relator
     insertions as moves, guided by the invariant lower bound; its result is
     certified unless the search hits ``MAX_EXPANSIONS``.  Each move is
-    scored from the parent's Fox vector plus the inserted form's, shifted
-    to the projected prefix at the insertion point, once per form and
-    distinct prefix, and only the moves the search keeps are
-    canonicalised.  That is exact: canonicalising a closed word rotates,
-    inverts and freely reduces it, which changes its Fox vector only by
-    sign and translation, and the bound is invariant under both.  A "no
+    scored before it is canonicalised (see ``_moves``): on a pinned bound,
+    in O(1) from the parent's graded solution, since an insertion changes
+    one coefficient of it by one; otherwise from the parent's Fox vector
+    plus the inserted form's, shifted to the projected prefix at the
+    insertion point, once per form and distinct prefix.  Only the moves
+    the search keeps are canonicalised.  That is exact: canonicalising a
+    closed word rotates, inverts and freely reduces it, which changes its
+    Fox vector only by sign and translation, and the bound is invariant
+    under both.  A "no
     filling" is certified by the invariants, by the model's word problem
     when a model is given, or by exhausting every move sequence of length
     at most ``bound``.  ``diagram_search`` minimizes over enumerated disks glued
@@ -626,13 +670,31 @@ def _moves(
     canonicalised: yields ``(h, i, w)``, where ``h`` is the bound of
     ``cur[:i] + w + cur[i:]``.  A form's projected path closes, so the
     inserted word's Fox vector is ``cur``'s plus the form's, shifted to the
-    projected prefix at ``i``; it depends on ``i`` only through that
-    prefix, so each form is scored once per distinct prefix (with no
-    projection, every prefix is the origin).  The bound's cache is keyed up
-    to sign and translation, so ``h`` is also the bound of the canonical
-    form."""
+    projected prefix at ``i``.
+
+    On a pinned bound, a feasible ``cur`` has one graded solution, read
+    from the cache in one lookup.  The system is linear, and the shifted
+    form's solution is ``s z^(t + prefix)`` in one column ``j``, so the
+    inserted word's solution is ``cur``'s with the coefficient ``c`` at that
+    place changed by ``s``, and each move scores ``h - |c| + |c + s|`` in
+    O(1).  Otherwise each form's vector is added to ``cur``'s and scored by
+    ``vector_bound`` once per distinct prefix (with no projection, every
+    prefix is the origin).  The bound's cache is keyed up to sign and
+    translation, so ``h`` is also the bound of the canonical form."""
     starts, base = hb._walk(cur)
-    for w, terms in hb.forms:
+    sol = None
+    if hb.pinned:
+        (mx, my), s, (h, sol) = hb._entry(base)
+    if sol is not None:
+        for w, _terms, (j, (tx, ty), v) in hb.forms:
+            # cur's solution is s z^m times sol, the key's, so its
+            # coefficient c' at p is s * sol[j][p - m], and |c' + v| = |c + s v|
+            col, v, tx, ty = sol[j], s * v, tx - mx, ty - my
+            for i, (sx, sy) in enumerate(starts):
+                c = col.get((tx + sx, ty + sy), 0)
+                yield h - abs(c) + abs(c + v), i, w
+        return
+    for w, terms, _mono in hb.forms:
         scores: Dict[Tuple[int, int], Optional[int]] = {}
         for i, start in enumerate(starts):
             if start not in scores:

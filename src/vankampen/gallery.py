@@ -37,6 +37,16 @@ from .diagram import (
 
 GALLERY_IDS = ("thm2", "thm1", "eq1", "eq2", "torusT")
 
+# per gallery, two words whose model images are the lattice basis (1, 0)
+# and (0, 1): the commutator of their n-th powers is null-homotopic
+LATTICE_BASIS = {
+    "thm2": ("a", "b"),
+    "thm1": ("a1 a2", "b1 b2"),
+    "eq1": ("a1", "b1"),
+    "eq2": ("a1 a2", "b1 b2"),
+    "torusT": ("a1", "b1"),
+}
+
 
 def _z(x, y):
     return GroupElement.lattice((x, y))

@@ -88,6 +88,20 @@ def test_table_command(capsys):
     assert [(r["n"], r["area"]) for r in rows] == [(1, 2), (2, 8)]
 
 
+@pytest.mark.parametrize("gid,areas", [("thm1", [2, 8]), ("eq2", [4, 16])])
+def test_table_commutes_the_lattice_basis_words(capsys, gid, areas):
+    """Over thm1 and eq2 the first two generators do not commute, so the
+    table takes the gallery's lattice-basis words a1 a2 and b1 b2."""
+    code, out, _ = run_cli(capsys, "table", "--gallery", gid,
+                           "--n-max", "2", "--bound", "16")
+    assert code == 0
+    assert out.splitlines() == [
+        "commutator-power area table over [a1 a2,b1 b2]:",
+        f"  n=1  |w|=8  Area={areas[0]}",
+        f"  n=2  |w|=16  Area={areas[1]}",
+    ]
+
+
 def test_fbound_command(capsys):
     code, out, _ = run_cli(capsys, "fbound", "--c", "5", "--n", "30", "--json")
     assert code == 0

@@ -29,6 +29,7 @@ from vankampen.enumeration import (
     enumerate_diagrams,
     enumeration_summary,
     is_minimal,
+    _InvariantBound,
     _bound_for,
     _gluings,
     _letter_classes,
@@ -40,7 +41,7 @@ from vankampen.enumeration import (
     _moves,
     _prefix_classes,
 )
-from vankampen.gallery import GALLERY_IDS, figure_diagram, presentation
+from vankampen.gallery import GALLERY_IDS, LATTICE_BASIS, figure_diagram, presentation
 from vankampen.group_models import FreeProductModel, GroupElement, project_z2
 
 
@@ -432,6 +433,32 @@ def test_dehn_table_values(galleries):
     assert all(r.area.certified_exact for r in rows)
 
 
+def lattice_commutator(gid, n):
+    """``[u^n, v^n]`` for the gallery's lattice-basis words ``u`` and ``v``."""
+    p, _m = presentation(gid)
+    u, v = (p.word(t).letters for t in LATTICE_BASIS[gid])
+    return u * n + v * n + invert_ints(u) * n + invert_ints(v) * n
+
+
+# Area([u^n, v^n]) / n^2: each lattice square takes two cells, and four
+# over eq2, whose pentagon is split into three triangles
+AREA_PER_SQUARE = {"thm2": 2, "thm1": 2, "eq1": 2, "eq2": 4, "torusT": 2}
+
+QUADRATIC_AREA_CASES = (
+    [(gid, n) for gid in GALLERY_IDS for n in (1, 2, 3)]
+    + [pytest.param(gid, 6, marks=pytest.mark.slow) for gid in GALLERY_IDS]
+    + [pytest.param("thm2", 8, marks=pytest.mark.slow)]
+)
+
+
+@pytest.mark.parametrize("gid,n", QUADRATIC_AREA_CASES)
+def test_commutator_powers_have_quadratic_area(galleries, gid, n):
+    _p, m, x = galleries[gid]
+    area = AREA_PER_SQUARE[gid] * n * n
+    res = area_oracle(lattice_commutator(gid, n), x, bound=area, method="relator_bfs", model=m)
+    assert (res.value, res.certified_exact) == (area, True), res
+
+
 def test_disk_boundary_table_contains_relators(galleries):
     p, _m, x = galleries["thm2"]
     table = disk_boundary_table(x, 2)
@@ -501,7 +528,7 @@ def test_bound_invariant_under_sign_and_translation(galleries, case, data):
     n = len(x.alphabet)
     for hb in (_bound_for(x, m), _bound_for(x, None)):
         def uncached(w):
-            return hb._bound(hb._walk(w)[1])
+            return hb._bound(hb._walk(w)[1])[0]
 
         h = uncached(word)
         assert hb.bound(word) == h
@@ -513,7 +540,7 @@ def test_bound_invariant_under_sign_and_translation(galleries, case, data):
         assert uncached(word[:i] + (a, -a) + word[i:]) == h
         # every insertion of two drawn forms (an uncached bound can take
         # milliseconds, and the longest galleries have 36 forms)
-        picked = data.draw(st.sets(st.sampled_from([w for w, _t in hb.forms]), min_size=1, max_size=2))
+        picked = data.draw(st.sets(st.sampled_from([w for w, _t, _s in hb.forms]), min_size=1, max_size=2))
         cur = canonical_cyclic(word)
         for h2, i, w in _moves(cur, hb):
             if w in picked:
@@ -540,6 +567,119 @@ def test_graded_solution_solves_the_system(galleries, case):
             for coeff, v in zip(row, res[2]):
                 acc = _lp_add(acc, _lp_mul(coeff, v))
             assert acc == e[g], (w, g)
+
+
+@st.composite
+def relator_products(draw):
+    """(gallery, word): a product of up to three relator forms, each
+    conjugated by a word of length at most 2, freely reduced, so that the
+    graded system has a solution under the gallery's model."""
+    gid = draw(st.sampled_from(GALLERY_IDS))
+    p, _m = presentation(gid)
+    forms = [w for w, _i, _o in relator_forms(presentation_complex(p))]
+    n = len(p.names)
+    letter = st.integers(min_value=-n, max_value=n).filter(bool)
+    factors = draw(st.lists(
+        st.tuples(st.lists(letter, max_size=2), st.sampled_from(forms)), max_size=3
+    ))
+    return gid, reduce_ints([a for c, f in factors for a in (*c, *f, *invert_ints(c))])
+
+
+def scored_moves(cur, hb):
+    """The moves ``_moves`` yields for ``cur``, and how many times it
+    called ``vector_bound`` to score them."""
+    calls = []
+
+    def counted(fox):
+        calls.append(fox)
+        return _InvariantBound.vector_bound(hb, fox)
+
+    hb.vector_bound = counted
+    try:
+        moves = list(_moves(cur, hb))
+    finally:
+        del hb.vector_bound
+    return moves, len(calls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(relator_products(), closed_words()))
+def test_pinned_move_scores_match_vector_bound(galleries, case):
+    """On a pinned bound, every move of every form at every position of a
+    feasible word is scored from the word's graded solution, without
+    ``vector_bound``, and the score is ``vector_bound`` of the inserted
+    word; an infeasible word's moves are all infeasible.  No solve on the
+    way returns "unknown"."""
+    gid, word = case
+    _p, m, x = galleries[gid]
+    hb = _bound_for(x, m)
+    assert hb.pinned
+    cur = canonical_cyclic(word)
+    moves, calls = scored_moves(cur, hb)
+    assert len(moves) == len(hb.forms) * len(cur)
+    if hb.bound(cur) is None:
+        assert all(h is None for h, _i, _w in moves)
+    else:
+        assert calls == 0
+    for h, i, w in moves:
+        fox = hb._walk(cur[:i] + w + cur[i:])[1]
+        assert h == hb.vector_bound(fox), (i, w)
+        assert hb._solve_laurent_system(hb._split(fox))[0] != "unknown"
+
+
+def a2b2_a3b3_bound():
+    """The bound of ``<a, b | [a^2,b^2], [a^3,b^3]>`` with a -> (1, 0) and
+    b -> (0, 1): every coefficient of its graded system has four or six
+    terms, so no pivot and no division row pins a column."""
+    p = Presentation.build("a b", ["a a b b a^-1 a^-1 b^-1 b^-1",
+                                   "a a a b b b a^-1 a^-1 a^-1 b^-1 b^-1 b^-1"])
+    return p, _InvariantBound(presentation_complex(p), ((1, 0), (0, 1)))
+
+
+def test_pinned_exactly_when_no_solve_is_unknown(galleries):
+    """A pinned bound's graded solve never returns "unknown" (the zero
+    vector, any word's, solves to zero); on a bound with a graded system
+    that is not pinned, the zero vector already returns "unknown"."""
+    for gid in GALLERY_IDS:
+        _p, m, x = galleries[gid]
+        hb = _bound_for(x, m)
+        assert hb.pinned, gid
+        assert hb._solve_laurent_system(hb._split({})) == ("ok", 0, [{}] * hb.n)
+        assert not _bound_for(x, None).pinned
+    _p, hb = a2b2_a3b3_bound()
+    assert not hb.pinned
+    assert hb._solve_laurent_system(hb._split({})) == ("unknown",)
+
+
+def test_form_solutions_are_signed_monomials(galleries):
+    """Each relator form's graded solution is one signed monomial in one
+    column, and ``forms`` carries it."""
+    for gid in GALLERY_IDS:
+        _p, m, x = galleries[gid]
+        hb = _bound_for(x, m)
+        for w, terms, mono in hb.forms:
+            res = hb._solve_laurent_system(hb._split(dict(terms)))
+            assert res[0] == "ok" and res[1] == 1, (gid, w)
+            ((j, col),) = [(j, col) for j, col in enumerate(res[2]) if col]
+            ((t, v),) = col.items()
+            assert v in (1, -1) and mono == (j, t, v), (gid, w)
+
+
+def test_unpinned_bounds_score_through_vector_bound(galleries):
+    """With no model, and on the ``[a^2,b^2], [a^3,b^3]`` bound, every
+    move is scored by ``vector_bound``: the forms carry no solution."""
+    cases = []
+    for gid in GALLERY_IDS:
+        _p, _m, x = galleries[gid]
+        cases.append((_bound_for(x, None), lattice_commutator(gid, 1)))
+    p, hb = a2b2_a3b3_bound()
+    cases.append((hb, p.relators[0].letters * 2))
+    for hb, word in cases:
+        assert not hb.pinned and all(mono is None for _w, _t, mono in hb.forms)
+        moves, calls = scored_moves(word, hb)
+        assert calls > 0 and len(moves) == len(hb.forms) * len(word)
+        for h, i, w in moves:
+            assert h == hb.bound(word[:i] + w + word[i:]), (word, i, w)
 
 
 laurent = st.dictionaries(
