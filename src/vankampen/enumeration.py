@@ -247,6 +247,14 @@ def _lp_norm(a: Dict) -> int:
     return sum(abs(v) for v in a.values())
 
 
+def _quads(flat: Tuple[int, ...]) -> Iterator[Tuple[int, int, int, int]]:
+    """The consecutive 4-tuples of ``flat``.  The bound's cache keeps its
+    keys and solutions as flat tuples of ints: 32 bytes a term on 64-bit
+    CPython, against 80 as a tuple of 4-tuples."""
+    it = iter(flat)
+    return zip(it, it, it, it)
+
+
 # ----------------------------------------------------------------------
 # invariant-based area lower bound
 
@@ -297,7 +305,7 @@ class _InvariantBound:
             [Fraction(col[i]) for col in cols] for i in range(len(self.pi) + graded)
         ]
         self._x = x
-        self._cache: Dict[Tuple, Tuple[Optional[int], Optional[List[Dict]]]] = {}
+        self._cache: Dict[Tuple[int, ...], Tuple[Optional[int], Optional[Tuple[int, ...]]]] = {}
         if graded:
             self._eliminate()
 
@@ -314,10 +322,10 @@ class _InvariantBound:
         return len(divided) == self._free
 
     @cached_property
-    def forms(self) -> List[Tuple[Tuple[int, ...], List[Tuple], Optional[Tuple]]]:
+    def forms(self) -> List[Tuple[Tuple[int, ...], List[Tuple], Optional[Tuple[int, ...]]]]:
         """Each relator form ``w`` with the items of its Fox vector and, on a
-        pinned bound, its graded solution ``(j, t, s)``, for ``_moves``.  A
-        form's vector is ``s z^t`` times relator ``j``'s column, for a sign
+        pinned bound, its graded solution ``(j, tx, ty, s)``, for ``_moves``.
+        A form's vector is ``s z^t`` times relator ``j``'s column, for a sign
         ``s``, so its one solution is that monomial in column ``j``; every
         form of relator ``j`` shares one cache key.  Computed on first use,
         since a bound whose words are all refuted by the invariants or the
@@ -328,9 +336,8 @@ class _InvariantBound:
             mono = None
             if self.pinned:
                 (mx, my), s, (_h, sol) = self._entry(fox)
-                ((j, col),) = [(j, col) for j, col in enumerate(sol) if col]
-                (((tx, ty), v),) = col.items()
-                mono = (j, (tx + mx, ty + my), s * v)
+                j, tx, ty, v = sol  # one term
+                mono = (j, tx + mx, ty + my, s * v)
             out.append((w, list(fox.items()), mono))
         return out
 
@@ -513,24 +520,29 @@ class _InvariantBound:
         """``(m, s, (bound, solution))`` for the Fox vector ``fox``: the
         cache entry of its key, which is ``fox`` translated by ``-m`` so
         that its least term sits at the origin, times the sign ``s`` of that
-        term's coefficient.  A miss computes the entry from the key itself,
-        so a cached value does not depend on which word filled it.  The
-        solution is in the key's frame: ``fox``'s is ``s z^m`` times it."""
+        term's coefficient, as the flat terms ``kx, ky, g, c``.  A miss
+        computes the entry from the key itself, so a cached value does not
+        depend on which word filled it.  The solution is in the key's frame:
+        ``fox``'s is ``s z^m`` times it."""
         items = sorted(fox.items())
         (mx, my, _g), lead = items[0] if items else ((0, 0, 0), 1)
         s = 1 if lead > 0 else -1
-        key = tuple([(kx - mx, ky - my, g, s * v) for (kx, ky, g), v in items])
+        flat: List[int] = []
+        for (kx, ky, g), v in items:
+            flat += (kx - mx, ky - my, g, s * v)
+        key = tuple(flat)
         entry = self._cache.get(key)
         if entry is None:
-            entry = self._cache[key] = self._bound({(kx, ky, g): v for kx, ky, g, v in key})
+            entry = self._cache[key] = self._bound({(kx, ky, g): v for kx, ky, g, v in _quads(key)})
         return (mx, my), s, entry
 
     def _bound(
         self, fox: Dict[Tuple[int, int, int], int]
-    ) -> Tuple[Optional[int], Optional[List[Dict]]]:
-        """``(bound, solution)``, where the solution is the graded one when
-        the graded solve is "ok" (on a pinned bound, for every feasible
-        word) and None otherwise."""
+    ) -> Tuple[Optional[int], Optional[Tuple[int, ...]]]:
+        """``(bound, solution)``, where the solution is the graded one, as
+        the flat terms ``j, kx, ky, c`` of its columns, when the graded solve
+        is "ok" (on a pinned bound, for every feasible word) and None
+        otherwise."""
         # every relator's projected path closes, so the graded system has
         # no solution for a word whose path does not, and needs no test
         if self.eq_matrix is not None:
@@ -538,7 +550,11 @@ class _InvariantBound:
             if res[0] == "infeasible":
                 return None, None
             if res[0] == "ok":
-                return res[1], res[2]
+                flat: List[int] = []
+                for j, col in enumerate(res[2]):
+                    for (kx, ky), c in col.items():
+                        flat += (j, kx, ky, c)
+                return res[1], tuple(flat)
         rows = self._rows(fox)
         if rows is None:
             return None, None
@@ -686,12 +702,13 @@ def _moves(
     if hb.pinned:
         (mx, my), s, (h, sol) = hb._entry(base)
     if sol is not None:
-        for w, _terms, (j, (tx, ty), v) in hb.forms:
+        coeff = {(j, kx, ky): c for j, kx, ky, c in _quads(sol)}
+        for w, _terms, (j, tx, ty, v) in hb.forms:
             # cur's solution is s z^m times sol, the key's, so its
-            # coefficient c' at p is s * sol[j][p - m], and |c' + v| = |c + s v|
-            col, v, tx, ty = sol[j], s * v, tx - mx, ty - my
+            # coefficient c' at p is s * coeff[p - m], and |c' + v| = |c + s v|
+            tx, ty, v = tx - mx, ty - my, s * v
             for i, (sx, sy) in enumerate(starts):
-                c = col.get((tx + sx, ty + sy), 0)
+                c = coeff.get((j, tx + sx, ty + sy), 0)
                 yield h - abs(c) + abs(c + v), i, w
         return
     for w, terms, _mono in hb.forms:

@@ -661,8 +661,8 @@ def test_form_solutions_are_signed_monomials(galleries):
             res = hb._solve_laurent_system(hb._split(dict(terms)))
             assert res[0] == "ok" and res[1] == 1, (gid, w)
             ((j, col),) = [(j, col) for j, col in enumerate(res[2]) if col]
-            ((t, v),) = col.items()
-            assert v in (1, -1) and mono == (j, t, v), (gid, w)
+            (((tx, ty), v),) = col.items()
+            assert v in (1, -1) and mono == (j, tx, ty, v), (gid, w)
 
 
 def test_unpinned_bounds_score_through_vector_bound(galleries):
