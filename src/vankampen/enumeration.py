@@ -649,11 +649,10 @@ def area_oracle(
     the search keeps are canonicalised.  That is exact: canonicalising a
     closed word rotates, inverts and freely reduces it, which changes its
     Fox vector only by sign and translation, and the bound is invariant
-    under both.  A "no
-    filling" is certified by the invariants, by the model's word problem
-    when a model is given, or by exhausting every move sequence of length
-    at most ``bound``.  ``diagram_search`` minimizes over enumerated disks glued
-    at cut vertices: the area of a cyclic word is the least of its
+    under both.  A "no filling" is certified by the invariants, by the
+    model's word problem when a model is given, or by exhausting every move
+    sequence of length at most ``bound``.  ``diagram_search`` minimizes
+    over enumerated disks glued at cut vertices: the area of a cyclic word is the least of its
     enumerated-disk area and ``best(u) + best(v)`` over its splits into two
     arcs ``u`` and ``v``.  It tries only the splits at positions ``i < j``
     whose prefix exponent vectors agree modulo the rational span of the
