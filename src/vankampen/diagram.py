@@ -163,7 +163,12 @@ class DiskDiagram:
         return self._vertex_of[d]
 
     def face_word_ints(self, fi: int) -> Tuple[int, ...]:
-        return tuple(self.labels[d] for d in self.faces[fi])
+        # from a list, not a generator: tuple() of a generator allocates a
+        # guessed length and then resizes, which raised the perfbench scan
+        # workload's peak RSS by about 0.2 MB once torus_coordinates read
+        # every face word
+        labels = self.labels
+        return tuple([labels[d] for d in self.faces[fi]])
 
     def outer_orbit(self) -> Tuple[int, ...]:
         return self.faces[self.outer_face] if self.n_darts else ()

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import ceil, lcm
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -61,16 +61,24 @@ class EnumerationConfig:
             raise ValueError("max_area must be at least 1")
 
 
+def _cyclic_core(letters: Sequence[int]) -> Tuple[int, ...]:
+    """Free and then cyclic reduction: the word ``canonical_cyclic``
+    rotates, of the same length."""
+    w = reduce_ints(letters)
+    n = len(w)
+    k = 0
+    while n - 2 * k >= 2 and w[k] == -w[n - 1 - k]:
+        k += 1
+    return w[k : n - k]
+
+
 def canonical_cyclic(letters: Sequence[int]) -> Tuple[int, ...]:
     """Canonical form of a boundary word: free+cyclic reduction, then the
     least rotation over the word and its inverse (mirror diagrams fill the
     inverse word)."""
-    w = list(reduce_ints(letters))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
+    w = _cyclic_core(letters)
     if not w:
         return ()
-    w = tuple(w)
     inv = invert_ints(w)
     i = least_rotation(w)
     j = least_rotation(inv)
@@ -736,41 +744,55 @@ def _perfect_probe(
 
     Only moves dropping the invariant bound by exactly one are followed, so
     the depth of every state is forced and a global visited set is sound.
-    Moves are scored before they are canonicalised (see ``_moves``), and
-    only the ones kept are.  Returns the node count on success, None when
-    the budget runs out or no bound-perfect filling exists.
+    Moves are scored before they are canonicalised (see ``_moves``).
+    Returns the node count on success, None when the budget runs out or no
+    bound-perfect filling exists.
+
+    A node's successors are its kept moves' canonical words in
+    ``(len, word)`` order, less the words already seen when the node was
+    pushed.  The search usually takes the first, so they are made lazily:
+    the kept moves are grouped by the length of their cyclic reduction,
+    which is the length of their canonical word, and a length class is
+    canonicalised and sorted only when the search first reaches it.  A
+    word is dropped only if ``seen`` had it when the node was pushed
+    (``seen`` maps each word to its insertion index), and a word seen
+    later still costs its node when its turn comes.  So the order and
+    every node count are those of the eager list.
     """
-    seen = {letters}
+    seen = {letters: 0}
     nodes = 0
 
-    def successors(cur: Tuple[int, ...], remaining: int) -> List[Tuple[int, ...]]:
-        keep = {
-            canonical_cyclic(cur[:i] + w + cur[i:])
-            for h, i, w in _moves(cur, hb)
-            if h == remaining - 1
-        }
-        return sorted(keep - seen, key=lambda w: (len(w), w))
+    def successors(
+        cur: Tuple[int, ...], remaining: int, pushed: int
+    ) -> Iterator[Tuple[int, ...]]:
+        by_len: Dict[int, List[Tuple[int, ...]]] = {}
+        for h, i, w in _moves(cur, hb):
+            if h == remaining - 1:
+                core = _cyclic_core(cur[:i] + w + cur[i:])
+                by_len.setdefault(len(core), []).append(core)
+        for n in sorted(by_len):
+            for nxt in sorted({canonical_cyclic(core) for core in by_len[n]}):
+                if seen.get(nxt, pushed) >= pushed:
+                    yield nxt
 
-    stack: List[Tuple[Tuple[int, ...], List[Tuple[int, ...]]]] = []
-    stack.append((letters, successors(letters, h0)))
+    stack = [successors(letters, h0, len(seen))]
     while stack:
         nodes += 1
         if nodes > PROBE_NODE_BUDGET:
             return None
-        cur, succ = stack[-1]
-        if not succ:
+        nxt = next(stack[-1], None)
+        if nxt is None:
             stack.pop()
             continue
-        nxt = succ.pop(0)
         if nxt in seen:
             continue
-        seen.add(nxt)
+        seen[nxt] = len(seen)
         remaining = h0 - len(stack)
         if nxt == ():
             return nodes
         if remaining <= 0:
             continue
-        stack.append((nxt, successors(nxt, remaining)))
+        stack.append(successors(nxt, remaining, len(seen)))
     return None
 
 
@@ -850,11 +872,13 @@ def disk_boundary_table(x: TwoComplex, bound: int) -> Dict[Tuple[int, ...], int]
     return _TABLE_CACHE[key]
 
 
+@lru_cache(maxsize=None)
 def _letter_classes(x: TwoComplex) -> Dict[int, Tuple[int, ...]]:
     """Each letter's exponent vector modulo the rational span of the
     relators' exponent vectors.  A class is the tuple of values under
     integer functionals that span the relator matrix's null space, so
-    they vanish together exactly on that span."""
+    they vanish together exactly on that span.  Computed once per complex
+    (keyed by its content); callers must not change the returned dict."""
     n = len(x.alphabet)
     matrix = [
         [Fraction(sum((v == g) - (v == -g) for v in r.letters)) for g in range(1, n + 1)]

@@ -20,14 +20,16 @@ and triangle-type cells lower-left ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
-from .presentation import Presentation
-from .group_models import FreeProductModel, GroupElement
+from .presentation import Presentation, Word, symmetrized
+from .group_models import FreeProductModel, GroupElement, is_trivial
 from .diagram import (
     DiagramError,
     DiskDiagram,
+    LiftError,
     find_cutcells,
     find_shells,
     is_topological_disk,
@@ -274,21 +276,79 @@ class CornerWitness:
     face: int
 
 
-def torus_coordinates(d: DiskDiagram, m: FreeProductModel) -> PlanarCoords:
-    """Project vertex lifts to the plane tessellation of the torus cover.
+@lru_cache(maxsize=None)
+def _relator_forms(p: Presentation) -> FrozenSet[Tuple[int, ...]]:
+    """Every rotation of each relator of ``p`` and of its inverse."""
+    return frozenset(w for w, _idx, _rot, _orient in symmetrized(p.relators))
 
-    Works over any gallery presentation whose lattice projection sends the
-    a-generator to (1,0), the b-generator to (0,1) and c1 to (1,-1):
-    pentagon-type faces land on upper-right half-squares, triangle-type
-    faces on lower-left ones.
+
+def _vertex_coordinates(d: DiskDiagram, m: FreeProductModel) -> Tuple[Tuple[int, int], ...]:
+    """The lattice projection of each vertex's lift, vertex 0 at the origin.
+
+    One walk from vertex 0 adds ``m.pi`` of each dart's letter, negated for
+    an inverse letter.  The projection is a homomorphism, so these are the
+    lattice parts of ``vertex_lift`` (rank 2, zero-padded), without the free
+    parts.  Raises LiftError as ``vertex_lift`` does: when the alphabet is
+    not the model's, when the diagram is disconnected, and when it is not a
+    diagram over the model's presentation.  A connected planar map lifts
+    consistently exactly when every inner face reads a trivial word, so each
+    inner face is checked once: a rotation of a relator or of its inverse
+    passes by lookup, any other word goes through the model's word problem.
+    A map that is not planar is checked by ``vertex_lift`` itself.
     """
     if d.n_darts == 0:
-        return PlanarCoords(((0, 0),), {})
-    lifts = vertex_lift(d, m)
-    coords: list = [None] * d.n_vertices
-    for v, g in lifts.items():
-        part = g.lattice_part()
-        coords[v] = (part[0], part[1]) if part else (0, 0)
+        return ((0, 0),)
+    if d.alphabet != m.presentation.names:
+        raise LiftError("diagram alphabet does not match the model's presentation")
+    step = {}
+    for i, name in enumerate(d.alphabet, 1):
+        px, py = m.pi(name)
+        step[i] = (px, py)
+        step[-i] = (-px, -py)
+    vertices, vertex_of, labels = d.vertices, d.vertex_of, d.labels
+    coords: list = [None] * len(vertices)
+    coords[0] = (0, 0)
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        x, y = coords[v]
+        for t in vertices[v]:
+            u = vertex_of(t ^ 1)
+            if coords[u] is None:
+                dx, dy = step[labels[t]]
+                coords[u] = (x + dx, y + dy)
+                stack.append(u)
+    if None in coords:
+        raise LiftError("diagram is disconnected")
+    if d.euler_characteristic != 2:
+        vertex_lift(d, m)
+    forms = _relator_forms(m.presentation)
+    for fi in d.inner_face_indices:
+        w = d.face_word_ints(fi)
+        if w not in forms and not is_trivial(Word(w, d.alphabet), m):
+            raise LiftError(
+                f"face {fi} reads a nontrivial word: not a diagram over this presentation"
+            )
+    return tuple(coords)
+
+
+def torus_coordinates(d: DiskDiagram, m: FreeProductModel) -> PlanarCoords:
+    """Vertex lattice coordinates in the plane tessellation of the torus
+    cover, and the half-square each inner face covers.
+
+    The coordinates are the lattice projection of the generator images,
+    summed along a walk from vertex 0 (``_vertex_coordinates``); no vertex
+    lift is built.  As with ``vertex_lift``, a diagram whose alphabet is not
+    the model's, a disconnected one, and one with an inner face whose word
+    the model does not send to the identity raise LiftError.  A face that
+    does not cover a half-square raises DiagramError.
+
+    Works over any gallery presentation whose rank-2 lattice projection
+    sends the a-generator to (1,0), the b-generator to (0,1) and c1 to
+    (1,-1): pentagon-type faces land on upper-right half-squares,
+    triangle-type faces on lower-left ones.
+    """
+    coords = _vertex_coordinates(d, m)
     face_squares = {}
     for fi in d.inner_face_indices:
         pts = {coords[d.vertex_of(t)] for t in d.faces[fi]}
@@ -305,7 +365,7 @@ def torus_coordinates(d: DiskDiagram, m: FreeProductModel) -> PlanarCoords:
         else:
             raise DiagramError(f"face {fi} does not cover a half-square")
         face_squares[fi] = (base, kind)
-    return PlanarCoords(tuple(coords), face_squares)
+    return PlanarCoords(coords, face_squares)
 
 
 def corner_classification(d: DiskDiagram, m: FreeProductModel) -> CornerWitness:

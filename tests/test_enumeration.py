@@ -1,5 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from vankampen import enumeration
 
 from vankampen.presentation import (
     Presentation,
@@ -447,7 +451,7 @@ AREA_PER_SQUARE = {"thm2": 2, "thm1": 2, "eq1": 2, "eq2": 4, "torusT": 2}
 QUADRATIC_AREA_CASES = (
     [(gid, n) for gid in GALLERY_IDS for n in (1, 2, 3)]
     + [pytest.param(gid, 6, marks=pytest.mark.slow) for gid in GALLERY_IDS]
-    + [pytest.param("thm2", 8, marks=pytest.mark.slow)]
+    + [pytest.param(gid, 8, marks=pytest.mark.slow) for gid in ("thm2", "thm1")]
 )
 
 
@@ -708,3 +712,89 @@ def test_lp_divide_ends_without_a_quotient():
     d = {(0, 0): 1, (1, 0): -1}
     assert _lp_divide({(0, 0): 1}, d, _lp_box(d)) is None
     assert _lp_divide({(0, 0): 1, (3, 0): -1}, d, _lp_box(d)) == {(0, 0): 1, (1, 0): 1, (2, 0): 1}
+
+
+def eager_perfect_probe(letters, h0, hb):
+    """Reference for ``_perfect_probe``: each node's successors are
+    canonicalised, filtered and sorted in full when the node is pushed."""
+    seen = {letters}
+    nodes = 0
+
+    def successors(cur, remaining):
+        keep = {
+            canonical_cyclic(cur[:i] + w + cur[i:])
+            for h, i, w in enumeration._moves(cur, hb)
+            if h == remaining - 1
+        }
+        return sorted(keep - seen, key=lambda w: (len(w), w))
+
+    stack = [(letters, successors(letters, h0))]
+    while stack:
+        nodes += 1
+        if nodes > enumeration.PROBE_NODE_BUDGET:
+            return None
+        cur, succ = stack[-1]
+        if not succ:
+            stack.pop()
+            continue
+        nxt = succ.pop(0)
+        if nxt in seen:
+            continue
+        seen.add(nxt)
+        remaining = h0 - len(stack)
+        if nxt == ():
+            return nodes
+        if remaining <= 0:
+            continue
+        stack.append((nxt, successors(nxt, remaining)))
+    return None
+
+
+def probe_cases():
+    """(gallery, word): the commutator powers ``[u^n, v^n]`` for n <= 4 and
+    seeded products of one to three conjugated relator forms, on every
+    gallery."""
+    rng = random.Random(17)
+    out = []
+    for gid in GALLERY_IDS:
+        out += [(gid, lattice_commutator(gid, n)) for n in range(1, 5)]
+        p, _m = presentation(gid)
+        forms = [w for w, _i, _o in relator_forms(presentation_complex(p))]
+        letters = [s * g for g in range(1, len(p.names) + 1) for s in (1, -1)]
+        for _ in range(30):
+            word = []
+            for _k in range(rng.randint(1, 3)):
+                c = [rng.choice(letters) for _j in range(rng.randint(0, 2))]
+                word += c + list(rng.choice(forms)) + list(invert_ints(c))
+            out.append((gid, reduce_ints(word)))
+    return out
+
+
+def test_perfect_probe_matches_eager_reference(galleries, monkeypatch):
+    """The lazy probe answers as the eager reference does, with the same
+    node count, and expands the same nodes in the same order."""
+    expanded = []
+    moves = enumeration._moves
+
+    def recorded(cur, hb):
+        expanded.append(cur)
+        return moves(cur, hb)
+
+    monkeypatch.setattr(enumeration, "_moves", recorded)
+    found = missed = 0
+    for gid, word in probe_cases():
+        _p, m, x = galleries[gid]
+        hb = _bound_for(x, m)
+        letters = canonical_cyclic(word)
+        h0 = hb.bound(letters)
+        if not letters or h0 is None:
+            continue
+        expanded.clear()
+        ref = eager_perfect_probe(letters, h0, hb)
+        ref_expanded = list(expanded)
+        expanded.clear()
+        assert enumeration._perfect_probe(letters, h0, hb) == ref, (gid, word)
+        assert expanded == ref_expanded, (gid, word)
+        found += ref is not None
+        missed += ref is None
+    assert found and missed

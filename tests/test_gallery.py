@@ -5,6 +5,7 @@ from vankampen.group_models import LatticeVector, project_z2
 from vankampen.diagram import (
     DiagramError,
     DiskDiagram,
+    LiftError,
     boundary_path,
     find_cutcells,
     find_shells,
@@ -13,8 +14,10 @@ from vankampen.diagram import (
     validate,
     vertex_lift,
 )
+from vankampen.enumeration import EnumerationConfig, enumerate_diagrams
 from vankampen.gallery import (
     GALLERY_IDS,
+    _vertex_coordinates,
     CornerWitness,
     complex_for,
     confirm_corner_witness,
@@ -109,6 +112,69 @@ def test_torus_coordinates_single_vertex():
     pc = torus_coordinates(DiskDiagram.single_vertex(p.names), m)
     assert pc.vertex_coords == ((0, 0),)
     assert pc.face_squares == {}
+
+
+def _padded_lattice_parts(d, m):
+    lift = vertex_lift(d, m)
+    return tuple(lift[v].lattice_part() or (0, 0) for v in range(d.n_vertices))
+
+
+def test_vertex_coordinates_match_vertex_lifts(galleries):
+    """The walk's coordinates are the lattice parts of the vertex lifts:
+    on every diagram of thm1 and eq1 to area 4, where ``torus_coordinates``
+    returns them, and on the figure grids, whose figure-1 pentagons cover
+    whole squares, so only the walk itself applies."""
+    for gid in ("thm1", "eq1"):
+        _p, m, x = galleries[gid]
+        for d in enumerate_diagrams(x, EnumerationConfig(max_area=4)):
+            assert torus_coordinates(d, m).vertex_coords == _padded_lattice_parts(d, m)
+    for fig, gid in ((1, "thm2"), (3, "eq1")):
+        m = galleries[gid][1]
+        for n in (1, 2, 3):
+            d = figure_diagram(fig, n)
+            assert _vertex_coordinates(d, m) == _padded_lattice_parts(d, m)
+
+
+def test_torus_coordinates_rejects_face_off_the_presentation():
+    """The thm1 pentagon with its free-factor letters inverted has the
+    pentagon's lattice image and covers a half-square, but the model does
+    not send its word to the identity; only the face check sees it."""
+    p, m = presentation("thm1")
+    free = {p.names.index(name) + 1 for name in ("a2", "b2", "c2", "c3")}
+    word = [-v if abs(v) in free else v for v in p.relators[0].letters]
+    d = DiskDiagram.from_face_word(word, p.names)
+    with pytest.raises(LiftError):
+        vertex_lift(d, m)
+    with pytest.raises(LiftError, match="nontrivial"):
+        torus_coordinates(d, m)
+
+
+def test_torus_coordinates_rejects_wrong_alphabet_and_disconnected():
+    p, m = presentation("thm1")
+    d = DiskDiagram.from_face_word(p.relators[0].letters, p.names)
+    with pytest.raises(LiftError, match="alphabet"):
+        torus_coordinates(d, presentation("eq1")[1])
+    n = d.n_darts
+    twice = DiskDiagram(
+        d.sigma + tuple(n + t for t in d.sigma), d.labels * 2, p.names, d.outer_dart
+    )
+    with pytest.raises(LiftError, match="disconnected"):
+        vertex_lift(twice, m)
+    with pytest.raises(LiftError, match="disconnected"):
+        torus_coordinates(twice, m)
+
+
+def test_torus_coordinates_checks_a_map_that_is_not_planar():
+    """One vertex with loops a2 and b2 on a torus: the map has no inner
+    face to check, but a2 is not trivial in the model, so no lift exists."""
+    p, m = presentation("thm1")
+    a2, b2 = p.names.index("a2") + 1, p.names.index("b2") + 1
+    torus = DiskDiagram([2, 3, 1, 0], [a2, -a2, b2, -b2], p.names, 0)
+    assert torus.euler_characteristic == 0 and torus.area == 0
+    with pytest.raises(LiftError):
+        vertex_lift(torus, m)
+    with pytest.raises(LiftError):
+        torus_coordinates(torus, m)
 
 
 def _pentagon_triangle():
