@@ -57,6 +57,8 @@ def _load_presentation(args) -> Tuple[Presentation, Optional[FreeProductModel]]:
     if gid and path:
         raise UsageError("give either --gallery or --presentation, not both")
     if gid:
+        if getattr(args, "model", None):
+            raise UsageError("give --model only with --presentation")
         if gid in gallery.GALLERY_IDS:
             return gallery.presentation(gid)
         raise UsageError(f"unknown gallery id {gid!r} (have {', '.join(gallery.GALLERY_IDS)})")

@@ -767,16 +767,11 @@ def remove_spur(d: DiskDiagram, dart: int) -> DiskDiagram:
     return _delete_darts(d, (s, s ^ 1), hint)
 
 
-def shell_witness_for_face(d: DiskDiagram, fi: int) -> Optional[FeatureWitness]:
-    for w in find_shells(d):
-        if w.face == fi:
-            return w
-    return None
-
-
 def remove_shell(d: DiskDiagram, face: int | FeatureWitness) -> DiskDiagram:
     """Remove a shell and the longer (boundary-arc) portion of its boundary."""
-    w = face if isinstance(face, FeatureWitness) else shell_witness_for_face(d, face)
+    w = face
+    if not isinstance(face, FeatureWitness):
+        w = next((s for s in find_shells(d) if s.face == face), None)
     if w is None or w.kind != "shell":
         raise DiagramError("face is not a shell")
     circuit = d.faces[w.face]

@@ -30,9 +30,9 @@ from .presentation import (
     CyclicWord,
     TwoComplex,
     Word,
+    cyclic_core,
     invert_ints,
     least_rotation,
-    reduce_ints,
 )
 from .group_models import FreeProductModel, is_trivial
 from .diagram import (
@@ -61,22 +61,11 @@ class EnumerationConfig:
             raise ValueError("max_area must be at least 1")
 
 
-def _cyclic_core(letters: Sequence[int]) -> Tuple[int, ...]:
-    """Free and then cyclic reduction: the word ``canonical_cyclic``
-    rotates, of the same length."""
-    w = reduce_ints(letters)
-    n = len(w)
-    k = 0
-    while n - 2 * k >= 2 and w[k] == -w[n - 1 - k]:
-        k += 1
-    return w[k : n - k]
-
-
 def canonical_cyclic(letters: Sequence[int]) -> Tuple[int, ...]:
     """Canonical form of a boundary word: free+cyclic reduction, then the
     least rotation over the word and its inverse (mirror diagrams fill the
     inverse word)."""
-    w = _cyclic_core(letters)
+    w = cyclic_core(letters)
     if not w:
         return ()
     inv = invert_ints(w)
@@ -768,7 +757,7 @@ def _perfect_probe(
         by_len: Dict[int, List[Tuple[int, ...]]] = {}
         for h, i, w in _moves(cur, hb):
             if h == remaining - 1:
-                core = _cyclic_core(cur[:i] + w + cur[i:])
+                core = cyclic_core(cur[:i] + w + cur[i:])
                 by_len.setdefault(len(core), []).append(core)
         for n in sorted(by_len):
             for nxt in sorted({canonical_cyclic(core) for core in by_len[n]}):
@@ -844,32 +833,28 @@ def _relator_bfs(
     return AreaResult(None, True, "relator_bfs", expanded=expanded, note="no filling within bound")
 
 
-_BOUND_CACHE: Dict[Tuple, _InvariantBound] = {}
-_TABLE_CACHE: Dict[Tuple, Dict[Tuple[int, ...], int]] = {}
+# keyed by what the bound reads: the complex and a rank-2 model's projection
+_cached_bound = lru_cache(maxsize=None)(_InvariantBound)
 
 
 def _bound_for(x: TwoComplex, model: Optional[FreeProductModel]) -> _InvariantBound:
-    # keyed by what the bound reads: the complex and a rank-2 model's projection
     pi = None
     if model is not None and model.abelian_rank == 2:
         pi = tuple(map(model.pi, x.alphabet))
-    hb = _BOUND_CACHE.get((x, pi))
-    if hb is None:
-        hb = _BOUND_CACHE[x, pi] = _InvariantBound(x, pi)
-    return hb
+    return _cached_bound(x, pi)
 
 
+@lru_cache(maxsize=None)
 def disk_boundary_table(x: TwoComplex, bound: int) -> Dict[Tuple[int, ...], int]:
-    """Canonical boundary word -> minimal enumerated-disk area (cached)."""
-    key = (x, bound)
-    if key not in _TABLE_CACHE:
-        table: Dict[Tuple[int, ...], int] = {}
-        for d in enumerate_diagrams(x, EnumerationConfig(max_area=bound)):
-            wkey = canonical_cyclic(d.boundary_word_ints())
-            if wkey not in table or d.area < table[wkey]:
-                table[wkey] = d.area
-        _TABLE_CACHE[key] = table
-    return _TABLE_CACHE[key]
+    """Canonical boundary word -> minimal enumerated-disk area, computed
+    once per complex and bound; callers must not change the returned
+    dict."""
+    table: Dict[Tuple[int, ...], int] = {}
+    for d in enumerate_diagrams(x, EnumerationConfig(max_area=bound)):
+        wkey = canonical_cyclic(d.boundary_word_ints())
+        if wkey not in table or d.area < table[wkey]:
+            table[wkey] = d.area
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -914,9 +899,10 @@ def _prefix_classes(
 
 
 def _diagram_search(letters: Tuple[int, ...], x: TwoComplex, bound: int) -> AreaResult:
-    # a nonempty cyclically reduced word has no filling of area below 1
+    # a nonempty cyclically reduced word has no filling of area below 1,
+    # and none at all without 2-cells
     value = None
-    if bound >= 1:
+    if bound >= 1 and x.faces:
         value = _best_filling(letters, {}, disk_boundary_table(x, bound), _letter_classes(x), bound)
     note = "" if value is not None else "no filling within bound"
     return AreaResult(value, True, "diagram_search", note=note)

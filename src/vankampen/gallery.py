@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import count
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from .presentation import Presentation, Word, symmetrized
+from .presentation import Presentation, TwoComplex, Word, presentation_complex, symmetrized
 from .group_models import FreeProductModel, GroupElement, is_trivial
 from .diagram import (
     DiagramError,
@@ -37,7 +37,74 @@ from .diagram import (
     vertex_lift,
 )
 
-GALLERY_IDS = ("thm2", "thm1", "eq1", "eq2", "torusT")
+
+def _z(x, y):
+    return GroupElement.lattice((x, y))
+
+
+def _f(*letters):
+    return GroupElement.free(letters)
+
+
+_THM1_PENTAGON = "a2 b1 b2 a2^-1 a1^-1 b2^-1 c1 c2 c3"
+# free letters f1..f4 = a2, b2, c2, c3; lattice basis = a, b
+_THM1_IMAGES = {
+    "a1": _z(1, 0) * _f(-1),
+    "a2": _f(1),
+    "b1": _z(0, 1) * _f(-2),
+    "b2": _f(2),
+    "c1": _f(2) * _z(1, -1) * _f(-1, -4, -3),
+    "c2": _f(3),
+    "c3": _f(4),
+}
+
+# id -> (generators, relators, free rank, generator images in Z^2 * F_k)
+_GALLERY = {
+    "thm2": (
+        "a b c",
+        ["a b a^-1 b^-1 c", "c"],
+        0,
+        {"a": _z(1, 0), "b": _z(0, 1), "c": GroupElement.identity()},
+    ),
+    "thm1": (
+        "a1 a2 b1 b2 c1 c2 c3",
+        [_THM1_PENTAGON, "a1^-1 b1 c1 c2 c3"],
+        4,
+        _THM1_IMAGES,
+    ),
+    # free letters f1, f2 = c2, c3
+    "eq1": (
+        "a1 b1 c1 c2 c3",
+        ["b1 a1^-1 c1 c2 c3", "a1^-1 b1 c1 c2 c3"],
+        2,
+        {
+            "a1": _z(1, 0),
+            "b1": _z(0, 1),
+            "c1": _z(1, -1) * _f(-2, -1),
+            "c2": _f(1),
+            "c3": _f(2),
+        },
+    ),
+    # thm1's images and pentagon, its triangle split along d1 and d2
+    "eq2": (
+        "a1 a2 b1 b2 c1 c2 c3 d1 d2",
+        [_THM1_PENTAGON, "b1 c1 d1^-1", "d1 c2 d2^-1", "d2 c3 a1^-1"],
+        4,
+        {
+            **_THM1_IMAGES,
+            "d1": _z(1, 0) * _f(-1, -4, -3),
+            "d2": _z(1, 0) * _f(-1, -4),
+        },
+    ),
+    "torusT": (
+        "a1 b1 c1",
+        ["b1 a1^-1 c1", "a1^-1 b1 c1"],
+        0,
+        {"a1": _z(1, 0), "b1": _z(0, 1), "c1": _z(1, -1)},
+    ),
+}
+
+GALLERY_IDS = tuple(_GALLERY)
 
 # per gallery, two words whose model images are the lattice basis (1, 0)
 # and (0, 1): the commutator of their n-th powers is null-homotopic
@@ -50,101 +117,16 @@ LATTICE_BASIS = {
 }
 
 
-def _z(x, y):
-    return GroupElement.lattice((x, y))
-
-
-def _f(*letters):
-    return GroupElement.free(letters)
-
-
 def presentation(gallery_id: str) -> Tuple[Presentation, FreeProductModel]:
     """A gallery presentation together with its free-product model."""
-    if gallery_id == "thm2":
-        p = Presentation.build("a b c", ["a b a^-1 b^-1 c", "c"])
-        m = FreeProductModel(
-            p, 2, 0, {"a": _z(1, 0), "b": _z(0, 1), "c": GroupElement.identity()}
-        )
-        return p, m
-    if gallery_id == "thm1":
-        p = Presentation.build(
-            "a1 a2 b1 b2 c1 c2 c3",
-            ["a2 b1 b2 a2^-1 a1^-1 b2^-1 c1 c2 c3", "a1^-1 b1 c1 c2 c3"],
-        )
-        # free letters f1..f4 = a2, b2, c2, c3; lattice basis = a, b
-        m = FreeProductModel(
-            p,
-            2,
-            4,
-            {
-                "a1": _z(1, 0) * _f(-1),
-                "a2": _f(1),
-                "b1": _z(0, 1) * _f(-2),
-                "b2": _f(2),
-                "c1": _f(2) * _z(1, -1) * _f(-1, -4, -3),
-                "c2": _f(3),
-                "c3": _f(4),
-            },
-        )
-        return p, m
-    if gallery_id == "eq1":
-        p = Presentation.build(
-            "a1 b1 c1 c2 c3", ["b1 a1^-1 c1 c2 c3", "a1^-1 b1 c1 c2 c3"]
-        )
-        # free letters f1, f2 = c2, c3
-        m = FreeProductModel(
-            p,
-            2,
-            2,
-            {
-                "a1": _z(1, 0),
-                "b1": _z(0, 1),
-                "c1": _z(1, -1) * _f(-2, -1),
-                "c2": _f(1),
-                "c3": _f(2),
-            },
-        )
-        return p, m
-    if gallery_id == "eq2":
-        p = Presentation.build(
-            "a1 a2 b1 b2 c1 c2 c3 d1 d2",
-            [
-                "a2 b1 b2 a2^-1 a1^-1 b2^-1 c1 c2 c3",
-                "b1 c1 d1^-1",
-                "d1 c2 d2^-1",
-                "d2 c3 a1^-1",
-            ],
-        )
-        # free letters f1..f4 = a2, b2, c2, c3
-        m = FreeProductModel(
-            p,
-            2,
-            4,
-            {
-                "a1": _z(1, 0) * _f(-1),
-                "a2": _f(1),
-                "b1": _z(0, 1) * _f(-2),
-                "b2": _f(2),
-                "c1": _f(2) * _z(1, -1) * _f(-1, -4, -3),
-                "c2": _f(3),
-                "c3": _f(4),
-                "d1": _z(1, 0) * _f(-1, -4, -3),
-                "d2": _z(1, 0) * _f(-1, -4),
-            },
-        )
-        return p, m
-    if gallery_id == "torusT":
-        p = Presentation.build("a1 b1 c1", ["b1 a1^-1 c1", "a1^-1 b1 c1"])
-        m = FreeProductModel(
-            p, 2, 0, {"a1": _z(1, 0), "b1": _z(0, 1), "c1": _z(1, -1)}
-        )
-        return p, m
-    raise ValueError(f"unknown gallery id {gallery_id!r}")
+    if gallery_id not in _GALLERY:
+        raise ValueError(f"unknown gallery id {gallery_id!r}")
+    gens, relators, free_rank, images = _GALLERY[gallery_id]
+    p = Presentation.build(gens, relators)
+    return p, FreeProductModel(p, 2, free_rank, images)
 
 
-def complex_for(gallery_id: str):
-    from .presentation import presentation_complex
-
+def complex_for(gallery_id: str) -> TwoComplex:
     return presentation_complex(presentation(gallery_id)[0])
 
 

@@ -90,6 +90,17 @@ def reduce_ints(letters: Sequence[int]) -> Tuple[int, ...]:
     return tuple(stack)
 
 
+def cyclic_core(letters: Sequence[int]) -> Tuple[int, ...]:
+    """Free and then cyclic reduction: the freely reduced word less each
+    pair of mutually inverse end letters, a contiguous middle of it."""
+    w = reduce_ints(letters)
+    n = len(w)
+    k = 0
+    while n - 2 * k >= 2 and w[k] == -w[n - 1 - k]:
+        k += 1
+    return w[k : n - k]
+
+
 def invert_ints(letters: Sequence[int]) -> Tuple[int, ...]:
     return tuple(-x for x in reversed(letters))
 
@@ -201,10 +212,7 @@ class CyclicWord:
 
     @property
     def is_cyclically_reduced(self) -> bool:
-        w = self.letters
-        if reduce_ints(w) != w:
-            return False
-        return not (len(w) >= 2 and w[0] == -w[-1])
+        return cyclic_core(self.letters) == self.letters
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -247,13 +255,10 @@ def cyclic_reduce(w: Word) -> Tuple[CyclicWord, Word]:
     The core is stored in its canonical rotation; the conjugator absorbs
     the rotation offset so the identity holds letter for letter.
     """
-    core = list(reduce_ints(w.letters))
-    prefix: list[int] = []
-    while len(core) >= 2 and core[0] == -core[-1]:
-        prefix.append(core[0])
-        core = core[1:-1]
+    reduced = reduce_ints(w.letters)
+    core = cyclic_core(reduced)
     k = _generator_order_start(core)
-    prefix.extend(core[:k])
+    prefix = reduced[: (len(reduced) - len(core)) // 2] + core[:k]
     return CyclicWord(core[k:] + core[:k], w.alphabet), Word(prefix, w.alphabet)
 
 
@@ -332,25 +337,23 @@ def presentation_complex(p: Presentation) -> TwoComplex:
 
 def parse_presentation_file(text: str) -> Presentation:
     """Parse the ``gens: ...`` / ``rel: ...`` line format."""
-    names: Tuple[str, ...] | None = None
+    gens: str | None = None
     rels: list[str] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("gens:"):
-            if names is not None:
+            if gens is not None:
                 raise PresentationError("multiple gens: lines")
-            names = tuple(line[len("gens:") :].split())
+            gens = line[len("gens:") :]
         elif line.startswith("rel:"):
             rels.append(line[len("rel:") :].strip())
         else:
             raise PresentationError(f"unrecognized line {line!r}")
-    if names is None:
+    if gens is None:
         raise PresentationError("missing gens: line")
-    generators = tuple(Generator(n) for n in names)
-    relators = tuple(CyclicWord.from_text(t, names) for t in rels)
-    return Presentation(generators, relators)
+    return Presentation.build(gens, rels)
 
 
 def presentation_file_text(p: Presentation) -> str:

@@ -154,6 +154,15 @@ def test_export_id_and_input_exits_2(capsys, tmp_path):
     assert "error: give either --id or --input, not both" in err
 
 
+def test_gallery_with_model_exits_2(capsys, tmp_path):
+    path = tmp_path / "thm2.model"
+    path.write_text(model_file_text(presentation("thm2")[1]))
+    code, out, err = run_cli(capsys, "area", "--gallery", "thm2", "--model", str(path),
+                             "--word", "a b A B", "--bound", "3")
+    assert code == 2 and out == ""
+    assert "error: give --model only with --presentation" in err
+
+
 def test_pieces_command_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "pieces", "--gallery", "eq2", "--json")
     assert code == 0

@@ -159,10 +159,20 @@ def test_area_oracle_rejects_unknown_method_on_trivial_words(galleries):
         area_oracle((), x, 3, method="relator_bsf")
 
 
-@pytest.mark.parametrize("gid", GALLERY_IDS)
-@pytest.mark.parametrize("bound", [0, -1])
+# each gallery below area one, and <a, b | > at a positive bound: with no
+# 2-cell, no word has a filling
+BELOW_AREA_ONE = [(gid, bound) for bound in (0, -1) for gid in GALLERY_IDS] + [("free", 3)]
+
+
+@pytest.mark.parametrize(
+    "gid, bound", BELOW_AREA_ONE, ids=[f"{bound}-{gid}" for gid, bound in BELOW_AREA_ONE]
+)
 def test_oracles_certify_no_filling_below_area_one(galleries, gid, bound):
-    p, m, x = galleries[gid]
+    if gid == "free":
+        p = Presentation.build("a b", [])
+        m, x = None, presentation_complex(p)
+    else:
+        p, m, x = galleries[gid]
     words = [r.letters for r in p.relators] + [(1,), (1, 2, -1, -2)]
     for w in words:
         bfs = area_oracle(w, x, bound=bound, method="relator_bfs", model=m)
@@ -496,6 +506,11 @@ def test_bound_cache_keyed_by_model_content():
         p, 2, 0, {"a1": lattice((2, 0)), "b1": lattice((0, 1)), "c1": lattice((2, -1))}
     )
     assert _bound_for(x, skew) is not _bound_for(x, m)
+    # the enumerated-disk table is shared the same way, and kept per bound
+    x1, x2 = presentation_complex(p1), presentation_complex(p2)
+    assert x1 is not x2
+    assert disk_boundary_table(x1, 2) is disk_boundary_table(x2, 2)
+    assert disk_boundary_table(x1, 3) is not disk_boundary_table(x1, 2)
 
 
 @st.composite

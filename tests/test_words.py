@@ -67,12 +67,25 @@ def test_cyclic_reduce_roundtrip_example():
     assert rebuilt == free_reduce(word)
 
 
+def _strip_core(xs):
+    """Reference cyclic reduction: freely reduce, then strip one letter
+    from each end while the ends cancel."""
+    core = list(reduce_ints(xs))
+    while len(core) >= 2 and core[0] == -core[-1]:
+        core = core[1:-1]
+    return core
+
+
 @given(st.lists(letters, max_size=30))
 def test_cyclic_reduce_roundtrip(xs):
     word = Word(xs, ABC)
     core, conj = cyclic_reduce(word)
     rebuilt = free_reduce(conj * core.word() * conj.inverse())
     assert rebuilt == free_reduce(word)
+    ref = _strip_core(xs)
+    assert core.is_cyclically_reduced
+    assert len(core) == len(ref)
+    assert CyclicWord(xs, ABC).is_cyclically_reduced == (list(xs) == ref)
 
 
 def test_word_text_conventions():
