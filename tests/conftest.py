@@ -1,8 +1,23 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from vankampen.gallery import presentation
 from vankampen.presentation import presentation_complex
 from vankampen.enumeration import EnumerationConfig, enumerate_diagrams
+
+
+@pytest.fixture(scope="session")
+def bare_env():
+    """The environment for a subprocess that runs the library in ``src``:
+    only ``PYTHONPATH`` and ``PATH``, plus ``PYTHONDONTWRITEBYTECODE`` when
+    the suite runs with it, so the subprocess writes no ``__pycache__``
+    into the checkout either."""
+    env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "PATH": "/usr/bin:/bin"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
 
 
 @pytest.fixture(scope="session")

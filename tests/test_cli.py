@@ -204,6 +204,21 @@ def test_presentation_and_model_files(capsys, tmp_path):
     assert code == 0
 
 
+def test_presentation_without_relators_has_no_diagrams(capsys, tmp_path):
+    # no 2-cell, so no reduced disk of positive area: the enumeration is
+    # empty and a scan holds vacuously
+    path = tmp_path / "free.pres"
+    path.write_text("gens: a b\n")
+    code, out, _ = run_cli(capsys, "enumerate", "--presentation", str(path), "--max-area", "2")
+    assert code == 0
+    assert [json.loads(line) for line in out.strip().splitlines()] == [{"summary": {}}]
+    code, out, _ = run_cli(capsys, "check", "--presentation", str(path),
+                           "--property", "dehn", "--max-area", "2", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["holds"] is True and data["scanned"] == 0 and data["violations"] == []
+
+
 def test_presentation_file_named_like_a_gallery_id(capsys, tmp_path, monkeypatch):
     (tmp_path / "thm1").write_text("gens: a b\nrel: a b A B\n")
     monkeypatch.chdir(tmp_path)
@@ -218,13 +233,13 @@ def test_bad_usage_exit_2(capsys):
     assert main(["nonsense"]) == 2
 
 
-def test_module_entrypoint_runs():
+def test_module_entrypoint_runs(bare_env):
     proc = subprocess.run(
         [sys.executable, "-m", "vankampen.cli", "fbound", "--c", "1", "--n", "5"],
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=bare_env,
     )
     assert proc.returncode == 0
     assert "f(0..5)" in proc.stdout

@@ -11,13 +11,13 @@ DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_runs(demo, tmp_path):
+def test_demo_runs(demo, tmp_path, bare_env):
     proc = subprocess.run(
         [sys.executable, str(demo)],
         capture_output=True,
         text=True,
         cwd=tmp_path,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=bare_env,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -14,6 +14,9 @@ from vankampen.presentation import (
 )
 from vankampen.diagram import (
     DiskDiagram,
+    _face_orbit,
+    _glue,
+    _map_code,
     attach_face,
     boundary_path,
     is_reduced,
@@ -142,6 +145,28 @@ def test_gluing_admission_matches_global_checks(galleries, gid, max_area):
             assert gluings[key] == (reduced_witness(child) is not None), key
             cancelling += gluings[key]
     assert cancelling
+
+
+def test_code_before_build_matches_built_child(galleries):
+    # the enumerator codes each child from _glue's raw map and its outer
+    # orbit walked from the returned dart, and builds only new codes; the
+    # built child's orbit starts at its least outer dart instead
+    kinds = {"pocket": 0, "whole boundary": 0}
+    for gid in GALLERY_IDS:
+        _p, _m, x = galleries[gid]
+        forms = [w for (w, _i, _o) in relator_forms(x)]
+        max_len = max(len(w) for w in forms)
+        for parent in enumerate_diagrams(x, EnumerationConfig(max_area=3)):
+            B = parent.perimeter
+            for pos, k, w, cancels in _gluings(parent, forms, max_len):
+                if cancels:
+                    continue
+                sigma, labels, outer = _glue(parent, pos, k, w)
+                code = _map_code(sigma, labels, _face_orbit(sigma, outer))
+                assert (x.alphabet, code) == attach_face(parent, pos, k, w).canonical_code()
+                kinds["pocket"] += k == len(w)
+                kinds["whole boundary"] += k == B
+    assert all(kinds.values()), kinds
 
 
 def test_area_oracle_trivial_and_obstructed(galleries):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from vankampen.presentation import (
     CyclicWord,
@@ -9,6 +9,7 @@ from vankampen.presentation import (
     Word,
     cyclic_reduce,
     free_reduce,
+    min_rotation_starts,
     parse_presentation_file,
     presentation_complex,
     presentation_file_text,
@@ -189,3 +190,25 @@ def test_canonical_cyclic_is_least_rotation_of_core_or_inverse(xs):
         core = core[1:-1]
     inverse = [-x for x in reversed(core)]
     assert canonical_cyclic(xs) == min(rotations(core) + rotations(inverse))
+
+
+def brute_min_rotation_starts(xs):
+    rots = rotations(list(xs))
+    return [i for i, r in enumerate(rots) if r == min(rots)]
+
+
+periodic_words = st.builds(
+    lambda block, times: block * times,
+    st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+    st.integers(1, 5),
+)
+
+
+@given(st.lists(st.integers(-3, 3), max_size=16) | periodic_words
+       | st.builds(lambda x, n: [x] * n, st.integers(-3, 3), st.integers(0, 12)))
+@example([])
+@example([5])
+@example([2, 2, 2])
+@example([1, 2, 1, 2, 1, 2])
+def test_min_rotation_starts_matches_brute_force(xs):
+    assert min_rotation_starts(xs) == brute_min_rotation_starts(xs)
