@@ -80,6 +80,16 @@ def _scan_diagrams(
     )
 
 
+def _has_spur_or_shell(d: DiskDiagram) -> bool:
+    """Whether ``d`` has a spur or shell, asked of the detectors once per
+    diagram and kept in ``d._spur_or_shell``.  Every scan pass asks it
+    first, so passes over one corpus share it; the witness lists are not
+    kept."""
+    if d._spur_or_shell is None:
+        d._spur_or_shell = bool(find_spurs(d) or find_shells(d))
+    return d._spur_or_shell
+
+
 def check_dehn(
     x: TwoComplex,
     bound: int,
@@ -89,7 +99,7 @@ def check_dehn(
     """Every minimal nontrivial diagram must contain a spur or shell."""
 
     def detector(d: DiskDiagram) -> Optional[str]:
-        if find_spurs(d) or find_shells(d):
+        if _has_spur_or_shell(d):
             return None
         return "minimal diagram with no spur and no shell"
 
@@ -109,7 +119,7 @@ def check_generalized_dehn(
         raise ValueError("cutcell definition must be 1, 2 or 3")
 
     def detector(d: DiskDiagram) -> Optional[str]:
-        if find_spurs(d) or find_shells(d) or find_cutcells(d, defn):
+        if _has_spur_or_shell(d) or find_cutcells(d, defn):
             return None
         return f"minimal diagram with no spur, shell, or cutcell({defn})"
 

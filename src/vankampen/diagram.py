@@ -113,7 +113,16 @@ def _map_code(
 
 
 class DiskDiagram:
-    """Immutable planar map with labeled darts and a distinguished outer face."""
+    """Immutable planar map with labeled darts and a distinguished outer face.
+
+    Since ``sigma``, ``labels`` and ``alphabet`` are tuples, a fact about
+    the map stays true for the object's life, so a few are computed on
+    first use and kept: the vertices, the canonical code, whether the map
+    has a spur or shell (``dehn_props``; the witness lists are not kept),
+    and the invariant bound of its boundary word, with the bound object
+    that gave it (``enumeration.is_minimal``, which reuses it only for that
+    same object).
+    """
 
     __slots__ = (
         "sigma",
@@ -128,6 +137,8 @@ class DiskDiagram:
         "_vertex_of",
         "_vertices",
         "_canon",
+        "_spur_or_shell",
+        "_bound",
     )
 
     def __init__(
@@ -164,6 +175,8 @@ class DiskDiagram:
         self._vertex_of = None
         self._vertices = None
         self._canon = None
+        self._spur_or_shell = None
+        self._bound = None
 
     # ------------------------------------------------------------------
     # constructors

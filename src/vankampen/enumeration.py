@@ -615,9 +615,16 @@ def _rref(matrix: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]
 # ----------------------------------------------------------------------
 # area oracles
 
-# A* expansions before ``relator_bfs`` gives up uncertified, and nodes the
-# bound-perfect probe visits before handing over to A*
+# A* expansions, and words A* stores (``len(dist)``), before ``relator_bfs``
+# gives up uncertified, and nodes the bound-perfect probe visits before
+# handing over to A*.  Each expansion can store one word per kept move, so
+# without a model the stored words exhaust memory long before the
+# expansion cap; at the store cap, eq1's model-free commutator at bound 4
+# gives up after 4 s at a peak of 88 MB.  No tested or pinned search stores
+# more than 41,019 words (a conjugated relator product of the A* pin, at
+# bound 3 with a model), nor any benchmark query more than 162.
 MAX_EXPANSIONS = 500_000
+MAX_STORED = 200_000
 PROBE_NODE_BUDGET = 30_000
 
 
@@ -651,7 +658,8 @@ def area_oracle(
 
     ``relator_bfs`` runs an A* search over cyclic words with relator
     insertions as moves, guided by the invariant lower bound; its result is
-    certified unless the search hits ``MAX_EXPANSIONS``.  Each move is
+    certified unless the search hits ``MAX_EXPANSIONS`` or stores more
+    than ``MAX_STORED`` words.  Each move is
     scored before it is canonicalised (see ``_moves``): on a pinned bound,
     in O(1) from the parent's graded solution, since an insertion changes
     one coefficient of it by one; otherwise from the parent's Fox vector
@@ -843,6 +851,9 @@ def _relator_bfs(
             if dist.get(nxt, bound + 1) <= g2:
                 continue
             dist[nxt] = g2
+            if len(dist) > MAX_STORED:
+                return AreaResult(None, False, "relator_bfs", expanded=expanded,
+                                  note="store cap hit")
             heapq.heappush(heap, (g2 + h, -g2, len(nxt), nxt))
     return AreaResult(None, True, "relator_bfs", expanded=expanded, note="no filling within bound")
 
@@ -965,11 +976,19 @@ def is_minimal(
     area, since no larger area matters) cannot certify it.  The invariant
     bound is asked first, about the boundary word as it stands: the bound
     does not see rotation, inversion or free reduction, so the word need not
-    be canonicalised, and a diagram that meets the bound is minimal."""
-    letters = d.boundary_word_ints()
-    if _bound_for(x, model).bound(letters) == d.area:
+    be canonicalised, and a diagram that meets the bound is minimal.
+
+    The bound's value is kept in ``d._bound`` with the bound object that
+    gave it, and reused only for that same object.  Bound objects are
+    cached by content (the complex and the model's lattice projection), so
+    the same object means the same complex and projection.  The oracle's
+    answer below the bound is not kept: it reads the whole model."""
+    hb = _bound_for(x, model)
+    if d._bound is None or d._bound[0] is not hb:
+        d._bound = (hb, hb.bound(d.boundary_word_ints()))
+    if d._bound[1] == d.area:
         return True
-    res = area_oracle(letters, x, bound=d.area, model=model)
+    res = area_oracle(d.boundary_word_ints(), x, bound=d.area, model=model)
     if not res.certified_exact:
         return None
     if res.value is None:

@@ -204,6 +204,20 @@ def test_presentation_and_model_files(capsys, tmp_path):
     assert code == 0
 
 
+def test_area_store_cap_exits_3(capsys, tmp_path, monkeypatch):
+    from vankampen import enumeration
+
+    p, _m = presentation("eq1")
+    pres_path = tmp_path / "eq1.pres"
+    pres_path.write_text(presentation_file_text(p))
+    monkeypatch.setattr(enumeration, "MAX_STORED", 1000)
+    code, out, _ = run_cli(capsys, "area", "--presentation", str(pres_path),
+                           "--word", "c2 c3 c2^-1 c3^-1", "--bound", "4",
+                           "--method", "relator_bfs")
+    assert code == 3
+    assert "[uncertified]  (store cap hit)" in out
+
+
 def test_presentation_without_relators_has_no_diagrams(capsys, tmp_path):
     # no 2-cell, so no reduced disk of positive area: the enumeration is
     # empty and a scan holds vacuously

@@ -1,8 +1,9 @@
 import pytest
 
+from vankampen import dehn_props
 from vankampen.presentation import Presentation, presentation_complex
-from vankampen.diagram import boundary_path
-from vankampen.enumeration import EnumerationConfig, enumerate_diagrams
+from vankampen.diagram import DiskDiagram, boundary_path, find_shells, find_spurs
+from vankampen.enumeration import EnumerationConfig, _bound_for, enumerate_diagrams, is_minimal
 from vankampen.dehn_props import (
     FSequence,
     Piece,
@@ -98,6 +99,81 @@ def test_cutcell2_implies_cutcell1_on_disks(corpus_eq1_4):
         c3 = {w.face for w in find_cutcells(d, 3)}
         assert c3 <= c2
         assert c2 <= c1
+
+
+# ----------------------------------------------------------------------
+# per-diagram memos
+
+
+def scan_all(x, bound, m, ds):
+    reps = [check_dehn(x, bound, model=m, diagrams=ds)]
+    reps += [check_generalized_dehn(x, defn, bound, model=m, diagrams=ds) for defn in (1, 2, 3)]
+    return [
+        (
+            rep.property_name,
+            rep.scanned,
+            [(d.canonical_code(), reason) for d, reason in rep.violations],
+            [d.canonical_code() for d in rep.unknowns],
+            len(rep.exemptions),
+        )
+        for rep in reps
+    ]
+
+
+@pytest.mark.parametrize("gid,area", [("eq1", 4), ("thm1", 3), ("thm2", 5)])
+def test_scans_sharing_memos_match_fresh_copies(galleries, monkeypatch, gid, area):
+    """A diagram keeps its spur-or-shell answer and its invariant bound, so
+    scans after the first over one corpus read them.  Two rounds of the four
+    scans over the same objects report what one round over fresh copies
+    reports, and the second round asks no detector for a spur or shell."""
+    _p, m, x = galleries[gid]
+    ds = list(enumerate_diagrams(x, EnumerationConfig(max_area=area)))
+    fresh = [DiskDiagram.from_json(d.to_json()) for d in ds]
+    first = scan_all(x, area, m, ds)
+
+    def unexpected(d):
+        raise AssertionError("spur or shell asked again")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(dehn_props, "find_spurs", unexpected)
+        mp.setattr(dehn_props, "find_shells", unexpected)
+        second = scan_all(x, area, m, ds)
+    assert second == first == scan_all(x, area, m, fresh)
+    assert all(scanned > 0 for _name, scanned, *_rest in first)
+
+
+def test_is_minimal_memo_never_crosses_bound_objects(galleries):
+    """The area-2 square over eq1 meets eq1's invariant bound, so it is
+    minimal there; over a complex that also has the square's boundary as a
+    relator, it is not.  Asked in turn with the model, with no model and
+    over that complex, the diagram answers what a fresh copy answers, and
+    keeps the bound of the last bound object it was asked about."""
+    p, m, x = galleries["eq1"]
+    x2 = presentation_complex(
+        Presentation.build(" ".join(p.names), [r.text() for r in p.relators] + ["a1 b1 a1^-1 b1^-1"])
+    )
+    square = figure_diagram(3, 1)
+    answers = []
+    for cx, model in ((x, m), (x, None), (x2, None), (x, m), (x2, None)):
+        answer = is_minimal(square, cx, model=model)
+        assert answer == is_minimal(DiskDiagram.from_json(square.to_json()), cx, model=model)
+        assert square._bound[0] is _bound_for(cx, model)
+        answers.append(answer)
+    assert answers == [True, True, False, True, False]
+
+
+def test_detector_lists_are_fresh():
+    p, _m = presentation("thm2")
+    x = presentation_complex(p)
+    d = DiskDiagram.from_face_word(p.relators[0].letters, p.names)
+    assert check_dehn(x, 1, diagrams=[d]).holds
+    for finder in (find_shells, find_spurs):
+        found = finder(d)
+        want = list(found)
+        found.clear()
+        found.append("junk")
+        assert finder(d) == want
+    assert want == [] and find_shells(d)
 
 
 # ----------------------------------------------------------------------

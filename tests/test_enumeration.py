@@ -431,6 +431,16 @@ def test_relator_bfs_refutes_by_astar_or_word_problem(galleries):
     assert res.note.startswith("model word problem")
 
 
+def test_relator_bfs_store_cap_gives_up_uncertified(galleries, monkeypatch):
+    # without a model nothing refutes the free-factor commutator at bound 4,
+    # and A* stores words far faster than it expands them
+    p, _m, x = galleries["eq1"]
+    monkeypatch.setattr(enumeration, "MAX_STORED", 1000)
+    res = area_oracle(p.word("c2 c3 c2^-1 c3^-1"), x, bound=4, method="relator_bfs")
+    assert res.value is None and not res.certified_exact
+    assert res.note == "store cap hit" and res.expanded < 1000
+
+
 def test_is_minimal_examples(galleries):
     p, m, x = galleries["thm2"]
     assert is_minimal(figure_diagram(1, 2), x, model=m) is True
