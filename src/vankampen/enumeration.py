@@ -22,7 +22,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import ceil, lcm
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -33,6 +33,7 @@ from .presentation import (
     cyclic_core,
     invert_ints,
     min_rotation_starts,
+    reduce_ints,
 )
 from .group_models import FreeProductModel, is_trivial
 from .diagram import (
@@ -111,13 +112,19 @@ def _gluings(
                 yield pos, k, w, w in cancelling
 
 
-def enumerate_diagrams(x: TwoComplex, cfg: EnumerationConfig) -> Iterator[DiskDiagram]:
-    """All reduced topological-disk diagrams over ``x``, by area then code.
+def _levels(x: TwoComplex, max_candidates: Optional[int]) -> Iterator[List[DiskDiagram]]:
+    """The reduced topological-disk diagrams over ``x``, one area at a time
+    from area 1, each level a list in canonical-code order.  The stream
+    ends at the first empty level; over a complex with no 2-cells it is
+    empty.
 
     Level ``n + 1`` is grown from level ``n`` by attaching one 2-cell along
     a boundary arc: every relator rotation and orientation, every overlap
     length ``k >= 1``, including the pocket-closing gluings that pinch two
     boundary vertices together.  Each isomorphism class is emitted once.
+    Each level is computed only when it is asked for, so a caller that
+    stops after area ``n`` pays for no more, and one that keeps the
+    stream can resume it.
 
     Admission is incremental and decided before the child is built.  The
     parent is a reduced disk.  A gluing with ``k >= 1`` that does not close
@@ -131,23 +138,16 @@ def enumerate_diagrams(x: TwoComplex, cfg: EnumerationConfig) -> Iterator[DiskDi
     Duplicates are found before any child is built: the canonical code is
     taken from the glued rotation system and its outer face orbit, and a
     ``DiskDiagram`` is built (and seeded with that code) only when the
-    code is new to the level.  Over a complex with no 2-cells nothing is
-    yielded.
+    code is new to the level.
 
-    ``max_perimeter`` filters what is emitted and does not prune growth,
-    since a child can have a shorter boundary than its parent.
-    ``max_candidates`` caps the gluings tried, cancelling ones included.
+    ``max_candidates``, when not None, caps the gluings tried over all
+    levels, cancelling ones included.
     """
     if not x.faces:
         return
     forms = [w for (w, _i, _o) in relator_forms(x)]
     max_len = max(len(w) for w in forms)
-    cap = cfg.max_perimeter
     candidates = 0
-
-    def within_cap(level: List[DiskDiagram]) -> List[DiskDiagram]:
-        return level if cap is None else [d for d in level if d.perimeter <= cap]
-
     # codes carry the area, so each level deduplicates on its own
     first: Dict[Tuple, DiskDiagram] = {}
     for w in forms:
@@ -155,16 +155,15 @@ def enumerate_diagrams(x: TwoComplex, cfg: EnumerationConfig) -> Iterator[DiskDi
         if is_topological_disk(d) and reduced_witness(d) is None:
             first.setdefault(d.canonical_code(), d)
     level = [first[c] for c in sorted(first)]
-    yield from within_cap(level)
-
-    for _area in range(2, cfg.max_area + 1):
+    while level:
+        yield level
         nxt: Dict[Tuple, DiskDiagram] = {}
         for parent in level:
             for pos, k, w, cancels in _gluings(parent, forms, max_len):
                 candidates += 1
-                if cfg.max_candidates is not None and candidates > cfg.max_candidates:
+                if max_candidates is not None and candidates > max_candidates:
                     raise ResourceCapError(
-                        f"enumeration exceeded {cfg.max_candidates} candidate gluings"
+                        f"enumeration exceeded {max_candidates} candidate gluings"
                     )
                 if cancels:
                     continue
@@ -175,7 +174,19 @@ def enumerate_diagrams(x: TwoComplex, cfg: EnumerationConfig) -> Iterator[DiskDi
                     child._canon = (child.alphabet, code)
                     nxt[code] = child
         level = [nxt[c] for c in sorted(nxt)]
-        yield from within_cap(level)
+
+
+def enumerate_diagrams(x: TwoComplex, cfg: EnumerationConfig) -> Iterator[DiskDiagram]:
+    """All reduced topological-disk diagrams over ``x`` of area at most
+    ``cfg.max_area``, by area then code: the first levels of ``_levels``.
+
+    ``max_perimeter`` filters what is emitted and does not prune growth,
+    since a child can have a shorter boundary than its parent.
+    ``max_candidates`` caps the gluings tried, cancelling ones included.
+    """
+    cap = cfg.max_perimeter
+    for level in islice(_levels(x, cfg.max_candidates), cfg.max_area):
+        yield from (level if cap is None else [d for d in level if d.perimeter <= cap])
 
 
 def enumeration_summary(diagrams: Iterable[DiskDiagram]) -> Dict[int, int]:
@@ -351,6 +362,12 @@ class _InvariantBound:
                 mono = (j, tx + mx, ty + my, s * v)
             out.append((w, list(fox.items()), mono))
         return out
+
+    @cached_property
+    def reduced(self) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+        """Each relator form, freely reduced, for the probe's seam counts:
+        a complex built from raw face words may have unreduced forms."""
+        return {w: reduce_ints(w) for w, _terms, _mono in self.forms}
 
     def _walk(self, word: Sequence[int]) -> Tuple[List[Tuple[int, int]], Dict]:
         """The projected prefix point before each letter of the word, and
@@ -664,8 +681,12 @@ def area_oracle(
     in O(1) from the parent's graded solution, since an insertion changes
     one coefficient of it by one; otherwise from the parent's Fox vector
     plus the inserted form's, shifted to the projected prefix at the
-    insertion point, once per form and distinct prefix.  Only the moves
-    the search keeps are canonicalised.  That is exact: canonicalising a
+    insertion point, once per form and distinct prefix.  The bound-perfect
+    probe that runs first asks only for the moves that drop the bound by
+    one, which a pinned bound lists from the solution's nonzero terms, and
+    groups them by their reduced length, counted at the insertion's seams,
+    building a group's words only when the probe reaches it.  Only the
+    moves a search keeps are canonicalised.  That is exact: canonicalising a
     closed word rotates, inverts and freely reduces it, which changes its
     Fox vector only by sign and translation, and the bound is invariant
     under both.  A "no filling" is certified by the invariants, by the
@@ -678,8 +699,10 @@ def area_oracle(
     relators' vectors.  That is exact: a fillable ``u`` is null-homotopic,
     so its exponent vector lies in the span, and each unordered split gives
     the same two arcs, with the same sum, from either end; its answer is
-    always certified.  ``auto`` runs ``relator_bfs`` and, when that is
-    uncertified and ``bound <= 6``, answers with ``diagram_search``.
+    always certified.  Its disks come from ``disk_boundary_table``, which
+    enumerates each complex's levels once for all bounds.  ``auto`` runs
+    ``relator_bfs`` and, when that is uncertified and ``bound <= 6``,
+    answers with ``diagram_search``.
     """
     if method not in ("auto", "relator_bfs", "diagram_search"):
         raise ValueError(f"unknown oracle method {method!r}")
@@ -698,12 +721,13 @@ def area_oracle(
 
 
 def _moves(
-    cur: Tuple[int, ...], hb: _InvariantBound
+    cur: Tuple[int, ...], hb: _InvariantBound, target: Optional[int] = None
 ) -> Iterator[Tuple[Optional[int], int, Tuple[int, ...]]]:
     """Every insertion of a relator form into ``cur``, scored before it is
     canonicalised: yields ``(h, i, w)``, where ``h`` is the bound of
-    ``cur[:i] + w + cur[i:]``.  A form's projected path closes, so the
-    inserted word's Fox vector is ``cur``'s plus the form's, shifted to the
+    ``cur[:i] + w + cur[i:]``; given a ``target``, only the moves with
+    ``h == target``.  A form's projected path closes, so the inserted
+    word's Fox vector is ``cur``'s plus the form's, shifted to the
     projected prefix at ``i``.
 
     On a pinned bound, a feasible ``cur`` has one graded solution, read
@@ -711,23 +735,44 @@ def _moves(
     form's solution is ``s z^(t + prefix)`` in one column ``j``, so the
     inserted word's solution is ``cur``'s with the coefficient ``c`` at that
     place changed by ``s``, and each move scores ``h - |c| + |c + s|`` in
-    O(1).  Otherwise each form's vector is added to ``cur``'s and scored by
-    ``vector_bound`` once per distinct prefix (with no projection, every
-    prefix is the origin).  The bound's cache is keyed up to sign and
-    translation, so ``h`` is also the bound of the canonical form."""
+    O(1).  That drops the bound by one exactly when ``c`` is nonzero and
+    ``s`` has the opposite sign, so for the target ``h - 1`` the moves are
+    listed from the solution's nonzero terms: each term's forms (those on
+    its column with the opposite sign), at the positions whose projected
+    prefix puts the form on that term, looked up in a dict from each
+    prefix point to its positions.  Otherwise each form's vector is added
+    to ``cur``'s and scored by ``vector_bound`` once per distinct prefix
+    (with no projection, every prefix is the origin), and a target only
+    filters.  The bound's cache is keyed up to sign and translation, so
+    ``h`` is also the bound of the canonical form."""
     starts, base = hb._walk(cur)
     sol = None
     if hb.pinned:
         (mx, my), s, (h, sol) = hb._entry(base)
+    if sol is not None and target == h - 1:
+        at: Dict[Tuple[int, int], List[int]] = {}
+        for i, p in enumerate(starts):
+            at.setdefault(p, []).append(i)
+        # cur's solution is s z^m times sol, the key's, so a form with
+        # solution v z^t lands on the key's term at t - m + prefix
+        on: Dict[Tuple[int, int], List[Tuple]] = {}
+        for w, _terms, (j, tx, ty, v) in hb.forms:
+            on.setdefault((j, s * v), []).append((w, mx - tx, my - ty))
+        for j, kx, ky, c in _quads(sol):
+            for w, dx, dy in on.get((j, -1 if c > 0 else 1), ()):
+                for i in at.get((kx + dx, ky + dy), ()):
+                    yield target, i, w
+        return
     if sol is not None:
         coeff = {(j, kx, ky): c for j, kx, ky, c in _quads(sol)}
         for w, _terms, (j, tx, ty, v) in hb.forms:
-            # cur's solution is s z^m times sol, the key's, so its
-            # coefficient c' at p is s * coeff[p - m], and |c' + v| = |c + s v|
+            # cur's coefficient c' at p is s * coeff[p - m], and |c' + v| = |c + s v|
             tx, ty, v = tx - mx, ty - my, s * v
             for i, (sx, sy) in enumerate(starts):
                 c = coeff.get((j, tx + sx, ty + sy), 0)
-                yield h - abs(c) + abs(c + v), i, w
+                score = h - abs(c) + abs(c + v)
+                if target is None or score == target:
+                    yield score, i, w
         return
     for w, terms, _mono in hb.forms:
         scores: Dict[Tuple[int, int], Optional[int]] = {}
@@ -743,7 +788,40 @@ def _moves(
                     else:
                         del fox[k]
                 scores[start] = hb.vector_bound(fox)
-            yield scores[start], i, w
+            if target is None or scores[start] == target:
+                yield scores[start], i, w
+
+
+def _core_length(cur: Tuple[int, ...], i: int, w: Tuple[int, ...]) -> int:
+    """``len(cyclic_core(cur[:i] + w + cur[i:]))`` for a cyclically reduced
+    ``cur`` and a freely reduced ``w``, from the cancellations at the seams.
+
+    Free reduction is confluent, so it may cancel ``w``'s start against
+    ``cur[:i]``, then what is left of ``w`` against ``cur[i:]``, and, when
+    ``w`` cancelled whole, the two sides of ``cur`` against each other.
+    The reduced word is ``cur[:a] + w[k1:m - k2] + cur[n - c:]``.  When
+    both sides of ``cur`` are left, it starts with ``cur[0]`` and ends with
+    ``cur[-1]``, which do not cancel; otherwise one count of cancellation
+    between its two ends gives the core."""
+    n, m = len(cur), len(w)
+    k1 = 0
+    while k1 < m and k1 < i and cur[i - 1 - k1] == -w[k1]:
+        k1 += 1
+    k2 = 0
+    while k1 + k2 < m and i + k2 < n and w[m - 1 - k2] == -cur[i + k2]:
+        k2 += 1
+    a, c = i - k1, n - i - k2
+    if k1 + k2 == m:
+        while a and c and cur[a - 1] == -cur[n - c]:
+            a -= 1
+            c -= 1
+    if a and c:
+        return a + m - k1 - k2 + c
+    r = cur[:a] + w[k1 : m - k2] + cur[n - c :]
+    k = 0
+    while len(r) - 2 * k >= 2 and r[k] == -r[-1 - k]:
+        k += 1
+    return len(r) - 2 * k
 
 
 def _perfect_probe(
@@ -755,34 +833,36 @@ def _perfect_probe(
 
     Only moves dropping the invariant bound by exactly one are followed, so
     the depth of every state is forced and a global visited set is sound.
-    Moves are scored before they are canonicalised (see ``_moves``).
-    Returns the node count on success, None when the budget runs out or no
-    bound-perfect filling exists.
+    A node at depth ``d`` has bound ``h0 - d``, and ``_moves`` lists its
+    moves to ``h0 - d - 1`` from the support of its graded solution when
+    the bound is pinned.  Returns the node count on success, None when the
+    budget runs out or no bound-perfect filling exists.
 
     A node's successors are its kept moves' canonical words in
     ``(len, word)`` order, less the words already seen when the node was
     pushed.  The search usually takes the first, so they are made lazily:
-    the kept moves are grouped by the length of their cyclic reduction,
-    which is the length of their canonical word, and a length class is
-    canonicalised and sorted only when the search first reaches it.  A
-    word is dropped only if ``seen`` had it when the node was pushed
-    (``seen`` maps each word to its insertion index), and a word seen
-    later still costs its node when its turn comes.  So the order and
-    every node count are those of the eager list.
+    the kept moves ``(i, w)`` are grouped by the length of the cyclic
+    reduction of ``cur[:i] + w + cur[i:]``, which is the length of its
+    canonical word and is counted at the seams (``_core_length``) without
+    building it, and a length class's words are built, canonicalised and
+    sorted only when the search first reaches it.  A word is dropped only
+    if ``seen`` had it when the node was pushed (``seen`` maps each word
+    to its insertion index), and a word seen later still costs its node
+    when its turn comes.  So the order and every node count are those of
+    the eager list.
     """
     seen = {letters: 0}
     nodes = 0
+    reduced = hb.reduced
 
     def successors(
         cur: Tuple[int, ...], remaining: int, pushed: int
     ) -> Iterator[Tuple[int, ...]]:
-        by_len: Dict[int, List[Tuple[int, ...]]] = {}
-        for h, i, w in _moves(cur, hb):
-            if h == remaining - 1:
-                core = cyclic_core(cur[:i] + w + cur[i:])
-                by_len.setdefault(len(core), []).append(core)
+        by_len: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
+        for _h, i, w in _moves(cur, hb, remaining - 1):
+            by_len.setdefault(_core_length(cur, i, reduced[w]), []).append((i, w))
         for n in sorted(by_len):
-            for nxt in sorted({canonical_cyclic(core) for core in by_len[n]}):
+            for nxt in sorted({canonical_cyclic(cur[:i] + w + cur[i:]) for i, w in by_len[n]}):
                 if seen.get(nxt, pushed) >= pushed:
                     yield nxt
 
@@ -869,17 +949,47 @@ def _bound_for(x: TwoComplex, model: Optional[FreeProductModel]) -> _InvariantBo
     return _cached_bound(x, pi)
 
 
+class _DiskAreas:
+    """One complex's level stream (``_levels``) and the least area of each
+    canonical boundary word over the levels read from it so far: ``read``
+    of them.  Levels come in increasing area, so a word's first area is
+    its least."""
+
+    __slots__ = ("levels", "least", "read")
+
+    def __init__(self, x: TwoComplex):
+        self.levels = _levels(x, None)
+        self.least: Dict[Tuple[int, ...], int] = {}
+        self.read = 0
+
+
+# keyed by the complex's content, like the bounds
+_disk_areas = lru_cache(maxsize=None)(_DiskAreas)
+
+
 @lru_cache(maxsize=None)
 def disk_boundary_table(x: TwoComplex, bound: int) -> Dict[Tuple[int, ...], int]:
-    """Canonical boundary word -> minimal enumerated-disk area, computed
-    once per complex and bound; callers must not change the returned
-    dict."""
-    table: Dict[Tuple[int, ...], int] = {}
-    for d in enumerate_diagrams(x, EnumerationConfig(max_area=bound)):
-        wkey = canonical_cyclic(d.boundary_word_ints())
-        if wkey not in table or d.area < table[wkey]:
-            table[wkey] = d.area
-    return table
+    """Canonical boundary word -> minimal enumerated-disk area, over the
+    disks of area at most ``bound``; callers must not change the returned
+    dict.
+
+    Every bound over one complex reads the one ``_DiskAreas`` of its
+    content, which enumerates a level only when a bound first asks for
+    it, so no level is enumerated twice.  Each ``(x, bound)`` keeps its
+    own table: the shared dict filtered to areas ``<= bound``, which is
+    what enumerating to ``bound`` alone would give, in the same order.
+    An interrupted extension can leave a partial level, and a generator
+    that raised cannot resume, so it starts the complex's stream afresh."""
+    areas = _disk_areas(x)
+    try:
+        for level in islice(areas.levels, max(0, bound - areas.read)):
+            for d in level:
+                areas.least.setdefault(canonical_cyclic(d.boundary_word_ints()), d.area)
+            areas.read += 1
+    except BaseException:
+        areas.__init__(x)
+        raise
+    return {w: a for w, a in areas.least.items() if a <= bound}
 
 
 @lru_cache(maxsize=None)

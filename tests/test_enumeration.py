@@ -1,13 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vankampen import enumeration
 
 from vankampen.presentation import (
     Presentation,
     Word,
+    cyclic_core,
     invert_ints,
     presentation_complex,
     reduce_ints,
@@ -38,6 +39,8 @@ from vankampen.enumeration import (
     is_minimal,
     _InvariantBound,
     _bound_for,
+    _core_length,
+    _disk_areas,
     _gluings,
     _letter_classes,
     _lp_add,
@@ -506,6 +509,9 @@ def test_commutator_powers_have_quadratic_area(galleries, gid, n):
     area = AREA_PER_SQUARE[gid] * n * n
     res = area_oracle(lattice_commutator(gid, n), x, bound=area, method="relator_bfs", model=m)
     assert (res.value, res.certified_exact) == (area, True), res
+    # the probe's node count, as the eager-successor probe gave it: one
+    # node per face, so it never backtracks on these words
+    assert res.expanded == area, res
 
 
 def test_disk_boundary_table_contains_relators(galleries):
@@ -546,6 +552,52 @@ def test_bound_cache_keyed_by_model_content():
     assert x1 is not x2
     assert disk_boundary_table(x1, 2) is disk_boundary_table(x2, 2)
     assert disk_boundary_table(x1, 3) is not disk_boundary_table(x1, 2)
+
+
+def fresh_disk_table(x, bound):
+    """``{canonical_cyclic(boundary): least area}`` from one enumeration."""
+    table = {}
+    for d in enumerate_diagrams(x, EnumerationConfig(max_area=bound)):
+        table.setdefault(canonical_cyclic(d.boundary_word_ints()), d.area)
+    return table
+
+
+def test_disk_tables_share_one_stream_per_complex():
+    """Bounds asked out of order over one complex read one level stream,
+    enumerated only as far as the largest bound so far, and each bound's
+    table is the one its own enumeration gives, in the same order."""
+    disk_boundary_table.cache_clear()
+    _disk_areas.cache_clear()
+    for gid in ("torusT", "eq1"):
+        (p1, _m1), (p2, _m2) = presentation(gid), presentation(gid)
+        x1, x2 = presentation_complex(p1), presentation_complex(p2)
+        assert x1 is not x2 and _disk_areas(x1) is _disk_areas(x2)
+        for bound, read in ((3, 3), (1, 3), (5, 5), (2, 5)):
+            table = disk_boundary_table(x2 if bound % 2 else x1, bound)
+            assert list(table.items()) == list(fresh_disk_table(x1, bound).items()), (gid, bound)
+            assert _disk_areas(x1).read == read, (gid, bound)
+
+
+def test_interrupted_disk_table_starts_afresh(galleries, monkeypatch):
+    """A table whose enumeration is interrupted leaves no partial level
+    behind: the next ask gives the full table."""
+    _p, _m, x = galleries["eq1"]
+    disk_boundary_table.cache_clear()
+    _disk_areas.cache_clear()
+    disk_boundary_table(x, 1)
+    calls = []
+
+    def interrupted(letters):
+        calls.append(letters)
+        if len(calls) == 5:
+            raise KeyboardInterrupt
+        return canonical_cyclic(letters)
+
+    monkeypatch.setattr(enumeration, "canonical_cyclic", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        disk_boundary_table(x, 3)
+    monkeypatch.undo()
+    assert disk_boundary_table(x, 3) == fresh_disk_table(x, 3)
 
 
 @st.composite
@@ -736,6 +788,60 @@ def test_unpinned_bounds_score_through_vector_bound(galleries):
             assert h == hb.bound(word[:i] + w + word[i:]), (word, i, w)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(relator_products(), closed_words()))
+def test_targeted_moves_match_filtered_moves(galleries, case):
+    """``_moves`` with a target yields the moves that score it, as the
+    unfiltered generator does: on the pinned bound (the target one below
+    the word's bound goes through the solution's support, one above
+    through the filter) and on the no-model bound, which is not pinned."""
+    gid, word = case
+    _p, m, x = galleries[gid]
+    cur = canonical_cyclic(word)
+    for hb in (_bound_for(x, m), _bound_for(x, None)):
+        h = hb.bound(cur)
+        if not cur or h is None:
+            continue
+        moves = list(_moves(cur, hb))
+        for t in (h - 1, h + 1):
+            targeted = list(_moves(cur, hb, t))
+            assert all(score == t for score, _i, _w in targeted)
+            assert sorted(mv[1:] for mv in targeted) == sorted(
+                mv[1:] for mv in moves if mv[0] == t
+            ), (gid, cur, t)
+
+
+@st.composite
+def seam_cases(draw):
+    """(cur, w): a cyclically reduced nonempty ``cur`` and a freely
+    reduced ``w``: random, the inverse of a cyclic piece of ``cur`` (so
+    that it cancels whole at some position), or a conjugate, which is not
+    cyclically reduced."""
+    letter = st.sampled_from((1, -1, 2, -2, 3, -3))
+    cur = cyclic_core(draw(st.lists(letter, min_size=1, max_size=10)))
+    if not cur:
+        cur = (1,)
+    w = draw(st.lists(letter, max_size=6))
+    kind = draw(st.sampled_from(("random", "piece", "conjugate")))
+    if kind == "piece":
+        j = draw(st.integers(0, len(cur) - 1))
+        w = invert_ints((cur * 3)[j : j + draw(st.integers(1, 2 * len(cur)))]) + tuple(w[:1])
+    elif kind == "conjugate":
+        c = draw(st.lists(letter, min_size=1, max_size=3))
+        w = [*c, *w, *invert_ints(c)]
+    return cur, reduce_ints(w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seam_cases())
+@example(((1, 2, -1, 3), (-2,)))  # w cancels whole; then 1 and -1 meet
+@example(((1, 2), (-1, -2, -1)))  # the ends cancel after the seams
+def test_core_length_counts_the_seams(case):
+    cur, w = case
+    for i in range(len(cur)):
+        assert _core_length(cur, i, w) == len(cyclic_core(cur[:i] + w + cur[i:])), i
+
+
 laurent = st.dictionaries(
     st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-3, 3).filter(bool), max_size=5
 )
@@ -822,13 +928,15 @@ def probe_cases():
 
 def test_perfect_probe_matches_eager_reference(galleries, monkeypatch):
     """The lazy probe answers as the eager reference does, with the same
-    node count, and expands the same nodes in the same order."""
+    node count, and expands the same nodes in the same order.  The probe
+    asks ``_moves`` for its target score; the reference filters all of
+    them."""
     expanded = []
     moves = enumeration._moves
 
-    def recorded(cur, hb):
+    def recorded(cur, hb, target=None):
         expanded.append(cur)
-        return moves(cur, hb)
+        return moves(cur, hb, target)
 
     monkeypatch.setattr(enumeration, "_moves", recorded)
     found = missed = 0
