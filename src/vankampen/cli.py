@@ -91,8 +91,8 @@ def _report_payload(rep: PropertyReport) -> dict:
         "violations": [
             {
                 "reason": reason,
-                "area": d.area if isinstance(d, DiskDiagram) else None,
-                "boundary": boundary_path(d).word.text() if isinstance(d, DiskDiagram) else str(d),
+                "area": d.area,
+                "boundary": boundary_path(d).word.text(),
             }
             for d, reason in rep.violations
         ],

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .presentation import CyclicWord, TwoComplex, letters_text, min_rotation_starts, symmetrized
@@ -457,25 +458,27 @@ class ReducedWitness:
 # validation
 
 
-def relator_forms(x: TwoComplex) -> List[Tuple[Tuple[int, ...], int, int]]:
-    """All distinct rotations of each relator and its inverse.
-
-    Returns triples ``(word, relator_index, orientation)``.
-    """
-    forms = []
-    seen = set()
+@lru_cache(maxsize=None)
+def relator_form_table(x: TwoComplex) -> Dict[Tuple[int, ...], Tuple[int, int]]:
+    """Each distinct rotation of each relator and of its inverse, mapped to
+    the ``(relator_index, orientation)`` of its first occurrence in
+    ``symmetrized`` order; one table per complex, keyed by its content.
+    Callers must not change it."""
+    table: Dict[Tuple[int, ...], Tuple[int, int]] = {}
     for w, idx, _rot, orient in symmetrized(x.face_words()):
-        if w not in seen:
-            seen.add(w)
-            forms.append((w, idx, orient))
-    return forms
+        table.setdefault(w, (idx, orient))
+    return table
+
+
+def relator_forms(x: TwoComplex) -> List[Tuple[Tuple[int, ...], int, int]]:
+    """The triples ``(word, relator_index, orientation)`` of
+    ``relator_form_table``, in its order."""
+    return [(w, idx, orient) for w, (idx, orient) in relator_form_table(x).items()]
 
 
 def face_tags(d: DiskDiagram, x: TwoComplex) -> Tuple[Optional[FaceTag], ...]:
     """Match inner faces against relator rotations; None marks a mismatch."""
-    table = {}
-    for w, idx, orient in relator_forms(x):
-        table.setdefault(w, (idx, orient))
+    table = relator_form_table(x)
     tags: List[Optional[FaceTag]] = []
     outer = d.outer_face
     for fi in range(len(d.faces)):
@@ -758,16 +761,8 @@ def remove_spur(d: DiskDiagram, dart: int) -> DiskDiagram:
             break
     if s is None:
         raise DiagramError("edge has no valence-1 endpoint")
-    if d.n_darts == 2:
-        return DiskDiagram.single_vertex(d.alphabet)
-    hint = d.sigma[s ^ 1]
-    if hint == s:
-        hint = None
-        for q in d.outer_orbit():
-            if q not in (s, s ^ 1):
-                hint = q
-                break
-    return _delete_darts(d, (s, s ^ 1), hint)
+    # the outer face's dart after s; not s itself, whose vertex has valence 1
+    return _delete_darts(d, (s, s ^ 1), d.sigma[s ^ 1])
 
 
 def remove_shell(d: DiskDiagram, face: int | FeatureWitness) -> DiskDiagram:

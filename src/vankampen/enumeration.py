@@ -47,7 +47,7 @@ from .diagram import (
     cancelling_partner,
     is_topological_disk,
     reduced_witness,
-    relator_forms,
+    relator_form_table,
 )
 
 
@@ -145,7 +145,7 @@ def _levels(x: TwoComplex, max_candidates: Optional[int]) -> Iterator[List[DiskD
     """
     if not x.faces:
         return
-    forms = [w for (w, _i, _o) in relator_forms(x)]
+    forms = list(relator_form_table(x))
     max_len = max(len(w) for w in forms)
     candidates = 0
     # codes carry the area, so each level deduplicates on its own
@@ -353,7 +353,7 @@ class _InvariantBound:
         since a bound whose words are all refuted by the invariants or the
         model's word problem needs none."""
         out = []
-        for w, _i, _o in relator_forms(self._x):
+        for w in relator_form_table(self._x):
             fox = self._walk(w)[1]
             mono = None
             if self.pinned:
@@ -632,15 +632,14 @@ def _rref(matrix: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]
 # ----------------------------------------------------------------------
 # area oracles
 
-# A* expansions, and words A* stores (``len(dist)``), before ``relator_bfs``
-# gives up uncertified, and nodes the bound-perfect probe visits before
-# handing over to A*.  Each expansion can store one word per kept move, so
-# without a model the stored words exhaust memory long before the
-# expansion cap; at the store cap, eq1's model-free commutator at bound 4
-# gives up after 4 s at a peak of 88 MB.  No tested or pinned search stores
-# more than 41,019 words (a conjugated relator product of the A* pin, at
-# bound 3 with a model), nor any benchmark query more than 162.
-MAX_EXPANSIONS = 500_000
+# Words A* stores (``len(dist)``) before ``relator_bfs`` gives up
+# uncertified, and nodes the bound-perfect probe visits before handing over
+# to A*.  A* expands each stored word at most once (see ``_relator_bfs``),
+# so the store cap bounds its expansions too.  At the cap, eq1's
+# model-free commutator at bound 4 gives up after 4 s at a peak of 88 MB.
+# No tested or pinned search stores more than 41,019 words (a conjugated
+# relator product of the A* pin, at bound 3 with a model), nor any
+# benchmark query more than 162.
 MAX_STORED = 200_000
 PROBE_NODE_BUDGET = 30_000
 
@@ -675,11 +674,10 @@ def area_oracle(
 
     ``relator_bfs`` runs an A* search over cyclic words with relator
     insertions as moves, guided by the invariant lower bound; its result is
-    certified unless the search hits ``MAX_EXPANSIONS`` or stores more
-    than ``MAX_STORED`` words.  Each move is
-    scored before it is canonicalised (see ``_moves``): on a pinned bound,
-    in O(1) from the parent's graded solution, since an insertion changes
-    one coefficient of it by one; otherwise from the parent's Fox vector
+    certified unless the search stores more than ``MAX_STORED`` words.
+    Each move is scored before it is canonicalised (see ``_moves``): on a
+    pinned bound, in O(1) from the parent's graded solution, since an
+    insertion changes one coefficient of it by one; otherwise from the parent's Fox vector
     plus the inserted form's, shifted to the projected prefix at the
     insertion point, once per form and distinct prefix.  The bound-perfect
     probe that runs first asks only for the moves that drop the bound by
@@ -713,11 +711,10 @@ def area_oracle(
         return _relator_bfs(letters, x, bound, model)
     if method == "diagram_search":
         return _diagram_search(letters, x, bound)
-    if method == "auto":
-        res = _relator_bfs(letters, x, bound, model)
-        if res.certified_exact or bound > 6:
-            return res  # enumerating past area 6 as a fallback is not worth it
-        return _diagram_search(letters, x, bound)
+    res = _relator_bfs(letters, x, bound, model)
+    if res.certified_exact or bound > 6:
+        return res  # enumerating past area 6 as a fallback is not worth it
+    return _diagram_search(letters, x, bound)
 
 
 def _moves(
@@ -907,6 +904,10 @@ def _relator_bfs(
     if probe is not None:
         return AreaResult(h0, True, "relator_bfs", expanded=probe,
                           note="filling meets the invariant lower bound")
+    # A move adds a form's vector to the word's, so out of a feasible word
+    # it stays feasible, and it moves the bound by at most one: exactly one
+    # on a pinned bound, one relator column of the plain system otherwise.
+    # So the heuristic is consistent and each word is expanded at most once.
     dist: Dict[Tuple[int, ...], int] = {letters: 0}
     heap: List[Tuple[int, int, int, Tuple[int, ...]]] = [(h0, 0, len(letters), letters)]
     expanded = 0
@@ -920,12 +921,9 @@ def _relator_bfs(
         if g >= bound:
             continue
         expanded += 1
-        if expanded > MAX_EXPANSIONS:
-            return AreaResult(None, False, "relator_bfs", expanded=expanded,
-                              note="expansion cap hit")
         g2 = g + 1
         for h, i, w in _moves(cur, hb):
-            if h is None or g2 + h > bound:
+            if g2 + h > bound:
                 continue
             nxt = canonical_cyclic(cur[:i] + w + cur[i:])
             if dist.get(nxt, bound + 1) <= g2:

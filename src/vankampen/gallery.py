@@ -20,11 +20,10 @@ and triangle-type cells lower-left ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import count
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .presentation import Presentation, TwoComplex, Word, presentation_complex, symmetrized
+from .presentation import Presentation, TwoComplex, Word, presentation_complex
 from .group_models import FreeProductModel, GroupElement, is_trivial
 from .diagram import (
     DiagramError,
@@ -34,6 +33,7 @@ from .diagram import (
     find_shells,
     is_topological_disk,
     reduced_witness,
+    relator_form_table,
     vertex_lift,
 )
 
@@ -258,36 +258,26 @@ class CornerWitness:
     face: int
 
 
-@lru_cache(maxsize=None)
-def _relator_forms(p: Presentation) -> FrozenSet[Tuple[int, ...]]:
-    """Every rotation of each relator of ``p`` and of its inverse."""
-    return frozenset(w for w, _idx, _rot, _orient in symmetrized(p.relators))
-
-
 def _vertex_coordinates(d: DiskDiagram, m: FreeProductModel) -> Tuple[Tuple[int, int], ...]:
     """The lattice projection of each vertex's lift, vertex 0 at the origin.
 
-    One walk from vertex 0 adds ``m.pi`` of each dart's letter, negated for
-    an inverse letter.  The projection is a homomorphism, so these are the
-    lattice parts of ``vertex_lift`` (rank 2, zero-padded), without the free
-    parts.  Raises LiftError as ``vertex_lift`` does: when the alphabet is
-    not the model's, when the diagram is disconnected, and when it is not a
-    diagram over the model's presentation.  A connected planar map lifts
-    consistently exactly when every inner face reads a trivial word, so each
-    inner face is checked once: a rotation of a relator or of its inverse
-    passes by lookup, any other word goes through the model's word problem.
-    A map that is not planar is checked by ``vertex_lift`` itself.
+    One walk from vertex 0 adds ``m.letter_pi`` of each dart's signed
+    letter.  The projection is a homomorphism, so these are the lattice
+    parts of ``vertex_lift`` (rank 2), without the free parts.  Raises
+    LiftError as ``vertex_lift`` does: when the alphabet is not the model's,
+    when the diagram is disconnected, and when it is not a diagram over the
+    model's presentation.  A connected planar map lifts consistently exactly
+    when every inner face reads a trivial word, so each inner face is
+    checked once: a rotation of a relator or of its inverse passes by lookup
+    in the complex's ``relator_form_table``, any other word goes through the
+    model's word problem.  A map that is not planar is checked by
+    ``vertex_lift`` itself.
     """
     if d.n_darts == 0:
         return ((0, 0),)
     if d.alphabet != m.presentation.names:
         raise LiftError("diagram alphabet does not match the model's presentation")
-    step = {}
-    for i, name in enumerate(d.alphabet, 1):
-        px, py = m.pi(name)
-        step[i] = (px, py)
-        step[-i] = (-px, -py)
-    vertices, vertex_of, labels = d.vertices, d.vertex_of, d.labels
+    vertices, vertex_of, labels, step = d.vertices, d.vertex_of, d.labels, m.letter_pi
     coords: list = [None] * len(vertices)
     coords[0] = (0, 0)
     stack = [0]
@@ -304,7 +294,7 @@ def _vertex_coordinates(d: DiskDiagram, m: FreeProductModel) -> Tuple[Tuple[int,
         raise LiftError("diagram is disconnected")
     if d.euler_characteristic != 2:
         vertex_lift(d, m)
-    forms = _relator_forms(m.presentation)
+    forms = relator_form_table(presentation_complex(m.presentation))
     for fi in d.inner_face_indices:
         w = d.face_word_ints(fi)
         if w not in forms and not is_trivial(Word(w, d.alphabet), m):

@@ -81,14 +81,6 @@ class GroupElement:
                 out.append(("f", invert_ints(data)))
         return GroupElement(tuple(out))
 
-    def lattice_part(self) -> Tuple[int, ...]:
-        """Image under the projection killing the free factor."""
-        total: Tuple[int, ...] | None = None
-        for kind, data in self.syllables:
-            if kind == "z":
-                total = data if total is None else tuple(a + b for a, b in zip(total, data))
-        return total if total is not None else ()
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupElement) and self.syllables == other.syllables
 
@@ -126,7 +118,8 @@ class FreeProductModel:
     construction.
     """
 
-    __slots__ = ("presentation", "abelian_rank", "free_rank", "images", "_pi", "_letter_images")
+    __slots__ = ("presentation", "abelian_rank", "free_rank", "images",
+                 "letter_pi", "_letter_of", "_letter_images")
 
     def __init__(
         self,
@@ -148,12 +141,16 @@ class FreeProductModel:
                     raise ModelError("lattice syllable rank mismatch")
                 if kind == "f" and any(abs(x) > free_rank for x in data):
                     raise ModelError("free letter outside free rank")
-        self._pi = {}
+        # the lattice projection of each signed letter's image
+        self.letter_pi: Dict[int, Tuple[int, ...]] = {}
         self._letter_images: Dict[int, GroupElement] = {}
-        for i, name in enumerate(presentation.names, 1):
+        # each generator's name -> its positive letter
+        self._letter_of = {name: i for i, name in enumerate(presentation.names, 1)}
+        for name, i in self._letter_of.items():
             img = self.images[name]
-            part = img.lattice_part()
-            self._pi[name] = part if part else (0,) * abelian_rank
+            part = self.lattice_part(img)
+            self.letter_pi[i] = part
+            self.letter_pi[-i] = tuple(-a for a in part)
             self._letter_images[i] = img
             self._letter_images[-i] = img.inverse()
         for r in presentation.relators:
@@ -171,9 +168,19 @@ class FreeProductModel:
             out = out * self.letter_image(x)
         return out
 
+    def lattice_part(self, g: GroupElement) -> Tuple[int, ...]:
+        """Image of ``g`` under the projection killing the free factor: a
+        vector of length ``abelian_rank``, zero when ``g`` has no lattice
+        syllable."""
+        total = (0,) * self.abelian_rank
+        for kind, data in g.syllables:
+            if kind == "z":
+                total = tuple(a + b for a, b in zip(total, data))
+        return total
+
     def pi(self, name: str) -> Tuple[int, ...]:
         """Lattice projection of a generator image."""
-        return self._pi[name]
+        return self.letter_pi[self._letter_of[name]]
 
 
 def normal_form(w: Word, m: FreeProductModel) -> GroupElement:
@@ -194,15 +201,10 @@ def project_z2(w: Word, m: FreeProductModel) -> LatticeVector:
     if w.alphabet != m.presentation.names:
         raise ModelError("word alphabet does not match the model's presentation")
     x = y = 0
-    names = m.presentation.names
     for v in w.letters:
-        px, py = m.pi(names[abs(v) - 1])
-        if v > 0:
-            x += px
-            y += py
-        else:
-            x -= px
-            y -= py
+        px, py = m.letter_pi[v]
+        x += px
+        y += py
     return LatticeVector(x, y)
 
 

@@ -210,11 +210,6 @@ class CyclicWord:
     def inverse(self) -> "CyclicWord":
         return CyclicWord(invert_ints(self.letters), self.alphabet)
 
-    def rotations(self) -> Iterator[Tuple[int, ...]]:
-        w = self.letters
-        for i in range(max(len(w), 1)):
-            yield w[i:] + w[:i]
-
     @property
     def is_cyclically_reduced(self) -> bool:
         return cyclic_core(self.letters) == self.letters

@@ -956,3 +956,51 @@ def test_perfect_probe_matches_eager_reference(galleries, monkeypatch):
         found += ref is not None
         missed += ref is None
     assert found and missed
+
+
+def test_moves_keep_the_bound_feasible_and_consistent(galleries):
+    """Every move out of a null-homotopic word has a bound, within one of
+    the word's, on the pinned bound with the model and on the plain bound
+    without one; a sample of the moves is scored again from its word.  So
+    A*'s heuristic is consistent: ``_relator_bfs`` tests no move for
+    feasibility and needs no expansion cap beside ``MAX_STORED``."""
+    checked = 0
+    for gid, word in probe_cases():
+        _p, m, x = galleries[gid]
+        letters = canonical_cyclic(word)
+        for hb in (_bound_for(x, m), _bound_for(x, None)):
+            h = hb.bound(letters)
+            assert h is not None, (gid, word)
+            for h2, i, w in _moves(letters, hb):
+                assert h2 is not None and abs(h2 - h) <= 1, (gid, word, h, h2)
+                checked += 1
+                if checked % 7 == 0:
+                    assert hb.bound(letters[:i] + w + letters[i:]) == h2
+    assert checked > 10_000
+
+
+def test_astar_expands_each_word_once(galleries, monkeypatch):
+    """With the probe off, A* asks ``_moves`` about each word at most once,
+    so its expansions never exceed the words it stores: on the probe cases
+    of bound at most 2, searched to one past their bound."""
+    expanded = []
+    moves = enumeration._moves
+
+    def recorded(cur, hb, target=None):
+        expanded.append(cur)
+        return moves(cur, hb, target)
+
+    monkeypatch.setattr(enumeration, "_perfect_probe", lambda letters, h0, hb: None)
+    monkeypatch.setattr(enumeration, "_moves", recorded)
+    searched = 0
+    for gid, word in probe_cases():
+        _p, m, x = galleries[gid]
+        h0 = _bound_for(x, m).bound(canonical_cyclic(word))
+        if h0 > 2:
+            continue
+        for model in (m, None):
+            expanded.clear()
+            res = area_oracle(word, x, bound=h0 + 1, method="relator_bfs", model=model)
+            assert len(expanded) == len(set(expanded)) == res.expanded, (gid, word)
+            searched += res.value is None
+    assert searched

@@ -114,9 +114,9 @@ def test_torus_coordinates_single_vertex():
     assert pc.face_squares == {}
 
 
-def _padded_lattice_parts(d, m):
+def _lattice_parts(d, m):
     lift = vertex_lift(d, m)
-    return tuple(lift[v].lattice_part() or (0, 0) for v in range(d.n_vertices))
+    return tuple(m.lattice_part(lift[v]) for v in range(d.n_vertices))
 
 
 def test_vertex_coordinates_match_vertex_lifts(galleries):
@@ -127,12 +127,12 @@ def test_vertex_coordinates_match_vertex_lifts(galleries):
     for gid in ("thm1", "eq1"):
         _p, m, x = galleries[gid]
         for d in enumerate_diagrams(x, EnumerationConfig(max_area=4)):
-            assert torus_coordinates(d, m).vertex_coords == _padded_lattice_parts(d, m)
+            assert torus_coordinates(d, m).vertex_coords == _lattice_parts(d, m)
     for fig, gid in ((1, "thm2"), (3, "eq1")):
         m = galleries[gid][1]
         for n in (1, 2, 3):
             d = figure_diagram(fig, n)
-            assert _vertex_coordinates(d, m) == _padded_lattice_parts(d, m)
+            assert _vertex_coordinates(d, m) == _lattice_parts(d, m)
 
 
 def test_torus_coordinates_rejects_face_off_the_presentation():

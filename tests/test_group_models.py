@@ -79,8 +79,11 @@ def test_products_and_inverses_keep_the_normal_form(a, b, c):
 def test_letter_images_invert_each_other():
     for gid in GALLERY_IDS:
         p, m = presentation(gid)
+        assert m.lattice_part(GroupElement.identity()) == (0, 0)
         for g, name in enumerate(p.names, 1):
             assert m.letter_image(g) == m.images[name]
+            assert m.letter_pi[g] == m.pi(name) == m.lattice_part(m.images[name])
+            assert m.letter_pi[-g] == tuple(-v for v in m.letter_pi[g])
             for x in (g, -g):
                 assert is_normal_form(m.letter_image(x))
                 assert (m.letter_image(x) * m.letter_image(-x)).is_identity, (gid, x)
