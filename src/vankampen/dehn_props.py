@@ -19,7 +19,7 @@ from .diagram import (
     find_shells,
     find_spurs,
 )
-from .enumeration import EnumerationConfig, enumerate_diagrams, is_minimal
+from .enumeration import EnumerationConfig, _bound_for, enumerate_diagrams, is_minimal
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,8 @@ def _scan_diagrams(
         if diagrams is not None
         else enumerate_diagrams(x, EnumerationConfig(max_area=bound))
     )
+    # one bound object serves the whole pass
+    hb = _bound_for(x, model)
     scanned = 0
     violations: List[Tuple[object, str]] = []
     exemptions: List[object] = []
@@ -56,7 +58,7 @@ def _scan_diagrams(
     for d in corpus:
         if d.area > bound:
             continue
-        minimal = is_minimal(d, x, model=model)
+        minimal = is_minimal(d, x, model=model, hb=hb)
         if minimal is None:
             unknowns.append(d)
             continue

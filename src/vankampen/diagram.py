@@ -229,9 +229,12 @@ class DiskDiagram:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def vertex_of(self, d: int) -> int:
+    @property
+    def vertex_of(self) -> Tuple[int, ...]:
+        """Each dart's vertex (the index of its sigma-orbit), read as
+        ``d.vertex_of[t]``, as ``face_of`` is."""
         self._compute_vertices()
-        return self._vertex_of[d]
+        return self._vertex_of
 
     def face_word_ints(self, fi: int) -> Tuple[int, ...]:
         # from a list, not a generator: tuple() of a generator allocates a
@@ -257,21 +260,23 @@ class DiskDiagram:
 
     @property
     def is_connected(self) -> bool:
-        n = self.n_darts
-        if n == 0:
+        """Whether one walk from vertex 0, along each dart of a reached
+        vertex to the vertex at its head, reaches every vertex."""
+        if self.n_darts == 0:
             return True
-        seen = [False] * n
-        stack = [0]
+        vertices, vertex_of = self.vertices, self.vertex_of
+        seen = [False] * len(vertices)
         seen[0] = True
+        stack = [0]
         count = 1
         while stack:
-            d = stack.pop()
-            for e in (self.sigma[d], d ^ 1):
-                if not seen[e]:
-                    seen[e] = True
+            for t in vertices[stack.pop()]:
+                u = vertex_of[t ^ 1]
+                if not seen[u]:
+                    seen[u] = True
                     count += 1
-                    stack.append(e)
-        return count == n
+                    stack.append(u)
+        return count == len(vertices)
 
     @property
     def euler_characteristic(self) -> int:
@@ -395,8 +400,8 @@ class DiskDiagram:
             lines.append(f'  v{v} [shape=point{style}];')
         for d in range(0, self.n_darts, 2):
             pos = d if self.labels[d] > 0 else d ^ 1
-            tail = self.vertex_of(pos)
-            head = self.vertex_of(pos ^ 1)
+            tail = self.vertex_of[pos]
+            head = self.vertex_of[pos ^ 1]
             name = self.alphabet[abs(self.labels[pos]) - 1]
             color = ' color="blue"' if (pos & ~1) in shell_darts else ""
             lines.append(f'  v{tail} -> v{head} [label="{name}"{color}];')
@@ -528,15 +533,14 @@ def reduced_witness(d: DiskDiagram) -> Optional[ReducedWitness]:
 
     Two distinct faces sharing an edge cancel when, read from the shared
     edge, one boundary is the inverse of the other (they fold onto the
-    same cell of the target complex).
+    same cell of the target complex).  Faces of different lengths cannot
+    cancel, so only faces of one length have their words compared.
     """
-    outer = d.outer_face
-    for dart in range(d.n_darts):
-        fa = d.face_of[dart]
-        fb = d.face_of[dart ^ 1]
-        if fa == outer or fb == outer or fa == fb:
-            continue
-        if dart ^ 1 < dart:
+    outer, faces, face_of = d.outer_face, d.faces, d.face_of
+    for dart in range(0, d.n_darts, 2):
+        fa = face_of[dart]
+        fb = face_of[dart ^ 1]
+        if fa == outer or fb == outer or fa == fb or len(faces[fa]) != len(faces[fb]):
             continue
         if _face_word_from(d, dart ^ 1) == cancelling_partner(_face_word_from(d, dart)):
             return ReducedWitness(fa, fb, dart)
@@ -563,12 +567,17 @@ def is_reduced(d: DiskDiagram) -> bool:
 
 
 def find_spurs(d: DiskDiagram) -> List[FeatureWitness]:
-    """Valence-1 vertices, each with its leading edge."""
-    out = []
-    for v, orbit in enumerate(d.vertices):
-        if len(orbit) == 1:
-            out.append(FeatureWitness("spur", vertex=v, darts=(orbit[0],)))
-    return out
+    """Valence-1 vertices, each with its leading edge.
+
+    Reads ``sigma`` alone: a vertex has valence 1 exactly when its one dart
+    is a fixed point of ``sigma``.  The vertices are computed only to name
+    a spur's vertex, and they are numbered by their least dart, so the
+    witnesses come in vertex order."""
+    return [
+        FeatureWitness("spur", vertex=d.vertex_of[t], darts=(t,))
+        for t, s in enumerate(d.sigma)
+        if s == t
+    ]
 
 
 def find_shells(d: DiskDiagram) -> List[FeatureWitness]:
@@ -579,22 +588,42 @@ def find_shells(d: DiskDiagram) -> List[FeatureWitness]:
     ``sigma`` must step straight from one free dart to the opposite of the
     previous one.  If a face traverses an edge twice, each traversal
     counts separately (the definition is about attaching maps).
+
+    Reads one walk of the outer face ``O``.  A free dart of an inner face
+    is the opposite of an outer dart.  Consecutive outer darts ``O[j-1]``,
+    ``O[j]`` are linked when ``sigma[O[j]] == O[j-1] ^ 1`` (their shared
+    vertex has valence 2) and both opposites are inner; then those
+    opposites are consecutive darts of one inner face, in reverse order.
+    So a maximal linked run of ``m`` outer darts is a free arc of one face
+    ``g``, and ``g`` is a shell when ``2m > len(g)``; at most one run of a
+    face can pass.  Witnesses come in face order, each arc in the face's
+    circuit order (the run reversed); a run around the whole outer face is
+    the whole circuit of its face.
     """
-    outer = d.outer_face
-    out = []
-    for fi in d.inner_face_indices:
-        circuit = d.faces[fi]
-        free = [d.face_of[t ^ 1] == outer for t in circuit]
-        # linked[t]: positions t-1 and t are both free and consecutive on
-        # the boundary circle (no other structure at the shared vertex)
-        linked = [
-            free[t] and free[t - 1] and d.sigma[circuit[t]] == circuit[t - 1] ^ 1
-            for t in range(len(circuit))
-        ]
-        best = max(_cyclic_runs(free, linked), key=len, default=[])
-        if 2 * len(best) > len(circuit):
-            out.append(FeatureWitness("shell", face=fi, darts=tuple(circuit[u] for u in best)))
-    return out
+    if not d.n_darts:
+        return []
+    sigma, faces, face_of, outer = d.sigma, d.faces, d.face_of, d.outer_face
+    O = faces[outer]
+    B = len(O)
+    # the inner dart behind each outer dart, or -1 where the outer face is
+    # on both sides
+    opp = [q ^ 1 if face_of[q ^ 1] != outer else -1 for q in O]
+    # a run starts at each position not linked to the one before it and
+    # ends at the next such position, cyclically
+    starts = [j for j in range(B) if opp[j] < 0 or opp[j - 1] < 0 or sigma[O[j]] != opp[j - 1]]
+    if not starts:
+        g = face_of[opp[0]]
+        return [FeatureWitness("shell", face=g, darts=faces[g])]
+    shells = []
+    for j, k in zip(starts, starts[1:] + [starts[0] + B]):
+        if opp[j] >= 0:
+            g = face_of[opp[j]]
+            if 2 * (k - j) > len(faces[g]):
+                arc = opp[j:k] if k <= B else opp[j:] + opp[: k - B]
+                arc.reverse()
+                shells.append((g, tuple(arc)))
+    shells.sort()
+    return [FeatureWitness("shell", face=g, darts=arc) for g, arc in shells]
 
 
 def _cyclic_runs(member: Sequence[bool], linked: Sequence[bool]) -> List[List[int]]:
@@ -618,8 +647,9 @@ def _cyclic_runs(member: Sequence[bool], linked: Sequence[bool]) -> List[List[in
 def _outer_circle_slots(d: DiskDiagram) -> List[Tuple[str, int]]:
     """The boundary circle as alternating vertex-visit and edge slots."""
     slots: List[Tuple[str, int]] = []
+    vertex_of = d.vertex_of
     for q in d.outer_orbit():
-        slots.append(("v", d.vertex_of(q)))
+        slots.append(("v", vertex_of[q]))
         slots.append(("e", q >> 1))
     return slots
 
@@ -659,7 +689,8 @@ def find_cutcells(d: DiskDiagram, defn: int) -> List[FeatureWitness]:
 def _removal_disconnects(d: DiskDiagram, fi: int) -> bool:
     circuit = d.faces[fi]
     bd_edges = {t >> 1 for t in circuit}
-    bd_verts = {d.vertex_of(t) for t in circuit}
+    vertex_of = d.vertex_of
+    bd_verts = {vertex_of[t] for t in circuit}
     outer = d.outer_face
     # union-find over surviving faces, edges, vertices
     parent: Dict[Tuple[str, int], Tuple[str, int]] = {}
@@ -683,7 +714,7 @@ def _removal_disconnects(d: DiskDiagram, fi: int) -> bool:
         if e in bd_edges:
             continue
         for dart in (2 * e, 2 * e + 1):
-            v = d.vertex_of(dart)
+            v = vertex_of[dart]
             if v not in bd_verts:
                 _union(parent, ("e", e), ("v", v))
             g = d.face_of[dart]
@@ -710,7 +741,7 @@ def _union(parent: dict, a, b) -> None:
 def _boundary_preimage_components(d: DiskDiagram, fi: int) -> List[List[Tuple[str, int]]]:
     circuit = d.faces[fi]
     bd_edges = {t >> 1 for t in circuit}
-    bd_verts = {d.vertex_of(t) for t in circuit}
+    bd_verts = {d.vertex_of[t] for t in circuit}
     slots = _outer_circle_slots(d)
     hit = [
         (kind == "e" and idx in bd_edges) or (kind == "v" and idx in bd_verts)
@@ -754,11 +785,7 @@ def _delete_darts(d: DiskDiagram, dead: Iterable[int], outer_hint: Optional[int]
 
 def remove_spur(d: DiskDiagram, dart: int) -> DiskDiagram:
     """Remove a 1-cell leading to a spur; perimeter drops by exactly two."""
-    s = None
-    for cand in (dart, dart ^ 1):
-        if len(d.vertices[d.vertex_of(cand)]) == 1:
-            s = cand
-            break
+    s = next((cand for cand in (dart, dart ^ 1) if d.sigma[cand] == cand), None)
     if s is None:
         raise DiagramError("edge has no valence-1 endpoint")
     # the outer face's dart after s; not s itself, whose vertex has valence 1
@@ -896,7 +923,8 @@ def is_topological_disk(d: DiskDiagram) -> bool:
     for e in range(d.n_edges):
         if d.face_of[2 * e] == outer and d.face_of[2 * e + 1] == outer:
             return False
-    tails = [d.vertex_of(q) for q in d.outer_orbit()]
+    vertex_of = d.vertex_of
+    tails = [vertex_of[q] for q in d.outer_orbit()]
     return len(tails) == len(set(tails))
 
 
@@ -950,13 +978,14 @@ def vertex_lift(
     if d.n_darts == 0:
         return {0: GroupElement.identity()}
     lifted: Dict[int, GroupElement] = {basepoint: GroupElement.identity()}
+    vertex_of = d.vertex_of
     stack = [basepoint]
     while stack:
         v = stack.pop()
         g = lifted[v]
         for t in d.vertices[v]:
             h = g * m.letter_image(d.labels[t])
-            u = d.vertex_of(t ^ 1)
+            u = vertex_of[t ^ 1]
             if u in lifted:
                 if lifted[u] != h:
                     raise LiftError(

@@ -1077,7 +1077,10 @@ def _best_filling(
 
 
 def is_minimal(
-    d: DiskDiagram, x: TwoComplex, model: Optional[FreeProductModel] = None
+    d: DiskDiagram,
+    x: TwoComplex,
+    model: Optional[FreeProductModel] = None,
+    hb: Optional[_InvariantBound] = None,
 ) -> Optional[bool]:
     """Whether the diagram's area equals the certified minimal area of its
     boundary word; None when ``area_oracle`` (auto, at the diagram's own
@@ -1090,8 +1093,12 @@ def is_minimal(
     gave it, and reused only for that same object.  Bound objects are
     cached by content (the complex and the model's lattice projection), so
     the same object means the same complex and projection.  The oracle's
-    answer below the bound is not kept: it reads the whole model."""
-    hb = _bound_for(x, model)
+    answer below the bound is not kept: it reads the whole model.
+
+    ``hb`` is ``_bound_for(x, model)``, looked up when it is not given; a
+    scan pass looks it up once and passes it to every call."""
+    if hb is None:
+        hb = _bound_for(x, model)
     if d._bound is None or d._bound[0] is not hb:
         d._bound = (hb, hb.bound(d.boundary_word_ints()))
     if d._bound[1] == d.area:

@@ -285,7 +285,7 @@ def _vertex_coordinates(d: DiskDiagram, m: FreeProductModel) -> Tuple[Tuple[int,
         v = stack.pop()
         x, y = coords[v]
         for t in vertices[v]:
-            u = vertex_of(t ^ 1)
+            u = vertex_of[t ^ 1]
             if coords[u] is None:
                 dx, dy = step[labels[t]]
                 coords[u] = (x + dx, y + dy)
@@ -321,9 +321,10 @@ def torus_coordinates(d: DiskDiagram, m: FreeProductModel) -> PlanarCoords:
     triangle-type faces on lower-left ones.
     """
     coords = _vertex_coordinates(d, m)
+    vertex_of = d.vertex_of
     face_squares = {}
     for fi in d.inner_face_indices:
-        pts = {coords[d.vertex_of(t)] for t in d.faces[fi]}
+        pts = {coords[vertex_of[t]] for t in d.faces[fi]}
         xs = {p[0] for p in pts}
         ys = {p[1] for p in pts}
         if len(pts) != 3 or len(xs) != 2 or len(ys) != 2:

@@ -105,19 +105,20 @@ def test_cutcell2_implies_cutcell1_on_disks(corpus_eq1_4):
 # per-diagram memos
 
 
+def report_summary(rep):
+    return (
+        rep.property_name,
+        rep.scanned,
+        [(d.canonical_code(), reason) for d, reason in rep.violations],
+        [d.canonical_code() for d in rep.unknowns],
+        len(rep.exemptions),
+    )
+
+
 def scan_all(x, bound, m, ds):
     reps = [check_dehn(x, bound, model=m, diagrams=ds)]
     reps += [check_generalized_dehn(x, defn, bound, model=m, diagrams=ds) for defn in (1, 2, 3)]
-    return [
-        (
-            rep.property_name,
-            rep.scanned,
-            [(d.canonical_code(), reason) for d, reason in rep.violations],
-            [d.canonical_code() for d in rep.unknowns],
-            len(rep.exemptions),
-        )
-        for rep in reps
-    ]
+    return [report_summary(rep) for rep in reps]
 
 
 @pytest.mark.parametrize("gid,area", [("eq1", 4), ("thm1", 3), ("thm2", 5)])
@@ -160,6 +161,30 @@ def test_is_minimal_memo_never_crosses_bound_objects(galleries):
         assert square._bound[0] is _bound_for(cx, model)
         answers.append(answer)
     assert answers == [True, True, False, True, False]
+
+
+@pytest.mark.parametrize("gid,area", [("eq1", 4), ("thm1", 3)])
+def test_scan_pass_looks_its_bound_up_once(galleries, monkeypatch, gid, area):
+    """One ``check_generalized_dehn`` pass asks ``_bound_for`` once, not
+    once per diagram, and reports what a pass over fresh copies reports
+    with no call counted."""
+    from vankampen import enumeration
+
+    _p, m, x = galleries[gid]
+    ds = list(enumerate_diagrams(x, EnumerationConfig(max_area=area)))
+    fresh = [DiskDiagram.from_json(d.to_json()) for d in ds]
+    want = report_summary(check_generalized_dehn(x, 1, area, model=m, diagrams=fresh))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _bound_for(*args)
+
+    monkeypatch.setattr(dehn_props, "_bound_for", counted)
+    monkeypatch.setattr(enumeration, "_bound_for", counted)
+    rep = check_generalized_dehn(x, 1, area, model=m, diagrams=ds)
+    assert len(calls) == 1
+    assert report_summary(rep) == want
 
 
 def test_detector_lists_are_fresh():

@@ -1,11 +1,13 @@
 import pytest
 
-from vankampen.presentation import TwoComplex, presentation_complex, symmetrized
+from vankampen.presentation import Presentation, TwoComplex, presentation_complex, symmetrized
 from vankampen.group_models import GroupElement, LatticeVector, project_z2
 from vankampen.diagram import (
     DiagramError,
     DiskDiagram,
+    FeatureWitness,
     LiftError,
+    _cyclic_runs,
     add_edge_path,
     attach_face,
     boundary_path,
@@ -23,6 +25,7 @@ from vankampen.diagram import (
     validate,
     vertex_lift,
 )
+from vankampen.enumeration import EnumerationConfig, enumerate_diagrams
 from vankampen.gallery import GALLERY_IDS, figure_diagram, presentation
 
 
@@ -336,9 +339,9 @@ def test_is_topological_disk_cases(thm2):
 def test_vertex_lift_pentagon(thm2):
     p, m, _x = thm2
     d = single_pentagon(p)
-    lifts = vertex_lift(d, m, basepoint=d.vertex_of(0))
+    lifts = vertex_lift(d, m, basepoint=d.vertex_of[0])
     # circuit a b a^-1 b^-1 c: successive corners 1, a, ab, b, 1
-    zs = [lifts[d.vertex_of(t)] for t in d.faces[d.face_of[0]]]
+    zs = [lifts[d.vertex_of[t]] for t in d.faces[d.face_of[0]]]
     expected = [
         GroupElement.identity(),
         GroupElement.lattice((1, 0)),
@@ -355,7 +358,7 @@ def test_vertex_lift_figure3_corners():
     lifts = vertex_lift(d, m)
     coords = set()
     for q in d.outer_orbit():
-        coords.add(m.lattice_part(lifts[d.vertex_of(q)]))
+        coords.add(m.lattice_part(lifts[d.vertex_of[q]]))
     xs = [c[0] for c in coords]
     ys = [c[1] for c in coords]
     corners = {(x - min(xs), y - min(ys)) for (x, y) in coords}
@@ -439,3 +442,111 @@ def test_dehn_iteration_terminates_on_dehn_complex():
                 d = remove_shell(d, shells[0])
             steps += 1
         assert d.n_darts == 0
+
+
+# ----------------------------------------------------------------------
+# the detectors against per-vertex, per-face and per-dart references
+
+
+def reference_find_spurs(d):
+    """Valence-1 vertices, read from the vertex orbits."""
+    return [
+        FeatureWitness("spur", vertex=v, darts=(orbit[0],))
+        for v, orbit in enumerate(d.vertices)
+        if len(orbit) == 1
+    ]
+
+
+def reference_find_shells(d):
+    """Shells face by face: each inner face's free darts, linked where the
+    vertex between two of them has valence 2, and its longest run."""
+    outer = d.outer_face
+    out = []
+    for fi in d.inner_face_indices:
+        circuit = d.faces[fi]
+        free = [d.face_of[t ^ 1] == outer for t in circuit]
+        linked = [
+            free[t] and free[t - 1] and d.sigma[circuit[t]] == circuit[t - 1] ^ 1
+            for t in range(len(circuit))
+        ]
+        best = max(_cyclic_runs(free, linked), key=len, default=[])
+        if 2 * len(best) > len(circuit):
+            out.append(FeatureWitness("shell", face=fi, darts=tuple(circuit[u] for u in best)))
+    return out
+
+
+def reference_is_connected(d):
+    """Whether a walk over the darts, by ``sigma`` and by opposition,
+    reaches every dart."""
+    n = d.n_darts
+    if n == 0:
+        return True
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
+    count = 1
+    while stack:
+        t = stack.pop()
+        for e in (d.sigma[t], t ^ 1):
+            if not seen[e]:
+                seen[e] = True
+                count += 1
+                stack.append(e)
+    return count == n
+
+
+def assert_detectors_match_references(d):
+    assert find_spurs(d) == reference_find_spurs(d)
+    assert find_shells(d) == reference_find_shells(d)
+    assert d.is_connected == reference_is_connected(d)
+
+
+def doubled(d):
+    """Two disjoint copies of ``d``'s map, the outer face in the first."""
+    n = d.n_darts
+    return DiskDiagram(d.sigma + tuple(n + t for t in d.sigma), d.labels * 2, d.alphabet, d.outer_dart)
+
+
+def square_complex():
+    """``<a, b | [a, b]>``: every gallery relator has odd length, so only
+    a square can have exactly half its perimeter on a free arc."""
+    return presentation_complex(Presentation.build("a b", ["a b a^-1 b^-1"]))
+
+
+@pytest.mark.parametrize(
+    "gid,max_area",
+    [("thm2", 6), ("torusT", 6), ("thm1", 4), ("eq1", 4), ("eq2", 4), ("square", 6)],
+)
+def test_detectors_match_references_on_enumerated_disks(galleries, gid, max_area):
+    x = square_complex() if gid == "square" else galleries[gid][2]
+    count = 0
+    for d in enumerate_diagrams(x, EnumerationConfig(max_area=max_area)):
+        for e in (d, d.mirror()):
+            assert_detectors_match_references(e)
+            count += 1
+    assert count
+
+
+@pytest.mark.parametrize("gid", GALLERY_IDS + ("square",))
+def test_detectors_match_references_on_maps_that_are_not_disks(galleries, gid):
+    """Each relator's first form hung at every corner, edge paths of one
+    and two edges grown there, and the doubled disconnected map, over the
+    enumerated disks of area <= 3 and their mirrors; then the single
+    vertex and edge paths grown from it."""
+    x = square_complex() if gid == "square" else galleries[gid][2]
+    hangs = list({idx: w for w, idx, _o in reversed(relator_forms(x))}.values())
+    count = 0
+    for d0 in enumerate_diagrams(x, EnumerationConfig(max_area=3)):
+        for d in (d0, d0.mirror()):
+            maps = [doubled(d)]
+            for pos in range(d.perimeter):
+                maps += [attach_face(d, pos, 0, w) for w in hangs]
+                maps += [add_edge_path(d, pos, (1,)), add_edge_path(d, pos, (1, -2))]
+            for e in maps:
+                assert_detectors_match_references(e)
+                count += 1
+    point = DiskDiagram.single_vertex(x.alphabet)
+    for e in (point, add_edge_path(point, 0, (1,)), add_edge_path(point, 0, (1, 2, -1))):
+        assert_detectors_match_references(e)
+        assert_detectors_match_references(doubled(e))
+    assert count

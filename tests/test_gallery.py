@@ -91,8 +91,8 @@ def test_torus_coordinates_edge_differences():
     pc = torus_coordinates(d, me)
     for dart in range(d.n_darts):
         x = d.labels[dart]
-        tail = pc.vertex_coords[d.vertex_of(dart)]
-        head = pc.vertex_coords[d.vertex_of(dart ^ 1)]
+        tail = pc.vertex_coords[d.vertex_of[dart]]
+        head = pc.vertex_coords[d.vertex_of[dart ^ 1]]
         px, py = me.pi(pe.names[abs(x) - 1])
         if x < 0:
             px, py = -px, -py

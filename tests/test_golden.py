@@ -7,8 +7,9 @@ reports of enumerated corpora, the concatenated JSON of the surgery results
 over a small corpus, the piece listing of every gallery, the invariant
 lower bound over a fixed corpus of words, every field of the word-move
 oracle's answers on a fixed corpus and on seeded words that A* searches
-with a model, and the model layer's normal forms,
-trivial subwords and vertex lifts.  A change to any byte (dart
+with a model, the model layer's normal forms,
+trivial subwords and vertex lifts, and the Dehn-property scan reports and
+corner witnesses over enumerated corpora.  A change to any byte (dart
 numbering, orbit order, face indices, canonical order, relator text, a
 bound's value, a probe's node count) fails here.  The outputs do not depend on
 ``PYTHONHASHSEED``.
@@ -20,7 +21,7 @@ import random
 import pytest
 
 from vankampen.cli import main
-from vankampen.dehn_props import pieces
+from vankampen.dehn_props import check_dehn, check_generalized_dehn, pieces
 from vankampen.diagram import (
     DiskDiagram,
     add_edge_path,
@@ -42,7 +43,7 @@ from vankampen.enumeration import (
     canonical_cyclic,
     enumerate_diagrams,
 )
-from vankampen.gallery import GALLERY_IDS, presentation
+from vankampen.gallery import GALLERY_IDS, corner_classification, presentation
 from vankampen.group_models import normal_form, trivial_subword_witness
 from vankampen.presentation import Word, invert_ints, presentation_complex, reduce_ints
 
@@ -296,4 +297,34 @@ def test_model_layer_pinned(galleries):
         lines.append(repr([m.lattice_part(lift[v]) for v in sorted(lift)]))
     assert sha("\n".join(lines)) == (
         "5da5ba1bbf8fb1a35b701d3d8757fbc4774655f0e8cbff63e18bbd5b79a20d85"
+    )
+
+
+# corpora of the scan pin: (gallery, max area)
+SCAN_PIN_CORPORA = (("thm1", 4), ("thm2", 6), ("eq1", 4))
+
+
+def scan_outputs() -> str:
+    """The Dehn and generalized Dehn reports (def 1, 2 and 3) over each
+    corpus, every violation and unknown as its JSON, and the corner witness
+    of every thm1 diagram of area at least 2."""
+    lines = []
+    for gid, max_area in SCAN_PIN_CORPORA:
+        p, m = presentation(gid)
+        x = presentation_complex(p)
+        ds = list(enumerate_diagrams(x, EnumerationConfig(max_area=max_area)))
+        reps = [check_dehn(x, max_area, model=m, diagrams=ds)]
+        reps += [check_generalized_dehn(x, defn, max_area, model=m, diagrams=ds) for defn in (1, 2, 3)]
+        for rep in reps:
+            lines.append(repr((gid, rep.property_name, rep.scanned, len(rep.exemptions), rep.bound)))
+            lines += [f"{d.to_json()} {reason}" for d, reason in rep.violations]
+            lines += [f"unknown {d.to_json()}" for d in rep.unknowns]
+        if gid == "thm1":
+            lines += [repr(corner_classification(d, m)) for d in ds if d.area >= 2]
+    return "\n".join(lines)
+
+
+def test_scan_reports_and_corner_witnesses_pinned():
+    assert sha(scan_outputs()) == (
+        "f96af107d4231b50fa51b1c8e4405097660dcd117b71dc307684f3780cb9c767"
     )
