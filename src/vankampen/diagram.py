@@ -92,6 +92,28 @@ def _code_from(start: int, sigma: Sequence[int], labels: Sequence[int]) -> Tuple
     return tuple(out)
 
 
+def _forward_code(
+    sigma: Sequence[int], labels: Sequence[int], outer_orbit: Sequence[int]
+) -> Tuple[int, ...]:
+    """``_map_code``'s forward half: the least ``_code_from`` over the
+    outer darts where the boundary label word attains its least rotation."""
+    outer_labels = [labels[q] for q in outer_orbit]
+    return min(
+        _code_from(outer_orbit[i], sigma, labels) for i in min_rotation_starts(outer_labels)
+    )
+
+
+def _mirror_code(
+    sigma: Sequence[int], labels: Sequence[int], outer_orbit: Sequence[int]
+) -> Tuple[int, ...]:
+    """``_map_code``'s mirror half: the forward half of the mirror image,
+    whose rotation is ``_inverse(sigma)`` and whose outer orbit runs
+    ``O[0] ^ 1, O[B - 1] ^ 1, ..., O[1] ^ 1``."""
+    O = outer_orbit
+    B = len(O)
+    return _forward_code(_inverse(sigma), labels, [O[(B - j) % B] ^ 1 for j in range(B)])
+
+
 def _map_code(
     sigma: Sequence[int], labels: Sequence[int], outer_orbit: Sequence[int]
 ) -> Tuple[int, ...]:
@@ -99,18 +121,21 @@ def _map_code(
 
     Isomorphisms preserve the outer face, so starts can be restricted to
     the outer darts where the boundary label word attains its least
-    rotation (and the mirrored analogue for orientation-reversing maps).
-    The code does not depend on which dart ``outer_orbit`` starts at."""
-    O = outer_orbit
-    B = len(O)
-    outer_labels = [labels[q] for q in O]
-    codes = [_code_from(O[i], sigma, labels) for i in min_rotation_starts(outer_labels)]
-    # mirror image: reversed rotation, outer region on the opposite sides
-    sigma_inv = _inverse(sigma)
-    mirror_labels = [-outer_labels[0]] + [-x for x in reversed(outer_labels[1:])]
-    for j in min_rotation_starts(mirror_labels):
-        codes.append(_code_from(O[(B - j) % B] ^ 1, sigma_inv, labels))
-    return min(codes)
+    rotation.  ``_forward_code`` takes the least code over those starts,
+    and it is equal for two maps exactly when an orientation-preserving
+    isomorphism takes one to the other.  ``_mirror_code`` is the forward
+    half of the mirror image, so it is equal to another map's forward half
+    exactly when an orientation-reversing isomorphism joins them.  The code
+    is the lesser half.  Neither half depends on which dart
+    ``outer_orbit`` starts at.
+
+    So one key per orientation is exact: a map is isomorphic, mirror
+    images included, to a map ``D`` exactly when its forward half is
+    ``D``'s forward or mirror half.  ``_levels`` keys both halves of each
+    diagram it admits and tests a child by its forward half alone."""
+    return min(
+        _forward_code(sigma, labels, outer_orbit), _mirror_code(sigma, labels, outer_orbit)
+    )
 
 
 class DiskDiagram:

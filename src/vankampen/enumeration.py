@@ -40,8 +40,9 @@ from .diagram import (
     DiskDiagram,
     _face_orbit,
     _face_word_from,
+    _forward_code,
     _glue,
-    _map_code,
+    _mirror_code,
     # not called here; kept as the name that perfbench's tracer patches
     attach_face,
     cancelling_partner,
@@ -135,10 +136,17 @@ def _levels(x: TwoComplex, max_candidates: Optional[int]) -> Iterator[List[DiskD
     parent alone.  Cancelling gluings are skipped unbuilt, and neither
     ``is_topological_disk`` nor ``reduced_witness`` runs on a child (the
     tests check both invariants); only the one-cell seeds go through them.
-    Duplicates are found before any child is built: the canonical code is
-    taken from the glued rotation system and its outer face orbit, and a
-    ``DiskDiagram`` is built (and seeded with that code) only when the
-    code is new to the level.
+
+    Duplicates are found before any child is built, from the glued
+    rotation system and its outer face orbit.  Each level keys both halves
+    of ``_map_code`` for every diagram it admits: the forward code ``f``
+    and the mirror code ``g``.  A child is isomorphic to an admitted
+    diagram ``D`` exactly when its ``f`` is ``D``'s ``f``, and to ``D``'s
+    mirror exactly when its ``f`` is ``D``'s ``g``.  So a child computes
+    ``f`` and is a duplicate when ``f`` is a key; only a new child computes
+    ``g`` (and the inverse rotation), and it is built and seeded with its
+    canonical code ``min(f, g)``.  The keys cost one more code per diagram
+    of the level being built, and they are dropped before it is yielded.
 
     ``max_candidates``, when not None, caps the gluings tried over all
     levels, cancelling ones included.
@@ -157,7 +165,8 @@ def _levels(x: TwoComplex, max_candidates: Optional[int]) -> Iterator[List[DiskD
     level = [first[c] for c in sorted(first)]
     while level:
         yield level
-        nxt: Dict[Tuple, DiskDiagram] = {}
+        keys: set = set()
+        nxt: List[DiskDiagram] = []
         for parent in level:
             for pos, k, w, cancels in _gluings(parent, forms, max_len):
                 candidates += 1
@@ -168,12 +177,19 @@ def _levels(x: TwoComplex, max_candidates: Optional[int]) -> Iterator[List[DiskD
                 if cancels:
                     continue
                 sigma, labels, outer = _glue(parent, pos, k, w)
-                code = _map_code(sigma, labels, _face_orbit(sigma, outer))
-                if code not in nxt:
-                    child = DiskDiagram(sigma, labels, x.alphabet, outer)
-                    child._canon = (child.alphabet, code)
-                    nxt[code] = child
-        level = [nxt[c] for c in sorted(nxt)]
+                orbit = _face_orbit(sigma, outer)
+                f = _forward_code(sigma, labels, orbit)
+                if f in keys:
+                    continue
+                g = _mirror_code(sigma, labels, orbit)
+                keys.add(f)
+                keys.add(g)
+                child = DiskDiagram(sigma, labels, x.alphabet, outer)
+                child._canon = (child.alphabet, min(f, g))
+                nxt.append(child)
+        level = sorted(nxt, key=DiskDiagram.canonical_code)
+        # a resumable stream waits at the yield; the keys are not needed there
+        del keys
 
 
 def enumerate_diagrams(x: TwoComplex, cfg: EnumerationConfig) -> Iterator[DiskDiagram]:

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from vankampen.gallery import presentation
-from vankampen.presentation import presentation_complex
+from vankampen.presentation import Presentation, presentation_complex
 from vankampen.enumeration import EnumerationConfig, enumerate_diagrams
 
 
@@ -26,6 +26,10 @@ def galleries():
     for gid in ("thm2", "thm1", "eq1", "eq2", "torusT"):
         p, m = presentation(gid)
         out[gid] = (p, m, presentation_complex(p))
+    # <a, b | [a, b]>, no model: every gallery relator has odd length, so
+    # only a square can have exactly half its perimeter on a free arc
+    square = Presentation.build("a b", ["a b a^-1 b^-1"])
+    out["square"] = (square, None, presentation_complex(square))
     return out
 
 

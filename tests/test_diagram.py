@@ -1,6 +1,6 @@
 import pytest
 
-from vankampen.presentation import Presentation, TwoComplex, presentation_complex, symmetrized
+from vankampen.presentation import TwoComplex, presentation_complex, symmetrized
 from vankampen.group_models import GroupElement, LatticeVector, project_z2
 from vankampen.diagram import (
     DiagramError,
@@ -8,6 +8,8 @@ from vankampen.diagram import (
     FeatureWitness,
     LiftError,
     _cyclic_runs,
+    _forward_code,
+    _mirror_code,
     add_edge_path,
     attach_face,
     boundary_path,
@@ -507,18 +509,12 @@ def doubled(d):
     return DiskDiagram(d.sigma + tuple(n + t for t in d.sigma), d.labels * 2, d.alphabet, d.outer_dart)
 
 
-def square_complex():
-    """``<a, b | [a, b]>``: every gallery relator has odd length, so only
-    a square can have exactly half its perimeter on a free arc."""
-    return presentation_complex(Presentation.build("a b", ["a b a^-1 b^-1"]))
+ENUMERATED_SIZES = [("thm2", 6), ("torusT", 6), ("thm1", 4), ("eq1", 4), ("eq2", 4), ("square", 6)]
 
 
-@pytest.mark.parametrize(
-    "gid,max_area",
-    [("thm2", 6), ("torusT", 6), ("thm1", 4), ("eq1", 4), ("eq2", 4), ("square", 6)],
-)
+@pytest.mark.parametrize("gid,max_area", ENUMERATED_SIZES)
 def test_detectors_match_references_on_enumerated_disks(galleries, gid, max_area):
-    x = square_complex() if gid == "square" else galleries[gid][2]
+    x = galleries[gid][2]
     count = 0
     for d in enumerate_diagrams(x, EnumerationConfig(max_area=max_area)):
         for e in (d, d.mirror()):
@@ -533,7 +529,7 @@ def test_detectors_match_references_on_maps_that_are_not_disks(galleries, gid):
     and two edges grown there, and the doubled disconnected map, over the
     enumerated disks of area <= 3 and their mirrors; then the single
     vertex and edge paths grown from it."""
-    x = square_complex() if gid == "square" else galleries[gid][2]
+    x = galleries[gid][2]
     hangs = list({idx: w for w, idx, _o in reversed(relator_forms(x))}.values())
     count = 0
     for d0 in enumerate_diagrams(x, EnumerationConfig(max_area=3)):
@@ -549,4 +545,31 @@ def test_detectors_match_references_on_maps_that_are_not_disks(galleries, gid):
     for e in (point, add_edge_path(point, 0, (1,)), add_edge_path(point, 0, (1, 2, -1))):
         assert_detectors_match_references(e)
         assert_detectors_match_references(doubled(e))
+    assert count
+
+
+def code_halves(d, start=0):
+    """The forward and mirror halves of ``_map_code`` on ``d``, its outer
+    orbit walked from its ``start``-th dart."""
+    O = d.outer_orbit()
+    O = O[start:] + O[:start]
+    return _forward_code(d.sigma, d.labels, O), _mirror_code(d.sigma, d.labels, O)
+
+
+@pytest.mark.parametrize("gid,max_area", ENUMERATED_SIZES)
+def test_code_halves_swap_under_mirror(galleries, gid, max_area):
+    """The mirror half of a diagram is the forward half of its mirror and
+    the reverse; neither half depends on where the outer orbit starts; and
+    the canonical code is the lesser half."""
+    x = galleries[gid][2]
+    count = 0
+    for d in enumerate_diagrams(x, EnumerationConfig(max_area=max_area)):
+        m = d.mirror()
+        f, g = code_halves(d)
+        assert code_halves(m) == (g, f)
+        for e, halves in ((d, (f, g)), (m, (g, f))):
+            for start in range(1, e.perimeter):
+                assert code_halves(e, start) == halves
+            assert e.canonical_code() == (x.alphabet, min(f, g))
+            count += 1
     assert count

@@ -172,6 +172,86 @@ def test_code_before_build_matches_built_child(galleries):
     assert all(kinds.values()), kinds
 
 
+# the sizes of the code-half tests in test_diagram.py
+LEVEL_SIZES = [("thm2", 6), ("torusT", 6), ("thm1", 4), ("eq1", 4), ("eq2", 4), ("square", 6)]
+
+
+def reference_levels(x, max_area):
+    """The enumerator's loop before it keyed both code halves: one full
+    ``_map_code`` per non-cancelling child, keyed by that code, and a
+    built child that computes its own canonical code."""
+    forms = [w for (w, _i, _o) in relator_forms(x)]
+    max_len = max(len(w) for w in forms)
+    first = {}
+    for w in forms:
+        d = DiskDiagram.from_face_word(w, x.alphabet)
+        if is_topological_disk(d) and reduced_witness(d) is None:
+            first.setdefault(d.canonical_code(), d)
+    level = [first[c] for c in sorted(first)]
+    levels = []
+    while level and len(levels) < max_area:
+        levels.append(level)
+        if len(levels) == max_area:
+            break
+        nxt = {}
+        for parent in level:
+            for pos, k, w, cancels in _gluings(parent, forms, max_len):
+                if cancels:
+                    continue
+                sigma, labels, outer = _glue(parent, pos, k, w)
+                code = _map_code(sigma, labels, _face_orbit(sigma, outer))
+                if code not in nxt:
+                    nxt[code] = DiskDiagram(sigma, labels, x.alphabet, outer)
+        level = [nxt[c] for c in sorted(nxt)]
+    return [d for level in levels for d in level]
+
+
+@pytest.mark.parametrize("gid,max_area", LEVEL_SIZES)
+def test_levels_match_one_code_per_child_reference(galleries, gid, max_area):
+    x = galleries[gid][2]
+    got = enumerate_diagrams(x, EnumerationConfig(max_area=max_area))
+    want = reference_levels(x, max_area)
+    assert want
+    assert [(d.canonical_code(), d.to_json()) for d in got] == [
+        (d.canonical_code(), d.to_json()) for d in want
+    ]
+
+
+# (non-cancelling gluings, admitted children of area >= 2)
+HALF_COUNTS = {("thm1", 4): (2164, 940), ("thm2", 5): (623, 253), ("eq1", 4): (578, 270)}
+
+
+@pytest.mark.parametrize("gid,max_area", sorted(HALF_COUNTS))
+def test_levels_walk_the_mirror_half_only_for_new_children(galleries, gid, max_area, monkeypatch):
+    """``_levels`` computes the forward half once per non-cancelling
+    gluing and the mirror half once per admitted child; counted under the
+    names ``_levels`` calls, so the seeds' ``canonical_code`` is not."""
+    _p, _m, x = galleries[gid]
+    calls = {"forward": 0, "mirror": 0}
+
+    def counted(name, half):
+        def wrapper(*args):
+            calls[name] += 1
+            return half(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(enumeration, "_forward_code", counted("forward", enumeration._forward_code))
+    monkeypatch.setattr(enumeration, "_mirror_code", counted("mirror", enumeration._mirror_code))
+    diagrams = list(enumerate_diagrams(x, EnumerationConfig(max_area=max_area)))
+    forms = [w for (w, _i, _o) in relator_forms(x)]
+    max_len = max(len(w) for w in forms)
+    gluings = sum(
+        not cancels
+        for d in diagrams
+        if d.area < max_area
+        for _pos, _k, _w, cancels in _gluings(d, forms, max_len)
+    )
+    admitted = sum(d.area >= 2 for d in diagrams)
+    assert (calls["forward"], calls["mirror"]) == (gluings, admitted)
+    assert (gluings, admitted) == HALF_COUNTS[gid, max_area]
+
+
 def test_area_oracle_trivial_and_obstructed(galleries):
     p, m, x = galleries["thm2"]
     assert area_oracle(p.word(""), x, bound=3).value == 0
