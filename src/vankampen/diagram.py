@@ -49,6 +49,27 @@ def _orbits(sigma: Sequence[int], flip: int) -> Tuple[Tuple[Tuple[int, ...], ...
     return tuple(orbits), tuple(orbit_of)
 
 
+def _spanning_darts(d: "DiskDiagram") -> List[int]:
+    """The darts by which one walk from vertex 0, along each dart of a
+    reached vertex to the vertex at its head, first reaches each other
+    vertex, in the order it reaches them.  Their heads are distinct and
+    not vertex 0, and each tail is vertex 0 or the head of an earlier
+    dart, so they span the vertex graph exactly when it is connected."""
+    vertices, vertex_of = d.vertices, d.vertex_of
+    seen = [False] * len(vertices)
+    seen[0] = True
+    tree = []
+    stack = [0]
+    while stack:
+        for t in vertices[stack.pop()]:
+            u = vertex_of[t ^ 1]
+            if not seen[u]:
+                seen[u] = True
+                tree.append(t)
+                stack.append(u)
+    return tree
+
+
 def _inverse(perm: Sequence[int]) -> List[int]:
     inv = [0] * len(perm)
     for d, e in enumerate(perm):
@@ -285,23 +306,8 @@ class DiskDiagram:
 
     @property
     def is_connected(self) -> bool:
-        """Whether one walk from vertex 0, along each dart of a reached
-        vertex to the vertex at its head, reaches every vertex."""
-        if self.n_darts == 0:
-            return True
-        vertices, vertex_of = self.vertices, self.vertex_of
-        seen = [False] * len(vertices)
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            for t in vertices[stack.pop()]:
-                u = vertex_of[t ^ 1]
-                if not seen[u]:
-                    seen[u] = True
-                    count += 1
-                    stack.append(u)
-        return count == len(vertices)
+        """Whether the walk of ``_spanning_darts`` reaches every vertex."""
+        return len(_spanning_darts(self)) == self.n_vertices - 1
 
     @property
     def euler_characteristic(self) -> int:
@@ -669,16 +675,6 @@ def _cyclic_runs(member: Sequence[bool], linked: Sequence[bool]) -> List[List[in
     return runs
 
 
-def _outer_circle_slots(d: DiskDiagram) -> List[Tuple[str, int]]:
-    """The boundary circle as alternating vertex-visit and edge slots."""
-    slots: List[Tuple[str, int]] = []
-    vertex_of = d.vertex_of
-    for q in d.outer_orbit():
-        slots.append(("v", vertex_of[q]))
-        slots.append(("e", q >> 1))
-    return slots
-
-
 def find_cutcells(d: DiskDiagram, defn: int) -> List[FeatureWitness]:
     """Cutcells per definition 1, 2 or 3.
 
@@ -689,25 +685,31 @@ def find_cutcells(d: DiskDiagram, defn: int) -> List[FeatureWitness]:
     """
     if defn not in (1, 2, 3):
         raise DiagramError(f"cutcell definition must be 1, 2 or 3, got {defn}")
+    if defn == 1:
+        return [
+            FeatureWitness("cutcell", defn=1, face=fi)
+            for fi in d.inner_face_indices
+            if _removal_disconnects(d, fi)
+        ]
+    # the boundary circle as alternating vertex-visit and edge slots, named
+    # as the witnesses name them; a component is a maximal cyclic run of
+    # slots in the closure of the cell
+    vertex_of = d.vertex_of
+    slots = []
+    for q in d.outer_orbit():
+        slots += (f"v{vertex_of[q]}", f"e{q >> 1}")
     out = []
     for fi in d.inner_face_indices:
-        if defn == 1:
-            if _removal_disconnects(d, fi):
-                out.append(FeatureWitness("cutcell", defn=1, face=fi))
-        else:
-            comps = _boundary_preimage_components(d, fi)
-            if len(comps) < 2:
-                continue
-            if defn == 3 and not all(any(kind == "e" for kind, _ in comp) for comp in comps):
-                continue
-            out.append(
-                FeatureWitness(
-                    "cutcell",
-                    defn=defn,
-                    face=fi,
-                    components=tuple(tuple(f"{k}{i}" for k, i in comp) for comp in comps),
-                )
-            )
+        circuit = d.faces[fi]
+        closure = {f"e{t >> 1}" for t in circuit} | {f"v{vertex_of[t]}" for t in circuit}
+        hit = [s in closure for s in slots]
+        linked = [hit[t] and hit[t - 1] for t in range(len(hit))]
+        comps = [tuple(slots[u] for u in run) for run in _cyclic_runs(hit, linked)]
+        if len(comps) < 2:
+            continue
+        if defn == 3 and not all(any(s[0] == "e" for s in comp) for comp in comps):
+            continue
+        out.append(FeatureWitness("cutcell", defn=defn, face=fi, components=tuple(comps)))
     return out
 
 
@@ -761,19 +763,6 @@ def _union(parent: dict, a, b) -> None:
     ra, rb = _find(parent, a), _find(parent, b)
     if ra != rb:
         parent[ra] = rb
-
-
-def _boundary_preimage_components(d: DiskDiagram, fi: int) -> List[List[Tuple[str, int]]]:
-    circuit = d.faces[fi]
-    bd_edges = {t >> 1 for t in circuit}
-    bd_verts = {d.vertex_of[t] for t in circuit}
-    slots = _outer_circle_slots(d)
-    hit = [
-        (kind == "e" and idx in bd_edges) or (kind == "v" and idx in bd_verts)
-        for kind, idx in slots
-    ]
-    linked = [hit[t] and hit[t - 1] for t in range(len(hit))]
-    return [[slots[u] for u in run] for run in _cyclic_runs(hit, linked)]
 
 
 # ----------------------------------------------------------------------
@@ -941,13 +930,18 @@ def add_edge_path(d: DiskDiagram, pos: int, word: Sequence[int]) -> DiskDiagram:
 
 
 def is_topological_disk(d: DiskDiagram) -> bool:
-    """A closed 2-cell: faces present, no 1-dimensional parts, simple boundary."""
+    """A closed 2-cell: faces present, no 1-dimensional parts, simple boundary.
+
+    A connected planar map with an inner face is a disk exactly when its
+    outer circuit leaves no vertex twice.  That test also rejects an edge
+    with the outer face on both sides: if both its darts ``q`` and ``q ^ 1``
+    are outer, so are the darts after them, ``sigma[q ^ 1]`` and
+    ``sigma[q]``, which leave the same vertices as ``q ^ 1`` and ``q``.
+    Unless a dart is its own ``sigma`` (its vertex has valence 1), that is
+    a vertex left twice; and if both ends of the edge had valence 1, the
+    connected map would be that one edge, with no inner face."""
     if d.area < 1 or not d.is_connected or d.euler_characteristic != 2:
         return False
-    outer = d.outer_face
-    for e in range(d.n_edges):
-        if d.face_of[2 * e] == outer and d.face_of[2 * e + 1] == outer:
-            return False
     vertex_of = d.vertex_of
     tails = [vertex_of[q] for q in d.outer_orbit()]
     return len(tails) == len(set(tails))
@@ -989,36 +983,26 @@ def _extract_faces(d: DiskDiagram, faces_keep: set) -> DiskDiagram:
 # lifting
 
 
-def vertex_lift(
-    d: DiskDiagram, m: FreeProductModel, basepoint: int = 0
-) -> Dict[int, GroupElement]:
-    """Assign group elements to vertices, basepoint to the identity.
+def vertex_lift(d: DiskDiagram, m: FreeProductModel) -> Dict[int, GroupElement]:
+    """Assign group elements to vertices, vertex 0 to the identity.
 
     Along every dart the label multiplies the element; this is well
     defined exactly when all face labels are relators of the model's
-    presentation, and raises LiftError otherwise.
+    presentation, and raises LiftError otherwise.  The lift follows
+    ``_spanning_darts``, and every dart is checked against it.
     """
     if d.alphabet != m.presentation.names:
         raise LiftError("diagram alphabet does not match the model's presentation")
-    if d.n_darts == 0:
-        return {0: GroupElement.identity()}
-    lifted: Dict[int, GroupElement] = {basepoint: GroupElement.identity()}
-    vertex_of = d.vertex_of
-    stack = [basepoint]
-    while stack:
-        v = stack.pop()
-        g = lifted[v]
-        for t in d.vertices[v]:
-            h = g * m.letter_image(d.labels[t])
-            u = vertex_of[t ^ 1]
-            if u in lifted:
-                if lifted[u] != h:
-                    raise LiftError(
-                        f"inconsistent lift along dart {t}: not a diagram over this presentation"
-                    )
-            else:
-                lifted[u] = h
-                stack.append(u)
+    vertex_of, labels, image = d.vertex_of, d.labels, m.letter_image
+    lifted: Dict[int, GroupElement] = {0: GroupElement.identity()}
+    for t in _spanning_darts(d):
+        lifted[vertex_of[t ^ 1]] = lifted[vertex_of[t]] * image(labels[t])
+    for t in range(d.n_darts):
+        g = lifted.get(vertex_of[t])
+        if g is not None and lifted[vertex_of[t ^ 1]] != g * image(labels[t]):
+            raise LiftError(
+                f"inconsistent lift along dart {t}: not a diagram over this presentation"
+            )
     if len(lifted) != d.n_vertices:
         raise LiftError("diagram is disconnected")
     return lifted

@@ -650,9 +650,10 @@ def _rref(matrix: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]
 
 # Words A* stores (``len(dist)``) before ``relator_bfs`` gives up
 # uncertified, and nodes the bound-perfect probe visits before handing over
-# to A*.  A* expands each stored word at most once (see ``_relator_bfs``),
-# so the store cap bounds its expansions too.  At the cap, eq1's
-# model-free commutator at bound 4 gives up after 4 s at a peak of 88 MB.
+# to A*.  A* expands each stored word at most once (see ``_astar``),
+# so the store cap bounds its expansions too.  With ``relator_bfs``, eq1's
+# model-free commutator at bound 4 gives up at the cap after 4 to 7 s, at a
+# peak of 88 MB.
 # No tested or pinned search stores more than 41,019 words (a conjugated
 # relator product of the A* pin, at bound 3 with a model), nor any
 # benchmark query more than 162.
@@ -714,23 +715,33 @@ def area_oracle(
     so its exponent vector lies in the span, and each unordered split gives
     the same two arcs, with the same sum, from either end; its answer is
     always certified.  Its disks come from ``disk_boundary_table``, which
-    enumerates each complex's levels once for all bounds.  ``auto`` runs
-    ``relator_bfs`` and, when that is uncertified and ``bound <= 6``,
-    answers with ``diagram_search``.
+    enumerates each complex's levels once for all bounds.
+
+    ``auto`` first asks what ``relator_bfs`` certifies before its A*: the
+    invariants, the model's word problem and the probe.  A word these leave
+    open at ``bound <= 6`` goes to ``diagram_search`` without a model, and
+    with one to A*, then to ``diagram_search`` if A* gives up; past bound 6
+    it goes to A* alone.
     """
     if method not in ("auto", "relator_bfs", "diagram_search"):
         raise ValueError(f"unknown oracle method {method!r}")
     letters = canonical_cyclic(_as_letters(w))
     if letters == ():
         return AreaResult(0, True, method)
-    if method == "relator_bfs":
-        return _relator_bfs(letters, x, bound, model)
     if method == "diagram_search":
         return _diagram_search(letters, x, bound)
-    res = _relator_bfs(letters, x, bound, model)
-    if res.certified_exact or bound > 6:
-        return res  # enumerating past area 6 as a fallback is not worth it
-    return _diagram_search(letters, x, bound)
+    hb = _bound_for(x, model)
+    res = _certificate(letters, x, bound, model, hb)
+    if res is not None:
+        return res
+    if method == "relator_bfs" or bound > 6:
+        return _astar(letters, hb, bound)  # enumerating past area 6 does not pay
+    if model is None:
+        # without the word problem, only exhausting its search lets A*
+        # refute a word, and it can store MAX_STORED words first
+        return _diagram_search(letters, x, bound)
+    res = _astar(letters, hb, bound)
+    return res if res.certified_exact else _diagram_search(letters, x, bound)
 
 
 def _moves(
@@ -900,13 +911,17 @@ def _perfect_probe(
     return None
 
 
-def _relator_bfs(
+def _certificate(
     letters: Tuple[int, ...],
     x: TwoComplex,
     bound: int,
     model: Optional[FreeProductModel],
-) -> AreaResult:
-    hb = _bound_for(x, model)
+    hb: _InvariantBound,
+) -> Optional[AreaResult]:
+    """``relator_bfs``'s answer before A*: a "no filling" from the
+    invariants, the model's word problem or a lower bound past ``bound``,
+    or a filling that the probe finds to meet the bound; None when they
+    leave the word open."""
     h0 = hb.bound(letters)
     if h0 is None:
         return AreaResult(None, True, "relator_bfs", note="abelian obstruction: not null-homotopic")
@@ -920,6 +935,13 @@ def _relator_bfs(
     if probe is not None:
         return AreaResult(h0, True, "relator_bfs", expanded=probe,
                           note="filling meets the invariant lower bound")
+    return None
+
+
+def _astar(letters: Tuple[int, ...], hb: _InvariantBound, bound: int) -> AreaResult:
+    """``relator_bfs`` past its certificates: A* over the words that
+    relator insertions reach, guided by the invariant bound."""
+    h0 = hb.bound(letters)
     # A move adds a form's vector to the word's, so out of a feasible word
     # it stays feasible, and it moves the bound by at most one: exactly one
     # on a pinned bound, one relator column of the plain system otherwise.

@@ -29,6 +29,7 @@ from .diagram import (
     DiagramError,
     DiskDiagram,
     LiftError,
+    _spanning_darts,
     find_cutcells,
     find_shells,
     is_topological_disk,
@@ -261,9 +262,10 @@ class CornerWitness:
 def _vertex_coordinates(d: DiskDiagram, m: FreeProductModel) -> Tuple[Tuple[int, int], ...]:
     """The lattice projection of each vertex's lift, vertex 0 at the origin.
 
-    One walk from vertex 0 adds ``m.letter_pi`` of each dart's signed
-    letter.  The projection is a homomorphism, so these are the lattice
-    parts of ``vertex_lift`` (rank 2), without the free parts.  Raises
+    Along the walk of ``_spanning_darts``, each dart's head is its tail
+    plus ``m.letter_pi`` of its signed letter.  The projection is a
+    homomorphism, so these are the lattice parts of ``vertex_lift`` (rank
+    2), along the same walk, without the free parts.  Raises
     LiftError as ``vertex_lift`` does: when the alphabet is not the model's,
     when the diagram is disconnected, and when it is not a diagram over the
     model's presentation.  A connected planar map lifts consistently exactly
@@ -277,19 +279,13 @@ def _vertex_coordinates(d: DiskDiagram, m: FreeProductModel) -> Tuple[Tuple[int,
         return ((0, 0),)
     if d.alphabet != m.presentation.names:
         raise LiftError("diagram alphabet does not match the model's presentation")
-    vertices, vertex_of, labels, step = d.vertices, d.vertex_of, d.labels, m.letter_pi
-    coords: list = [None] * len(vertices)
+    vertex_of, labels, step = d.vertex_of, d.labels, m.letter_pi
+    coords: list = [None] * d.n_vertices
     coords[0] = (0, 0)
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        x, y = coords[v]
-        for t in vertices[v]:
-            u = vertex_of[t ^ 1]
-            if coords[u] is None:
-                dx, dy = step[labels[t]]
-                coords[u] = (x + dx, y + dy)
-                stack.append(u)
+    for t in _spanning_darts(d):
+        x, y = coords[vertex_of[t]]
+        dx, dy = step[labels[t]]
+        coords[vertex_of[t ^ 1]] = (x + dx, y + dy)
     if None in coords:
         raise LiftError("diagram is disconnected")
     if d.euler_characteristic != 2:

@@ -218,6 +218,28 @@ def test_area_store_cap_exits_3(capsys, tmp_path, monkeypatch):
     assert "[uncertified]  (store cap hit)" in out
 
 
+def test_check_without_a_model_prints_the_gallery_json(capsys, tmp_path):
+    # without a model, the scan certifies minimality by diagram_search
+    # where the invariants and the probe leave a word open
+    p, _m = presentation("eq1")
+    pres_path = tmp_path / "eq1.pres"
+    pres_path.write_text(presentation_file_text(p))
+    scan = ("--property", "gdehn2", "--max-area", "3", "--json")
+    code, out, _ = run_cli(capsys, "check", "--presentation", str(pres_path), *scan)
+    assert (code, out) == run_cli(capsys, "check", "--gallery", "eq1", *scan)[:2]
+    assert code == 1 and json.loads(out)["unknowns"] == 0
+
+
+def test_check_with_unknowns_exits_3(capsys, monkeypatch):
+    from vankampen import dehn_props
+
+    monkeypatch.setattr(dehn_props, "is_minimal", lambda *a, **k: None)
+    code, out, _ = run_cli(capsys, "check", "--gallery", "thm2",
+                           "--property", "dehn", "--max-area", "2")
+    assert code == 3
+    assert "scanned 0 certified-minimal diagrams (0 single-cell exemptions, 5 unknown)" in out
+
+
 def test_presentation_without_relators_has_no_diagrams(capsys, tmp_path):
     # no 2-cell, so no reduced disk of positive area: the enumeration is
     # empty and a scan holds vacuously

@@ -187,6 +187,53 @@ def test_scan_pass_looks_its_bound_up_once(galleries, monkeypatch, gid, area):
     assert report_summary(rep) == want
 
 
+# ----------------------------------------------------------------------
+# the scan's skips and unknowns
+
+
+@pytest.fixture(scope="module")
+def powers():
+    """``<a | a^2, a^3>`` and its 7 reduced disks to area 3, 3 of them of
+    area 3 and not minimal, one with boundary ``a^-4``."""
+    x = presentation_complex(Presentation.build("a", ["a a", "a a a"]))
+    ds = list(enumerate_diagrams(x, EnumerationConfig(max_area=3)))
+    assert [d.area for d in ds] == [1, 1, 2, 2, 3, 3, 3]
+    assert any(boundary_path(d).word.text() == "AAAA" for d in ds)
+    return x, ds
+
+
+def test_scan_skips_diagrams_that_are_not_minimal(powers):
+    x, ds = powers
+    assert [is_minimal(d, x) for d in ds] == [True] * 4 + [False] * 3
+    rep = check_dehn(x, 3)
+    assert (rep.scanned, len(rep.exemptions), len(rep.unknowns)) == (4, 2, 0)
+    assert [(d.area, boundary_path(d).word.text()) for d, _r in rep.violations] == [(2, "A")]
+    assert report_summary(check_dehn(x, 3, diagrams=ds)) == report_summary(rep)
+
+
+def test_scan_skips_diagrams_above_its_bound(powers, monkeypatch):
+    x, ds = powers
+    asked = []
+
+    def recorded(d, *args, **kwargs):
+        asked.append(d.area)
+        return is_minimal(d, *args, **kwargs)
+
+    monkeypatch.setattr(dehn_props, "is_minimal", recorded)
+    rep = check_dehn(x, 2, diagrams=ds)
+    assert asked == [1, 1, 2, 2]
+    assert rep.bound == 2
+    assert report_summary(rep) == report_summary(check_dehn(x, 3, diagrams=ds))
+
+
+def test_scan_records_unknowns(powers, monkeypatch):
+    x, ds = powers
+    monkeypatch.setattr(dehn_props, "is_minimal", lambda *args, **kwargs: None)
+    rep = check_generalized_dehn(x, 1, 3, diagrams=ds)
+    assert rep.unknowns == tuple(ds)
+    assert (rep.scanned, rep.violations, rep.exemptions) == (0, (), ())
+
+
 def test_detector_lists_are_fresh():
     p, _m = presentation("thm2")
     x = presentation_complex(p)

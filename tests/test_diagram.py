@@ -10,6 +10,7 @@ from vankampen.diagram import (
     _cyclic_runs,
     _forward_code,
     _mirror_code,
+    _spanning_darts,
     add_edge_path,
     attach_face,
     boundary_path,
@@ -341,7 +342,7 @@ def test_is_topological_disk_cases(thm2):
 def test_vertex_lift_pentagon(thm2):
     p, m, _x = thm2
     d = single_pentagon(p)
-    lifts = vertex_lift(d, m, basepoint=d.vertex_of[0])
+    lifts = vertex_lift(d, m)
     # circuit a b a^-1 b^-1 c: successive corners 1, a, ab, b, 1
     zs = [lifts[d.vertex_of[t]] for t in d.faces[d.face_of[0]]]
     expected = [
@@ -509,43 +510,94 @@ def doubled(d):
     return DiskDiagram(d.sigma + tuple(n + t for t in d.sigma), d.labels * 2, d.alphabet, d.outer_dart)
 
 
+def reference_is_topological_disk(d):
+    """The disk test with its own loop over the edges that have the outer
+    face on both sides, and the dart walk for connectivity."""
+    if d.area < 1 or not reference_is_connected(d) or d.euler_characteristic != 2:
+        return False
+    for e in range(d.n_edges):
+        if d.face_of[2 * e] == d.outer_face and d.face_of[2 * e + 1] == d.outer_face:
+            return False
+    tails = [d.vertex_of[q] for q in d.outer_orbit()]
+    return len(tails) == len(set(tails))
+
+
+def assert_walk_and_disk_test_match_references(d):
+    """The walk's heads are distinct and not vertex 0, each dart leaves
+    vertex 0 or an earlier dart's head, and it has V - 1 darts exactly when
+    the map is connected; the disk test agrees with its reference."""
+    tree = _spanning_darts(d)
+    heads = [d.vertex_of[t ^ 1] for t in tree]
+    assert len(set(heads)) == len(heads) and 0 not in heads
+    reached = {0}
+    for t, head in zip(tree, heads):
+        assert d.vertex_of[t] in reached
+        reached.add(head)
+    assert (len(tree) == d.n_vertices - 1) == reference_is_connected(d)
+    assert is_topological_disk(d) == reference_is_topological_disk(d)
+
+
+def disks_and_mirrors(x, max_area):
+    for d in enumerate_diagrams(x, EnumerationConfig(max_area=max_area)):
+        yield d
+        yield d.mirror()
+
+
+def maps_that_are_not_disks(x):
+    """Each relator's first form hung at every corner, edge paths of one
+    and two edges grown there, and the doubled disconnected map, over the
+    enumerated disks of area <= 3 and their mirrors; then the single
+    vertex and edge paths grown from it, each also doubled."""
+    hangs = list({idx: w for w, idx, _o in reversed(relator_forms(x))}.values())
+    for d in disks_and_mirrors(x, 3):
+        yield doubled(d)
+        for pos in range(d.perimeter):
+            yield from (attach_face(d, pos, 0, w) for w in hangs)
+            yield from (add_edge_path(d, pos, (1,)), add_edge_path(d, pos, (1, -2)))
+    point = DiskDiagram.single_vertex(x.alphabet)
+    for e in (point, add_edge_path(point, 0, (1,)), add_edge_path(point, 0, (1, 2, -1))):
+        yield from (e, doubled(e))
+
+
 ENUMERATED_SIZES = [("thm2", 6), ("torusT", 6), ("thm1", 4), ("eq1", 4), ("eq2", 4), ("square", 6)]
 
 
 @pytest.mark.parametrize("gid,max_area", ENUMERATED_SIZES)
 def test_detectors_match_references_on_enumerated_disks(galleries, gid, max_area):
-    x = galleries[gid][2]
     count = 0
-    for d in enumerate_diagrams(x, EnumerationConfig(max_area=max_area)):
-        for e in (d, d.mirror()):
-            assert_detectors_match_references(e)
-            count += 1
+    for e in disks_and_mirrors(galleries[gid][2], max_area):
+        assert_detectors_match_references(e)
+        count += 1
     assert count
 
 
 @pytest.mark.parametrize("gid", GALLERY_IDS + ("square",))
 def test_detectors_match_references_on_maps_that_are_not_disks(galleries, gid):
-    """Each relator's first form hung at every corner, edge paths of one
-    and two edges grown there, and the doubled disconnected map, over the
-    enumerated disks of area <= 3 and their mirrors; then the single
-    vertex and edge paths grown from it."""
-    x = galleries[gid][2]
-    hangs = list({idx: w for w, idx, _o in reversed(relator_forms(x))}.values())
     count = 0
-    for d0 in enumerate_diagrams(x, EnumerationConfig(max_area=3)):
-        for d in (d0, d0.mirror()):
-            maps = [doubled(d)]
-            for pos in range(d.perimeter):
-                maps += [attach_face(d, pos, 0, w) for w in hangs]
-                maps += [add_edge_path(d, pos, (1,)), add_edge_path(d, pos, (1, -2))]
-            for e in maps:
-                assert_detectors_match_references(e)
-                count += 1
-    point = DiskDiagram.single_vertex(x.alphabet)
-    for e in (point, add_edge_path(point, 0, (1,)), add_edge_path(point, 0, (1, 2, -1))):
+    for e in maps_that_are_not_disks(galleries[gid][2]):
         assert_detectors_match_references(e)
-        assert_detectors_match_references(doubled(e))
+        count += 1
     assert count
+
+
+@pytest.mark.parametrize("gid,max_area", ENUMERATED_SIZES)
+def test_walk_and_disk_test_match_references_on_enumerated_disks(galleries, gid, max_area):
+    count = 0
+    for e in disks_and_mirrors(galleries[gid][2], max_area):
+        assert_walk_and_disk_test_match_references(e)
+        assert is_topological_disk(e)
+        count += 1
+    assert count
+
+
+@pytest.mark.parametrize("gid", GALLERY_IDS + ("square",))
+def test_walk_and_disk_test_match_references_on_maps_that_are_not_disks(galleries, gid):
+    count = disks = 0
+    for e in maps_that_are_not_disks(galleries[gid][2]):
+        assert_walk_and_disk_test_match_references(e)
+        count += 1
+        disks += is_topological_disk(e)
+    assert count and not disks
 
 
 def code_halves(d, start=0):

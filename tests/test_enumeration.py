@@ -524,6 +524,62 @@ def test_relator_bfs_store_cap_gives_up_uncertified(galleries, monkeypatch):
     assert res.note == "store cap hit" and res.expanded < 1000
 
 
+# what relator_bfs answers before A* runs, by its notes
+CERTIFICATE_NOTES = ("abelian obstruction", "lower bound", "filling meets the invariant lower bound")
+
+
+def test_auto_without_a_model_answers_open_words_by_diagram_search(galleries):
+    """Without a model, at bound <= 6, ``auto`` answers a word that the
+    invariants and the probe leave open with ``diagram_search``, with the
+    value and the certified flag of ``relator_bfs``'s A*; any other word
+    gets ``relator_bfs``'s own answer.  Over the boundary words of thm1 and
+    eq1 to area 2 at their area and one below, eq1's free-factor
+    commutator at bound 2 and a word with a nonzero exponent sum."""
+    routes = {"relator_bfs": 0, "diagram_search": 0}
+    for gid in ("thm1", "eq1"):
+        p, _m, x = galleries[gid]
+        words = {}
+        for d in enumerate_diagrams(x, EnumerationConfig(max_area=2)):
+            words.setdefault(canonical_cyclic(d.boundary_word_ints()), d.area)
+        cases = [(w, b) for w, a in words.items() for b in (a - 1, a)]
+        if gid == "eq1":
+            cases += [(p.word("c2 c3 c2^-1 c3^-1").letters, 2), (p.word("a1 c2").letters, 2)]
+        for w, b in cases:
+            bfs = area_oracle(w, x, bound=b, method="relator_bfs")
+            auto = area_oracle(w, x, bound=b)
+            if bfs.note.startswith(CERTIFICATE_NOTES):
+                assert auto == bfs, (gid, w, b)
+            else:
+                assert auto.method == "diagram_search", (gid, w, b)
+                assert (auto.value, auto.certified_exact) == (bfs.value, bfs.certified_exact)
+            routes[auto.method] += 1
+    assert all(routes.values()), routes
+
+
+def test_auto_above_bound_6_runs_relator_bfs(galleries, monkeypatch):
+    """Past bound 6, ``auto`` without a model runs A* as ``relator_bfs``
+    does, even with the probe off, and never enumerates."""
+    p, _m, x = galleries["thm2"]
+    monkeypatch.setattr(enumeration, "_perfect_probe", lambda letters, h0, hb: None)
+    monkeypatch.setattr(enumeration, "_diagram_search", None)
+    w = p.word("a b a^-1 b^-1")
+    res = area_oracle(w, x, bound=7)
+    assert res == area_oracle(w, x, bound=7, method="relator_bfs")
+    assert res.method == "relator_bfs" and res.value == 2 and res.expanded > 0
+
+
+def test_auto_falls_back_on_diagram_search_when_astar_gives_up(galleries, monkeypatch):
+    """With a model, ``auto`` answers with ``diagram_search`` when both
+    the probe and A* give up, here at budgets too small to start."""
+    p, m, x = galleries["thm2"]
+    monkeypatch.setattr(enumeration, "PROBE_NODE_BUDGET", 0)
+    monkeypatch.setattr(enumeration, "MAX_STORED", 1)
+    w = p.word("a b a^-1 b^-1")
+    bfs = area_oracle(w, x, bound=4, method="relator_bfs", model=m)
+    assert not bfs.certified_exact and bfs.note == "store cap hit"
+    assert area_oracle(w, x, bound=4, model=m) == AreaResult(2, True, "diagram_search")
+
+
 def test_is_minimal_examples(galleries):
     p, m, x = galleries["thm2"]
     assert is_minimal(figure_diagram(1, 2), x, model=m) is True
