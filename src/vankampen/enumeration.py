@@ -719,9 +719,11 @@ def area_oracle(
 
     ``auto`` first asks what ``relator_bfs`` certifies before its A*: the
     invariants, the model's word problem and the probe.  A word these leave
-    open at ``bound <= 6`` goes to ``diagram_search`` without a model, and
-    with one to A*, then to ``diagram_search`` if A* gives up; past bound 6
-    it goes to A* alone.
+    open goes to A*, and at ``bound <= 6`` to ``diagram_search`` if A*
+    gives up.  Without a model at ``bound <= 4``, A* gives up after 2,000
+    stored words (fewer below area 4), since there enumerating the disks
+    costs less than storing ``MAX_STORED`` words; otherwise it runs to
+    ``MAX_STORED``.
     """
     if method not in ("auto", "relator_bfs", "diagram_search"):
         raise ValueError(f"unknown oracle method {method!r}")
@@ -731,16 +733,21 @@ def area_oracle(
     if method == "diagram_search":
         return _diagram_search(letters, x, bound)
     hb = _bound_for(x, model)
-    res = _certificate(letters, x, bound, model, hb)
+    h0 = hb.bound(letters)
+    res = _certificate(letters, h0, hb, x, bound, model)
     if res is not None:
         return res
     if method == "relator_bfs" or bound > 6:
-        return _astar(letters, hb, bound)  # enumerating past area 6 does not pay
-    if model is None:
-        # without the word problem, only exhausting its search lets A*
-        # refute a word, and it can store MAX_STORED words first
-        return _diagram_search(letters, x, bound)
-    res = _astar(letters, hb, bound)
+        return _astar(letters, h0, hb, bound, MAX_STORED)  # enumerating past area 6 does not pay
+    # Without the word problem, A* refutes a word only by exhausting its
+    # search.  Enumerating any gallery complex's disks to area 4 takes at
+    # most 0.18 s (thm1), about what A* takes to store 6,000 words, so there
+    # A* gives up early, at 2,000 words at area 4 and a tenth of that per
+    # area below; to areas 5 and 6 thm1 takes 2.7 and 47 s.
+    cap = MAX_STORED
+    if model is None and bound <= 4:
+        cap = MAX_STORED // 10 ** (6 - bound)
+    res = _astar(letters, h0, hb, bound, cap)
     return res if res.certified_exact else _diagram_search(letters, x, bound)
 
 
@@ -913,16 +920,16 @@ def _perfect_probe(
 
 def _certificate(
     letters: Tuple[int, ...],
+    h0: Optional[int],
+    hb: _InvariantBound,
     x: TwoComplex,
     bound: int,
     model: Optional[FreeProductModel],
-    hb: _InvariantBound,
 ) -> Optional[AreaResult]:
-    """``relator_bfs``'s answer before A*: a "no filling" from the
-    invariants, the model's word problem or a lower bound past ``bound``,
-    or a filling that the probe finds to meet the bound; None when they
-    leave the word open."""
-    h0 = hb.bound(letters)
+    """``relator_bfs``'s answer before A*, given the word's invariant bound
+    ``h0``: a "no filling" from the invariants, the model's word problem or
+    a lower bound past ``bound``, or a filling that the probe finds to meet
+    the bound; None when they leave the word open."""
     if h0 is None:
         return AreaResult(None, True, "relator_bfs", note="abelian obstruction: not null-homotopic")
     # the model maps every relator to the identity, so a filling would make
@@ -938,10 +945,12 @@ def _certificate(
     return None
 
 
-def _astar(letters: Tuple[int, ...], hb: _InvariantBound, bound: int) -> AreaResult:
-    """``relator_bfs`` past its certificates: A* over the words that
-    relator insertions reach, guided by the invariant bound."""
-    h0 = hb.bound(letters)
+def _astar(
+    letters: Tuple[int, ...], h0: int, hb: _InvariantBound, bound: int, cap: int
+) -> AreaResult:
+    """``relator_bfs`` past its certificates: A* from a word of bound
+    ``h0`` over the words that relator insertions reach, guided by the
+    invariant bound; uncertified once it stores more than ``cap`` words."""
     # A move adds a form's vector to the word's, so out of a feasible word
     # it stays feasible, and it moves the bound by at most one: exactly one
     # on a pinned bound, one relator column of the plain system otherwise.
@@ -967,7 +976,7 @@ def _astar(letters: Tuple[int, ...], hb: _InvariantBound, bound: int) -> AreaRes
             if dist.get(nxt, bound + 1) <= g2:
                 continue
             dist[nxt] = g2
-            if len(dist) > MAX_STORED:
+            if len(dist) > cap:
                 return AreaResult(None, False, "relator_bfs", expanded=expanded,
                                   note="store cap hit")
             heapq.heappush(heap, (g2 + h, -g2, len(nxt), nxt))

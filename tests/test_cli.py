@@ -219,8 +219,8 @@ def test_area_store_cap_exits_3(capsys, tmp_path, monkeypatch):
 
 
 def test_check_without_a_model_prints_the_gallery_json(capsys, tmp_path):
-    # without a model, the scan certifies minimality by diagram_search
-    # where the invariants and the probe leave a word open
+    # without a model, the scan certifies minimality by a capped A* or by
+    # diagram_search where the invariants and the probe leave a word open
     p, _m = presentation("eq1")
     pres_path = tmp_path / "eq1.pres"
     pres_path.write_text(presentation_file_text(p))

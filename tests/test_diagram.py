@@ -498,18 +498,6 @@ def reference_is_connected(d):
     return count == n
 
 
-def assert_detectors_match_references(d):
-    assert find_spurs(d) == reference_find_spurs(d)
-    assert find_shells(d) == reference_find_shells(d)
-    assert d.is_connected == reference_is_connected(d)
-
-
-def doubled(d):
-    """Two disjoint copies of ``d``'s map, the outer face in the first."""
-    n = d.n_darts
-    return DiskDiagram(d.sigma + tuple(n + t for t in d.sigma), d.labels * 2, d.alphabet, d.outer_dart)
-
-
 def reference_is_topological_disk(d):
     """The disk test with its own loop over the edges that have the outer
     face on both sides, and the dart walk for connectivity."""
@@ -522,10 +510,15 @@ def reference_is_topological_disk(d):
     return len(tails) == len(set(tails))
 
 
-def assert_walk_and_disk_test_match_references(d):
-    """The walk's heads are distinct and not vertex 0, each dart leaves
-    vertex 0 or an earlier dart's head, and it has V - 1 darts exactly when
-    the map is connected; the disk test agrees with its reference."""
+def assert_detectors_match_references(d):
+    """The detectors and the disk test agree with their references.  The
+    walk's heads are distinct and not vertex 0, each dart leaves vertex 0
+    or an earlier dart's head, and it has V - 1 darts exactly when the map
+    is connected."""
+    assert find_spurs(d) == reference_find_spurs(d)
+    assert find_shells(d) == reference_find_shells(d)
+    connected = reference_is_connected(d)
+    assert d.is_connected == connected
     tree = _spanning_darts(d)
     heads = [d.vertex_of[t ^ 1] for t in tree]
     assert len(set(heads)) == len(heads) and 0 not in heads
@@ -533,8 +526,14 @@ def assert_walk_and_disk_test_match_references(d):
     for t, head in zip(tree, heads):
         assert d.vertex_of[t] in reached
         reached.add(head)
-    assert (len(tree) == d.n_vertices - 1) == reference_is_connected(d)
+    assert (len(tree) == d.n_vertices - 1) == connected
     assert is_topological_disk(d) == reference_is_topological_disk(d)
+
+
+def doubled(d):
+    """Two disjoint copies of ``d``'s map, the outer face in the first."""
+    n = d.n_darts
+    return DiskDiagram(d.sigma + tuple(n + t for t in d.sigma), d.labels * 2, d.alphabet, d.outer_dart)
 
 
 def disks_and_mirrors(x, max_area):
@@ -567,34 +566,16 @@ def test_detectors_match_references_on_enumerated_disks(galleries, gid, max_area
     count = 0
     for e in disks_and_mirrors(galleries[gid][2], max_area):
         assert_detectors_match_references(e)
-        count += 1
-    assert count
-
-
-@pytest.mark.parametrize("gid", GALLERY_IDS + ("square",))
-def test_detectors_match_references_on_maps_that_are_not_disks(galleries, gid):
-    count = 0
-    for e in maps_that_are_not_disks(galleries[gid][2]):
-        assert_detectors_match_references(e)
-        count += 1
-    assert count
-
-
-@pytest.mark.parametrize("gid,max_area", ENUMERATED_SIZES)
-def test_walk_and_disk_test_match_references_on_enumerated_disks(galleries, gid, max_area):
-    count = 0
-    for e in disks_and_mirrors(galleries[gid][2], max_area):
-        assert_walk_and_disk_test_match_references(e)
         assert is_topological_disk(e)
         count += 1
     assert count
 
 
 @pytest.mark.parametrize("gid", GALLERY_IDS + ("square",))
-def test_walk_and_disk_test_match_references_on_maps_that_are_not_disks(galleries, gid):
+def test_detectors_match_references_on_maps_that_are_not_disks(galleries, gid):
     count = disks = 0
     for e in maps_that_are_not_disks(galleries[gid][2]):
-        assert_walk_and_disk_test_match_references(e)
+        assert_detectors_match_references(e)
         count += 1
         disks += is_topological_disk(e)
     assert count and not disks

@@ -27,6 +27,7 @@ from vankampen.diagram import (
     validate,
 )
 from vankampen.enumeration import (
+    MAX_STORED,
     AreaResult,
     EnumerationConfig,
     ResourceCapError,
@@ -528,14 +529,14 @@ def test_relator_bfs_store_cap_gives_up_uncertified(galleries, monkeypatch):
 CERTIFICATE_NOTES = ("abelian obstruction", "lower bound", "filling meets the invariant lower bound")
 
 
-def test_auto_without_a_model_answers_open_words_by_diagram_search(galleries):
-    """Without a model, at bound <= 6, ``auto`` answers a word that the
-    invariants and the probe leave open with ``diagram_search``, with the
-    value and the certified flag of ``relator_bfs``'s A*; any other word
-    gets ``relator_bfs``'s own answer.  Over the boundary words of thm1 and
+def test_auto_without_a_model_answers_as_relator_bfs_or_by_diagram_search(galleries):
+    """Without a model, at bound <= 6, ``auto`` gives ``relator_bfs``'s own
+    answer when the certificates or its capped A* settle the word, and
+    otherwise answers with ``diagram_search``, with the value and the
+    certified flag of ``relator_bfs``.  Over the boundary words of thm1 and
     eq1 to area 2 at their area and one below, eq1's free-factor
     commutator at bound 2 and a word with a nonzero exponent sum."""
-    routes = {"relator_bfs": 0, "diagram_search": 0}
+    routes = {"certificate": 0, "astar": 0, "diagram_search": 0}
     for gid in ("thm1", "eq1"):
         p, _m, x = galleries[gid]
         words = {}
@@ -547,13 +548,40 @@ def test_auto_without_a_model_answers_open_words_by_diagram_search(galleries):
         for w, b in cases:
             bfs = area_oracle(w, x, bound=b, method="relator_bfs")
             auto = area_oracle(w, x, bound=b)
-            if bfs.note.startswith(CERTIFICATE_NOTES):
+            if auto.method == "relator_bfs":
                 assert auto == bfs, (gid, w, b)
+                routes["certificate" if bfs.note.startswith(CERTIFICATE_NOTES) else "astar"] += 1
             else:
-                assert auto.method == "diagram_search", (gid, w, b)
+                assert auto.method == "diagram_search" and not bfs.note.startswith(CERTIFICATE_NOTES)
                 assert (auto.value, auto.certified_exact) == (bfs.value, bfs.certified_exact)
-            routes[auto.method] += 1
+                routes["diagram_search"] += 1
     assert all(routes.values()), routes
+
+
+def test_auto_caps_astar_by_the_bound_only_without_a_model(galleries, monkeypatch):
+    """Without a model, at bound <= 4, ``auto`` gives A* a store cap of
+    2,000 words, shrunk tenfold per area below 4; at bounds 5 and 6, with
+    a model, past bound 6 and under ``relator_bfs``, A* keeps
+    ``MAX_STORED``.  An A* that gives up hands over to ``diagram_search``
+    at bound <= 6 only."""
+    p, m, x = galleries["thm2"]
+    caps = []
+
+    def astar(letters, h0, hb, bound, cap):
+        caps.append(cap)
+        return AreaResult(None, False, "relator_bfs", note="store cap hit")
+
+    monkeypatch.setattr(enumeration, "_perfect_probe", lambda letters, h0, hb: None)
+    monkeypatch.setattr(enumeration, "_astar", astar)
+    monkeypatch.setattr(enumeration, "_diagram_search", lambda letters, x, bound: "searched")
+    w = p.word("a b a^-1 b^-1")
+    assert [area_oracle(w, x, bound=b) for b in range(2, 7)] == ["searched"] * 5
+    assert caps == [20, 200, 2_000, MAX_STORED, MAX_STORED] and MAX_STORED == 200_000
+    caps.clear()
+    assert area_oracle(w, x, bound=3, model=m) == "searched"
+    assert area_oracle(w, x, bound=3, method="relator_bfs").note == "store cap hit"
+    assert area_oracle(w, x, bound=7).note == "store cap hit"
+    assert caps == [MAX_STORED] * 3
 
 
 def test_auto_above_bound_6_runs_relator_bfs(galleries, monkeypatch):
