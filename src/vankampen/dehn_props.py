@@ -71,7 +71,7 @@ def _scan_diagrams(
         reason = detector(d)
         if reason is not None:
             violations.append((d, reason))
-    violations.sort(key=lambda pair: pair[0].canonical_code())
+    violations.sort(key=lambda pair: (pair[0].alphabet, pair[0]._code()))
     return PropertyReport(
         property_name,
         scanned,

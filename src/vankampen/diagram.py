@@ -87,10 +87,30 @@ def _face_orbit(sigma: Sequence[int], dart: int) -> List[int]:
     return orbit
 
 
-def _code_from(start: int, sigma: Sequence[int], labels: Sequence[int]) -> Tuple[int, ...]:
-    """The map relabelled in breadth-first order from ``start`` (each dart's
-    ``sigma`` and opposite), as one flat tuple of (sigma, opposite, label)
-    triples."""
+def _encode(values: Sequence[int]) -> bytes:
+    """Non-negative ints below ``2**32`` as bytes: a value below 255 is one
+    byte, and a larger one is byte 255 followed by the value as 4
+    big-endian bytes.  The encodings of two values compare as the values
+    do, and none is a prefix of another, so two encoded sequences compare
+    as bytes exactly as the sequences compare as tuples, equality
+    included."""
+    code = bytearray()
+    for v in values:
+        if v < 255:
+            code.append(v)
+        else:
+            code.append(255)
+            code += v.to_bytes(4, "big")
+    return bytes(code)
+
+
+def _code_from(start: int, sigma: Sequence[int], labels: Sequence[int], k: int) -> bytes:
+    """The map relabelled in breadth-first order from ``start``: the flat
+    sequence of (sigma rank, opposite rank, label + ``k``) triples, one per
+    dart, where ``k`` is the alphabet size, so every value is at least 0,
+    as ``_encode``'s bytes.  These compare in the order of the tuples.  A
+    map of at most 255 darts over at most 127 generators has no value of
+    255 or more, so its code is the one ``bytes(out)``."""
     rel = [-1] * len(sigma)
     rel[start] = 0
     order = [start]
@@ -109,36 +129,38 @@ def _code_from(start: int, sigma: Sequence[int], labels: Sequence[int]) -> Tuple
             rb = rel[b] = cnt
             cnt += 1
             order.append(b)
-        out += (ra, rb, labels[d])
-    return tuple(out)
+        out += (ra, rb, labels[d] + k)
+    # ranks are below cnt, and labels + k at most 2k
+    return bytes(out) if cnt <= 255 and 2 * k < 255 else _encode(out)
 
 
 def _forward_code(
-    sigma: Sequence[int], labels: Sequence[int], outer_orbit: Sequence[int]
-) -> Tuple[int, ...]:
+    sigma: Sequence[int], labels: Sequence[int], outer_orbit: Sequence[int], k: int
+) -> bytes:
     """``_map_code``'s forward half: the least ``_code_from`` over the
     outer darts where the boundary label word attains its least rotation."""
     outer_labels = [labels[q] for q in outer_orbit]
     return min(
-        _code_from(outer_orbit[i], sigma, labels) for i in min_rotation_starts(outer_labels)
+        _code_from(outer_orbit[i], sigma, labels, k) for i in min_rotation_starts(outer_labels)
     )
 
 
 def _mirror_code(
-    sigma: Sequence[int], labels: Sequence[int], outer_orbit: Sequence[int]
-) -> Tuple[int, ...]:
+    sigma: Sequence[int], labels: Sequence[int], outer_orbit: Sequence[int], k: int
+) -> bytes:
     """``_map_code``'s mirror half: the forward half of the mirror image,
     whose rotation is ``_inverse(sigma)`` and whose outer orbit runs
     ``O[0] ^ 1, O[B - 1] ^ 1, ..., O[1] ^ 1``."""
     O = outer_orbit
     B = len(O)
-    return _forward_code(_inverse(sigma), labels, [O[(B - j) % B] ^ 1 for j in range(B)])
+    return _forward_code(_inverse(sigma), labels, [O[(B - j) % B] ^ 1 for j in range(B)], k)
 
 
 def _map_code(
-    sigma: Sequence[int], labels: Sequence[int], outer_orbit: Sequence[int]
-) -> Tuple[int, ...]:
-    """Minimal relabelling code over canonical starts and both orientations.
+    sigma: Sequence[int], labels: Sequence[int], outer_orbit: Sequence[int], k: int
+) -> bytes:
+    """Minimal relabelling code over canonical starts and both orientations,
+    as ``_code_from``'s bytes over an alphabet of ``k`` generators.
 
     Isomorphisms preserve the outer face, so starts can be restricted to
     the outer darts where the boundary label word attains its least
@@ -155,7 +177,7 @@ def _map_code(
     ``D``'s forward or mirror half.  ``_levels`` keys both halves of each
     diagram it admits and tests a child by its forward half alone."""
     return min(
-        _forward_code(sigma, labels, outer_orbit), _mirror_code(sigma, labels, outer_orbit)
+        _forward_code(sigma, labels, outer_orbit, k), _mirror_code(sigma, labels, outer_orbit, k)
     )
 
 
@@ -318,23 +340,37 @@ class DiskDiagram:
     # ------------------------------------------------------------------
     # isomorphism
 
-    def canonical_code(self) -> Tuple:
-        """The diagram's identity up to isomorphism, mirror images
-        included: the alphabet and ``_map_code``'s code, computed once."""
+    def _code(self) -> bytes:
+        """``_map_code``'s bytes, computed once and kept in ``_canon``.
+        Diagrams over one alphabet compare, hash and sort by it."""
         if self._canon is None:
-            code = _map_code(self.sigma, self.labels, self.outer_orbit()) if self.n_darts else ()
-            self._canon = (self.alphabet, code)
+            self._canon = (
+                _map_code(self.sigma, self.labels, self.outer_orbit(), len(self.alphabet))
+                if self.n_darts
+                else b""
+            )
         return self._canon
+
+    def canonical_code(self) -> Tuple[Tuple[str, ...], Tuple[int, ...]]:
+        """The diagram's identity up to isomorphism, mirror images
+        included: the alphabet and the bytes of ``_map_code`` as a tuple of
+        ints, built on each call.  Codes compare in the same order and
+        equality as those bytes."""
+        return (self.alphabet, tuple(self._code()))
 
     def mirror(self) -> "DiskDiagram":
         outer = None if self.outer_dart is None else self.outer_dart ^ 1
         return DiskDiagram(_inverse(self.sigma), self.labels, self.alphabet, outer)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, DiskDiagram) and self.canonical_code() == other.canonical_code()
+        return (
+            isinstance(other, DiskDiagram)
+            and self.alphabet == other.alphabet
+            and self._code() == other._code()
+        )
 
     def __hash__(self) -> int:
-        return hash(self.canonical_code())
+        return hash(self._code())
 
     def __repr__(self) -> str:
         return (

@@ -65,6 +65,10 @@ class EnumerationConfig:
     def __post_init__(self):
         if self.max_area < 1:
             raise ValueError("max_area must be at least 1")
+        for name in ("max_perimeter", "max_candidates"):
+            cap = getattr(self, name)
+            if cap is not None and cap < 0:
+                raise ValueError(f"{name} must not be negative")
 
 
 def canonical_cyclic(letters: Sequence[int]) -> Tuple[int, ...]:
@@ -113,11 +117,26 @@ def _gluings(
                 yield pos, k, w, w in cancelling
 
 
-def _levels(x: TwoComplex, max_candidates: Optional[int]) -> Iterator[List[DiskDiagram]]:
+def _built(
+    entries: List[Tuple[bytes, List[int], List[int], int]], alphabet: Tuple[str, ...]
+) -> Iterator[DiskDiagram]:
+    """The diagrams of ``(code, sigma, labels, outer)`` entries sorted by
+    descending code, built in ascending code order, each seeded with its
+    code.  Each raw entry is dropped as its diagram is built."""
+    while entries:
+        code, sigma, labels, outer = entries.pop()
+        d = DiskDiagram(sigma, labels, alphabet, outer)
+        d._canon = code
+        yield d
+
+
+def _levels(
+    x: TwoComplex, max_candidates: Optional[int], last: Optional[int] = None
+) -> Iterator[Iterable[DiskDiagram]]:
     """The reduced topological-disk diagrams over ``x``, one area at a time
-    from area 1, each level a list in canonical-code order.  The stream
-    ends at the first empty level; over a complex with no 2-cells it is
-    empty.
+    from area 1, each level in canonical-code order.  The stream ends at
+    the first empty level, or after area ``last`` when that is given; over
+    a complex with no 2-cells it is empty.
 
     Level ``n + 1`` is grown from level ``n`` by attaching one 2-cell along
     a boundary arc: every relator rotation and orientation, every overlap
@@ -144,29 +163,41 @@ def _levels(x: TwoComplex, max_candidates: Optional[int]) -> Iterator[List[DiskD
     diagram ``D`` exactly when its ``f`` is ``D``'s ``f``, and to ``D``'s
     mirror exactly when its ``f`` is ``D``'s ``g``.  So a child computes
     ``f`` and is a duplicate when ``f`` is a key; only a new child computes
-    ``g`` (and the inverse rotation), and it is built and seeded with its
-    canonical code ``min(f, g)``.  The keys cost one more code per diagram
-    of the level being built, and they are dropped before it is yielded.
+    ``g`` (and the inverse rotation).  The keys cost one more code per
+    diagram of the level being built, and they are dropped before it is
+    yielded.
+
+    A new child is kept as its raw entry, its canonical code ``min(f, g)``
+    with the glued ``(sigma, labels, outer)``, and the level's entries are
+    sorted by code.  A level that the next one grows from is built into a
+    list of ``DiskDiagram``s.  The level of area ``last`` grows nothing, so
+    it is yielded as an iterator that builds each diagram when it is asked
+    for and drops that raw entry: a consumer that keeps none of them holds
+    only the entries not yet built.
 
     ``max_candidates``, when not None, caps the gluings tried over all
     levels, cancelling ones included.
     """
-    if not x.faces:
-        return
     forms = list(relator_form_table(x))
-    max_len = max(len(w) for w in forms)
-    candidates = 0
+    n_gens = len(x.alphabet)
     # codes carry the area, so each level deduplicates on its own
-    first: Dict[Tuple, DiskDiagram] = {}
+    first: Dict[bytes, DiskDiagram] = {}
     for w in forms:
         d = DiskDiagram.from_face_word(w, x.alphabet)
         if is_topological_disk(d) and reduced_witness(d) is None:
-            first.setdefault(d.canonical_code(), d)
-    level = [first[c] for c in sorted(first)]
-    while level:
+            first.setdefault(d._code(), d)
+    if not first:
+        return
+    max_len = max(len(w) for w in forms)
+    candidates = 0
+    level: Iterable[DiskDiagram] = [first[c] for c in sorted(first)]
+    area = 1
+    while True:
         yield level
+        if area == last:
+            return
         keys: set = set()
-        nxt: List[DiskDiagram] = []
+        entries = []
         for parent in level:
             for pos, k, w, cancels in _gluings(parent, forms, max_len):
                 candidates += 1
@@ -178,31 +209,37 @@ def _levels(x: TwoComplex, max_candidates: Optional[int]) -> Iterator[List[DiskD
                     continue
                 sigma, labels, outer = _glue(parent, pos, k, w)
                 orbit = _face_orbit(sigma, outer)
-                f = _forward_code(sigma, labels, orbit)
+                f = _forward_code(sigma, labels, orbit, n_gens)
                 if f in keys:
                     continue
-                g = _mirror_code(sigma, labels, orbit)
+                g = _mirror_code(sigma, labels, orbit, n_gens)
                 keys.add(f)
                 keys.add(g)
-                child = DiskDiagram(sigma, labels, x.alphabet, outer)
-                child._canon = (child.alphabet, min(f, g))
-                nxt.append(child)
-        level = sorted(nxt, key=DiskDiagram.canonical_code)
+                entries.append((min(f, g), sigma, labels, outer))
         # a resumable stream waits at the yield; the keys are not needed there
         del keys
+        if not entries:
+            return
+        area += 1
+        # codes are distinct, so the sort never compares the maps
+        entries.sort(reverse=True)
+        level = _built(entries, x.alphabet)
+        if area != last:
+            level = list(level)
 
 
 def enumerate_diagrams(x: TwoComplex, cfg: EnumerationConfig) -> Iterator[DiskDiagram]:
     """All reduced topological-disk diagrams over ``x`` of area at most
-    ``cfg.max_area``, by area then code: the first levels of ``_levels``.
+    ``cfg.max_area``, by area then code: the levels of ``_levels`` up to
+    that area, the last of them built as it is consumed.
 
     ``max_perimeter`` filters what is emitted and does not prune growth,
     since a child can have a shorter boundary than its parent.
     ``max_candidates`` caps the gluings tried, cancelling ones included.
     """
     cap = cfg.max_perimeter
-    for level in islice(_levels(x, cfg.max_candidates), cfg.max_area):
-        yield from (level if cap is None else [d for d in level if d.perimeter <= cap])
+    for level in _levels(x, cfg.max_candidates, cfg.max_area):
+        yield from (level if cap is None else (d for d in level if d.perimeter <= cap))
 
 
 def enumeration_summary(diagrams: Iterable[DiskDiagram]) -> Dict[int, int]:

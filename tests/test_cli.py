@@ -62,6 +62,11 @@ def test_enumerate_resource_cap_exit_code(capsys):
     code, _out, err = run_cli(capsys, "enumerate", "--gallery", "thm2",
                               "--max-area", "5", "--max-candidates", "40")
     assert code == 3
+    # a zero cap is a cap: the seeds are emitted, and the first gluing exceeds it
+    code, out, err = run_cli(capsys, "enumerate", "--gallery", "thm2",
+                             "--max-area", "2", "--max-candidates", "0")
+    assert code == 3 and len(out.splitlines()) == 2
+    assert "exceeded 0 candidate gluings" in err
 
 
 def test_area_command(capsys):
@@ -281,6 +286,26 @@ def test_module_entrypoint_runs(bare_env):
     assert "f(0..5)" in proc.stdout
 
 
+@pytest.mark.parametrize("argv,code", [
+    ("enumerate --gallery eq1 --max-area 4", 0),
+    ("check --gallery eq1 --property gdehn2 --max-area 4 --json", 1),
+])
+def test_output_does_not_depend_on_the_hash_seed(bare_env, argv, code):
+    # bytes codes hash under PYTHONHASHSEED's salt, as the alphabet's
+    # strings do; output must never follow a set's iteration order
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "vankampen.cli", *argv.split()],
+            capture_output=True,
+            cwd=REPO_ROOT,
+            env=dict(bare_env, PYTHONHASHSEED=seed),
+        )
+        for seed in ("1", "2")
+    ]
+    assert outs[0].stdout and outs[0].stdout == outs[1].stdout
+    assert [o.returncode for o in outs] == [code, code]
+
+
 def _fig1_json(**edits) -> str:
     """fig1 at n = 1 as JSON, each named field replaced by what its edit
     returns for the old value."""
@@ -335,6 +360,8 @@ def test_presentation_directory_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     "enumerate --gallery thm2 --max-area 0",
+    "enumerate --gallery thm2 --max-area 3 --max-candidates -1",
+    "enumerate --gallery thm2 --max-area 3 --max-perimeter -1",
     "check --gallery thm2 --property dehn --max-area 0",
     "fbound --c 0 --n 5",
     "fbound --c 3 --n 2",

@@ -29,6 +29,20 @@ def test_gdehn_thm2_small_bound(galleries, corpus_thm2_6):
     assert rep.scanned > 0 and not rep.unknowns
 
 
+# Scans past the acceptance criteria's areas, recorded in the README as
+# findings.  Each streams its deepest level; run with -m slow.
+LARGER_SCANS = [("thm2", 1, 9, 217_601), ("thm1", 3, 6, 144_190)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("gid,defn,max_area,scanned", LARGER_SCANS)
+def test_generalized_dehn_holds_on_larger_scans(galleries, gid, defn, max_area, scanned):
+    _p, m, x = galleries[gid]
+    rep = check_generalized_dehn(x, defn, max_area, model=m)
+    assert rep.holds and not rep.unknowns
+    assert rep.scanned == scanned
+
+
 def test_gdehn_triangle_complex_holds():
     p = Presentation.build("a", ["a a a"])
     x = presentation_complex(p)

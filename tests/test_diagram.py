@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import example, given, strategies as st
 
-from vankampen.presentation import TwoComplex, presentation_complex, symmetrized
+from vankampen.presentation import TwoComplex, min_rotation_starts, presentation_complex, symmetrized
 from vankampen.group_models import GroupElement, LatticeVector, project_z2
 from vankampen.diagram import (
     DiagramError,
@@ -8,7 +9,9 @@ from vankampen.diagram import (
     FeatureWitness,
     LiftError,
     _cyclic_runs,
+    _encode,
     _forward_code,
+    _inverse,
     _mirror_code,
     _spanning_darts,
     add_edge_path,
@@ -586,7 +589,8 @@ def code_halves(d, start=0):
     orbit walked from its ``start``-th dart."""
     O = d.outer_orbit()
     O = O[start:] + O[:start]
-    return _forward_code(d.sigma, d.labels, O), _mirror_code(d.sigma, d.labels, O)
+    k = len(d.alphabet)
+    return _forward_code(d.sigma, d.labels, O, k), _mirror_code(d.sigma, d.labels, O, k)
 
 
 @pytest.mark.parametrize("gid,max_area", ENUMERATED_SIZES)
@@ -603,6 +607,93 @@ def test_code_halves_swap_under_mirror(galleries, gid, max_area):
         for e, halves in ((d, (f, g)), (m, (g, f))):
             for start in range(1, e.perimeter):
                 assert code_halves(e, start) == halves
-            assert e.canonical_code() == (x.alphabet, min(f, g))
+            assert e.canonical_code() == (x.alphabet, tuple(min(f, g)))
             count += 1
     assert count
+
+
+def reference_code_from(start, sigma, labels):
+    """``_code_from`` before codes were bytes: the flat tuple of (sigma,
+    opposite, label) ints, with labels unshifted."""
+    rel = [-1] * len(sigma)
+    rel[start] = 0
+    order = [start]
+    cnt = 1
+    out = []
+    for d in order:
+        a = sigma[d]
+        ra = rel[a]
+        if ra < 0:
+            ra = rel[a] = cnt
+            cnt += 1
+            order.append(a)
+        b = d ^ 1
+        rb = rel[b]
+        if rb < 0:
+            rb = rel[b] = cnt
+            cnt += 1
+            order.append(b)
+        out += (ra, rb, labels[d])
+    return tuple(out)
+
+
+def reference_map_code(d):
+    """``_map_code`` of ``d`` from ``reference_code_from``."""
+
+    def forward(sigma, O):
+        starts = min_rotation_starts([d.labels[q] for q in O])
+        return min(reference_code_from(O[i], sigma, d.labels) for i in starts)
+
+    O = d.outer_orbit()
+    B = len(O)
+    return min(forward(d.sigma, O), forward(_inverse(d.sigma), [O[(B - j) % B] ^ 1 for j in range(B)]))
+
+
+# a value of each encoding width, and values either side of each boundary
+CODE_VALUES = st.one_of(
+    st.integers(0, 300), st.integers(65_530, 65_540), st.integers(0, 2**32 - 1)
+)
+
+
+@given(st.lists(CODE_VALUES, max_size=4), st.lists(CODE_VALUES, max_size=4),
+       st.lists(CODE_VALUES, max_size=4))
+@example([], [254], [255])
+@example([7], [255], [65_536])
+@example([], [255], [255, 0, 0, 0, 255])
+@example([1], [254, 0], [255])
+def test_encoding_keeps_tuple_order_and_equality(prefix, a, b):
+    a, b = prefix + a, prefix + b
+    ea, eb = _encode(a), _encode(b)
+    assert (ea == eb) == (a == b)
+    assert (ea < eb) == (a < b)
+    if all(v < 255 for v in a):
+        assert ea == bytes(a)
+
+
+def assert_codes_order_as_reference(ds):
+    """Sorting ``ds`` by bytes code gives the order of the reference tuple
+    codes, with the same classes of equal codes."""
+    ref = [reference_map_code(d) for d in ds]
+    new = [d._code() for d in ds]
+    by_ref = sorted(range(len(ds)), key=ref.__getitem__)
+    by_new = sorted(range(len(ds)), key=new.__getitem__)
+    assert by_new == by_ref
+    assert [ref[i] == ref[j] for i, j in zip(by_ref, by_ref[1:])] == [
+        new[i] == new[j] for i, j in zip(by_new, by_new[1:])
+    ]
+
+
+@pytest.mark.parametrize("gid,max_area", ENUMERATED_SIZES)
+def test_bytes_codes_sort_and_group_as_tuple_codes(galleries, gid, max_area):
+    x = galleries[gid][2]
+    ds = list(enumerate_diagrams(x, EnumerationConfig(max_area=max_area)))
+    # each mirror is equal to its diagram, so every class has two members
+    assert_codes_order_as_reference(ds + [d.mirror() for d in ds])
+
+
+def test_bytes_codes_of_a_grid_past_255_darts():
+    grids = [figure_diagram(3, n) for n in (1, 2, 3, 4, 5)]
+    big = grids[-1]
+    assert big.n_darts > 255 and 255 in big._code()
+    assert all(len(g._code()) == 3 * g.n_darts for g in grids[:-1])
+    assert_codes_order_as_reference(grids + [g.mirror() for g in grids])

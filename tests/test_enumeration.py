@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -166,8 +167,8 @@ def test_code_before_build_matches_built_child(galleries):
                 if cancels:
                     continue
                 sigma, labels, outer = _glue(parent, pos, k, w)
-                code = _map_code(sigma, labels, _face_orbit(sigma, outer))
-                assert (x.alphabet, code) == attach_face(parent, pos, k, w).canonical_code()
+                code = _map_code(sigma, labels, _face_orbit(sigma, outer), len(x.alphabet))
+                assert (x.alphabet, tuple(code)) == attach_face(parent, pos, k, w).canonical_code()
                 kinds["pocket"] += k == len(w)
                 kinds["whole boundary"] += k == B
     assert all(kinds.values()), kinds
@@ -200,7 +201,7 @@ def reference_levels(x, max_area):
                 if cancels:
                     continue
                 sigma, labels, outer = _glue(parent, pos, k, w)
-                code = _map_code(sigma, labels, _face_orbit(sigma, outer))
+                code = _map_code(sigma, labels, _face_orbit(sigma, outer), len(x.alphabet))
                 if code not in nxt:
                     nxt[code] = DiskDiagram(sigma, labels, x.alphabet, outer)
         level = [nxt[c] for c in sorted(nxt)]
@@ -216,6 +217,30 @@ def test_levels_match_one_code_per_child_reference(galleries, gid, max_area):
     assert [(d.canonical_code(), d.to_json()) for d in got] == [
         (d.canonical_code(), d.to_json()) for d in want
     ]
+
+
+def test_deepest_level_is_built_as_it_is_consumed(galleries, monkeypatch):
+    """A consumer that keeps no diagram of the deepest level holds at most
+    a couple of them at any one time, while every diagram of a level that
+    the next one grows from is alive until that growth is done.  Counted
+    through weak references, which CPython's reference counting clears at
+    once."""
+
+    class Tracked(DiskDiagram):
+        __slots__ = ("__weakref__",)
+
+    monkeypatch.setattr(enumeration, "DiskDiagram", Tracked)
+    _p, _m, x = galleries["thm2"]
+    seen = {5: [], 6: []}
+    most = {5: 0, 6: 0}
+    for d in enumerate_diagrams(x, EnumerationConfig(max_area=6)):
+        if d.area in seen:
+            seen[d.area].append(weakref.ref(d))
+            for area, refs in seen.items():
+                most[area] = max(most[area], sum(r() is not None for r in refs))
+    del d
+    assert (len(seen[5]), len(seen[6])) == (198, 1012)
+    assert most[5] == 198 and most[6] <= 2
 
 
 # (non-cancelling gluings, admitted children of area >= 2)
