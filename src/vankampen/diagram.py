@@ -181,6 +181,24 @@ def _map_code(
     )
 
 
+@lru_cache(maxsize=None)
+def _label_json(alphabet: Tuple[str, ...]) -> Tuple[Tuple[str, ...], str]:
+    """``json.dumps`` of each signed label's name, read as ``names[x]``
+    for a label ``x`` (an inverse ``-i`` lands at ``2k + 1 - i``, past the
+    ``k`` positive names), and of the alphabet; one table per alphabet."""
+    names = [""] * (2 * len(alphabet) + 1)
+    for i, name in enumerate(alphabet, 1):
+        names[i] = json.dumps(name)
+        names[-i] = json.dumps(name + "^-1")
+    return tuple(names), json.dumps(list(alphabet), separators=(",", ":"))
+
+
+@lru_cache(maxsize=None)
+def _opposite_json(n: int) -> str:
+    """The ``opposite`` list of ``n`` darts, ``1,0,3,2,...``, as JSON."""
+    return ",".join([str(d ^ 1) for d in range(n)])
+
+
 class DiskDiagram:
     """Immutable planar map with labeled darts and a distinguished outer face.
 
@@ -217,28 +235,43 @@ class DiskDiagram:
         alphabet: Sequence[str],
         outer_dart: Optional[int],
     ):
-        self.sigma: Tuple[int, ...] = tuple(sigma)
-        self.labels: Tuple[int, ...] = tuple(labels)
-        self.alphabet: Tuple[str, ...] = tuple(alphabet)
-        self.outer_dart = outer_dart
-        n = len(self.sigma)
-        if n % 2 or len(self.labels) != n:
+        sigma, labels, alphabet = tuple(sigma), tuple(labels), tuple(alphabet)
+        n = len(sigma)
+        if n % 2 or len(labels) != n:
             raise DiagramError("darts must come in labelled opposite pairs")
-        if sorted(self.sigma) != list(range(n)):
+        # bools and floats compare equal to darts, but JSON would write them as such
+        if any(type(e) is not int for e in sigma) or sorted(sigma) != list(range(n)):
             raise DiagramError("sigma is not a permutation of the darts")
         for d in range(0, n, 2):
-            if self.labels[d] == 0 or self.labels[d] != -self.labels[d ^ 1]:
+            if labels[d] == 0 or labels[d] != -labels[d ^ 1]:
                 raise DiagramError("opposite darts must carry inverse labels")
-            if abs(self.labels[d]) > len(self.alphabet):
+            if abs(labels[d]) > len(alphabet):
                 raise DiagramError("label outside alphabet")
         if n == 0:
             if outer_dart is not None:
                 raise DiagramError("single-vertex diagram has no outer dart")
-        elif outer_dart is None or not 0 <= outer_dart < n:
+        elif type(outer_dart) is not int or not 0 <= outer_dart < n:
             raise DiagramError("missing or out-of-range outer dart")
+        self._setup(sigma, labels, alphabet, outer_dart)
+
+    def _setup(
+        self,
+        sigma: Tuple[int, ...],
+        labels: Tuple[int, ...],
+        alphabet: Tuple[str, ...],
+        outer_dart: Optional[int],
+    ) -> None:
+        """Set the fields of a map that ``__init__``'s checks accept, from
+        tuples.  ``enumeration._built`` calls it alone, on ``__new__``
+        objects, for the glued children that pass those checks by
+        construction."""
+        self.sigma = sigma
+        self.labels = labels
+        self.alphabet = alphabet
+        self.outer_dart = outer_dart
         # every use reads the faces; the vertices wait for their first use
-        self.faces, self.face_of = _orbits(self.sigma, 1)
-        self.outer_face = self.face_of[outer_dart] if n else None
+        self.faces, self.face_of = _orbits(sigma, 1)
+        self.outer_face = self.face_of[outer_dart] if sigma else None
         self.inner_face_indices = tuple(i for i in range(len(self.faces)) if i != self.outer_face)
         self.area = len(self.inner_face_indices)
         self._vertex_of = None
@@ -382,18 +415,19 @@ class DiskDiagram:
     # serialization
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "darts": self.n_darts,
-                "opposite": [d ^ 1 for d in range(self.n_darts)],
-                "sigma": list(self.sigma),
-                "labels": [
-                    self.alphabet[abs(x) - 1] + ("" if x > 0 else "^-1") for x in self.labels
-                ],
-                "outer_face_dart": self.outer_dart,
-                "alphabet": list(self.alphabet),
-            },
-            separators=(",", ":"),
+        """One line of JSON, formatted directly: the bytes that
+        ``json.dumps`` writes for the dict of ``darts``, ``opposite``,
+        ``sigma``, ``labels``, ``outer_face_dart`` and ``alphabet`` with
+        separators ``(",", ":")``.  The constructor admits only ints as
+        darts, so ``str`` writes each as ``json.dumps`` would."""
+        names, alphabet = _label_json(self.alphabet)
+        n = len(self.sigma)
+        outer = "null" if self.outer_dart is None else self.outer_dart
+        return (
+            f'{{"darts":{n},"opposite":[{_opposite_json(n)}],'
+            f'"sigma":[{",".join(map(str, self.sigma))}],'
+            f'"labels":[{",".join([names[x] for x in self.labels])}],'
+            f'"outer_face_dart":{outer},"alphabet":{alphabet}}}'
         )
 
     @classmethod

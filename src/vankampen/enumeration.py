@@ -84,27 +84,40 @@ def canonical_cyclic(letters: Sequence[int]) -> Tuple[int, ...]:
     return min(w[i:] + w[:i], inv[j:] + inv[:j])
 
 
+def _forms_by_first(forms: Iterable[Tuple[int, ...]]) -> Dict[int, List[Tuple[int, ...]]]:
+    """The relator forms by their first letter, each list in the order of
+    ``forms``: ``_gluings`` starts every boundary position from it."""
+    index: Dict[int, List[Tuple[int, ...]]] = {}
+    for w in forms:
+        index.setdefault(w[0], []).append(w)
+    return index
+
+
 def _gluings(
-    parent: DiskDiagram, forms: Sequence[Tuple[int, ...]], max_len: int
+    parent: DiskDiagram, by_first: Dict[int, List[Tuple[int, ...]]], max_len: int
 ) -> Iterator[Tuple[int, int, Tuple[int, ...], bool]]:
     """Every gluing ``(pos, k, w, cancels)`` of a form ``w`` along ``k >= 1``
     outer darts of ``parent`` from ``O[pos]`` that ``attach_face`` accepts,
-    except closing the sphere.  ``cancels`` is decided without building the
-    child: the new face reads ``w[t:] + w[:t]`` from the glued dart
-    ``O[pos + t]``, and the child has a cancelling pair exactly when, for
-    some ``t < k``, that is the cancelling partner of what the inner face
-    behind it reads from ``O[pos + t] ^ 1``."""
+    except closing the sphere, where ``by_first`` is ``_forms_by_first`` of
+    the forms and ``max_len`` their greatest length.  ``cancels`` is decided
+    without building the child: the new face reads ``w[t:] + w[:t]`` from
+    the glued dart ``O[pos + t]``, and the child has a cancelling pair
+    exactly when, for some ``t < k``, that is the cancelling partner of what
+    the inner face behind it reads from ``O[pos + t] ^ 1``."""
     O = parent.outer_orbit()
     B = len(O)
+    labels = parent.labels
     partners = [cancelling_partner(_face_word_from(parent, q ^ 1)) for q in O]
     for pos in range(B):
-        alive = forms
+        # the forms that match the arc of length k from O[pos]
+        alive = by_first.get(labels[O[pos]], ())
         # the forms w with w[t:] + w[:t] == partners[pos + t] for a t < k
         cancelling: set = set()
         for k in range(1, min(B, max_len) + 1):
             p = (pos + k - 1) % B
-            label = parent.labels[O[p]]
-            alive = [w for w in alive if len(w) >= k and w[k - 1] == label]
+            if k > 1:
+                label = labels[O[p]]
+                alive = [w for w in alive if len(w) >= k and w[k - 1] == label]
             if not alive:
                 break
             P = partners[p]
@@ -122,10 +135,13 @@ def _built(
 ) -> Iterator[DiskDiagram]:
     """The diagrams of ``(code, sigma, labels, outer)`` entries sorted by
     descending code, built in ascending code order, each seeded with its
-    code.  Each raw entry is dropped as its diagram is built."""
+    code.  Each raw entry is dropped as its diagram is built.  ``_glue``
+    made each entry, so the constructor's checks would pass, and only its
+    setup runs."""
     while entries:
         code, sigma, labels, outer = entries.pop()
-        d = DiskDiagram(sigma, labels, alphabet, outer)
+        d = DiskDiagram.__new__(DiskDiagram)
+        d._setup(tuple(sigma), tuple(labels), alphabet, outer)
         d._canon = code
         yield d
 
@@ -175,10 +191,21 @@ def _levels(
     for and drops that raw entry: a consumer that keeps none of them holds
     only the entries not yet built.
 
+    A level's diagrams are built by ``DiskDiagram._setup`` alone, without
+    the constructor's checks.  ``_glue`` rewires a valid parent's rotation
+    around a chain of new edges, so its ``sigma`` is always a permutation
+    of int darts, opposite darts carry inverse labels from the relator
+    forms, and the outer dart is one of the child's darts; the tests build
+    every child again through the constructor.  The one-cell seeds are
+    built by the constructor.  The forms are indexed by their first letter
+    once (``_forms_by_first``), so a boundary position tries only the forms
+    that start with its label.
+
     ``max_candidates``, when not None, caps the gluings tried over all
     levels, cancelling ones included.
     """
     forms = list(relator_form_table(x))
+    by_first = _forms_by_first(forms)
     n_gens = len(x.alphabet)
     # codes carry the area, so each level deduplicates on its own
     first: Dict[bytes, DiskDiagram] = {}
@@ -199,7 +226,7 @@ def _levels(
         keys: set = set()
         entries = []
         for parent in level:
-            for pos, k, w, cancels in _gluings(parent, forms, max_len):
+            for pos, k, w, cancels in _gluings(parent, by_first, max_len):
                 candidates += 1
                 if max_candidates is not None and candidates > max_candidates:
                     raise ResourceCapError(
@@ -371,7 +398,7 @@ class _InvariantBound:
     def __init__(self, x: TwoComplex, pi: Optional[Tuple[Tuple[int, int], ...]] = None):
         graded = pi is not None
         self.pi = pi if graded else ((0, 0),) * len(x.alphabet)
-        es = [self._walk(w.letters)[1] for w in x.face_words()]
+        es = [self._walk(w.letters) for w in x.face_words()]
         self.n = len(es)
         # one row per generator of the graded system, one column per relator
         self.eq_matrix = [list(col) for col in zip(*map(self._split, es))] if graded else None
@@ -407,7 +434,7 @@ class _InvariantBound:
         model's word problem needs none."""
         out = []
         for w in relator_form_table(self._x):
-            fox = self._walk(w)[1]
+            fox = self._walk(w)
             mono = None
             if self.pinned:
                 (mx, my), s, (_h, sol) = self._entry(fox)
@@ -422,15 +449,16 @@ class _InvariantBound:
         a complex built from raw face words may have unreduced forms."""
         return {w: reduce_ints(w) for w, _terms, _mono in self.forms}
 
-    def _walk(self, word: Sequence[int]) -> Tuple[List[Tuple[int, int]], Dict]:
-        """The projected prefix point before each letter of the word, and
-        its Fox vector: a letter g at prefix point v contributes +z^v to
-        generator g, an inverse letter the matching -z^(v - pi(g))."""
-        starts = []
+    def _walk(self, word: Sequence[int], starts: Optional[List[Tuple[int, int]]] = None) -> Dict:
+        """The word's Fox vector: a letter g at projected prefix point v
+        contributes +z^v to generator g, an inverse letter the matching
+        -z^(v - pi(g)).  Given a list ``starts``, the prefix point before
+        each letter is appended to it."""
         fox: Dict[Tuple[int, int, int], int] = {}
         vx = vy = 0
         for x in word:
-            starts.append((vx, vy))
+            if starts is not None:
+                starts.append((vx, vy))
             g = abs(x) - 1
             px, py = self.pi[g]
             if x > 0:
@@ -446,7 +474,7 @@ class _InvariantBound:
                 fox[key] = nv
             else:
                 del fox[key]
-        return starts, fox
+        return fox
 
     def _split(self, fox: Dict) -> List[Dict]:
         """A Fox vector per generator, as the graded system's rows take it."""
@@ -590,7 +618,7 @@ class _InvariantBound:
     def bound(self, word: Sequence[int]) -> Optional[int]:
         """Exact lower bound: the graded system when it pins the relator
         placements, the plain invariant solve otherwise; None = infeasible."""
-        return self.vector_bound(self._walk(word)[1])
+        return self.vector_bound(self._walk(word))
 
     def vector_bound(self, fox: Dict[Tuple[int, int, int], int]) -> Optional[int]:
         """The bound of a word whose Fox vector is ``fox``, through the
@@ -813,7 +841,8 @@ def _moves(
     (with no projection, every prefix is the origin), and a target only
     filters.  The bound's cache is keyed up to sign and translation, so
     ``h`` is also the bound of the canonical form."""
-    starts, base = hb._walk(cur)
+    starts: List[Tuple[int, int]] = []
+    base = hb._walk(cur, starts)
     sol = None
     if hb.pinned:
         (mx, my), s, (h, sol) = hb._entry(base)

@@ -1,5 +1,7 @@
+import json
+
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vankampen.presentation import TwoComplex, min_rotation_starts, presentation_complex, symmetrized
 from vankampen.group_models import GroupElement, LatticeVector, project_z2
@@ -79,6 +81,11 @@ def pentagon_triangle(p, x):
         ((0, 1), (1, -1), None),  # missing outer dart
         ((0, 1), (1, -1), 2),  # outer dart out of range
         ((), (), 0),  # outer dart on the single-vertex diagram
+        # darts that compare equal to ints; JSON would write true, false, 1.0
+        ((True, False), (1, -1), 0),
+        ((1, 0), (1, -1), True),
+        ((1.0, 0), (1, -1), 0),
+        ((1, 0), (1, -1), 0.0),
     ],
 )
 def test_constructor_rejects(sigma, labels, outer):
@@ -697,3 +704,63 @@ def test_bytes_codes_of_a_grid_past_255_darts():
     assert big.n_darts > 255 and 255 in big._code()
     assert all(len(g._code()) == 3 * g.n_darts for g in grids[:-1])
     assert_codes_order_as_reference(grids + [g.mirror() for g in grids])
+
+
+def reference_to_json(d):
+    """``to_json`` as ``json.dumps`` of a fresh dict, the way it was
+    written before it formatted the line itself."""
+    return json.dumps(
+        {
+            "darts": d.n_darts,
+            "opposite": [e ^ 1 for e in range(d.n_darts)],
+            "sigma": list(d.sigma),
+            "labels": [d.alphabet[abs(x) - 1] + ("" if x > 0 else "^-1") for x in d.labels],
+            "outer_face_dart": d.outer_dart,
+            "alphabet": list(d.alphabet),
+        },
+        separators=(",", ":"),
+    )
+
+
+def assert_json_line(d):
+    """``to_json`` writes ``json.dumps``'s bytes, and ``from_json`` reads
+    back the same map: ``from_json`` renumbers the darts only when the
+    opposite pairs are not ``(2i, 2i + 1)``, and here they are."""
+    line = d.to_json()
+    assert line == reference_to_json(d)
+    e = DiskDiagram.from_json(line)
+    assert (e.sigma, e.labels, e.alphabet, e.outer_dart) == (d.sigma, d.labels, d.alphabet, d.outer_dart)
+    assert e == d
+
+
+def test_bool_darts_are_rejected_not_written_as_json_booleans():
+    # json.dumps would write "sigma":[true,false] and "outer_face_dart":true,
+    # which from_json reads back as the darts 1 and 0
+    with pytest.raises(DiagramError):
+        DiskDiagram((True, False), (1, -1), ("a",), True)
+
+
+@pytest.mark.parametrize("gid,max_area", [(gid, 4) for gid, _a in ENUMERATED_SIZES])
+def test_json_lines_match_json_dumps(galleries, gid, max_area):
+    count = 0
+    for d in disks_and_mirrors(galleries[gid][2], max_area):
+        assert_json_line(d)
+        count += 1
+    assert count
+    assert_json_line(DiskDiagram.single_vertex(galleries[gid][2].alphabet))
+
+
+# names that json.dumps escapes: quotes, backslashes, control characters
+# and non-ASCII (ensure_ascii), besides any other character
+NAME_CHARS = st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028é€\U0001f600 ^-') | st.characters()
+# from_json reads a label ending in "^-1" as an inverse
+NAMES = st.text(NAME_CHARS, max_size=5).filter(lambda s: not s.endswith("^-1"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 1), (1, 1), (1, 2), None]), st.data())
+def test_json_lines_escape_names_as_json_dumps(figure, data):
+    d = figure_diagram(*figure) if figure else DiskDiagram.from_face_word((1, 2, -1, -2), ("a", "b"))
+    names = data.draw(st.lists(NAMES, min_size=len(d.alphabet), max_size=len(d.alphabet), unique=True))
+    for e in (d, d.mirror(), DiskDiagram.single_vertex(names)):
+        assert_json_line(DiskDiagram(e.sigma, e.labels, names, e.outer_dart))

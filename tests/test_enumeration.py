@@ -17,10 +17,12 @@ from vankampen.presentation import (
 from vankampen.diagram import (
     DiskDiagram,
     _face_orbit,
+    _face_word_from,
     _glue,
     _map_code,
     attach_face,
     boundary_path,
+    cancelling_partner,
     is_reduced,
     is_topological_disk,
     reduced_witness,
@@ -43,7 +45,9 @@ from vankampen.enumeration import (
     _bound_for,
     _core_length,
     _disk_areas,
+    _forms_by_first,
     _gluings,
+    _levels,
     _letter_classes,
     _lp_add,
     _lp_box,
@@ -134,6 +138,7 @@ def test_gluing_admission_matches_global_checks(galleries, gid, max_area):
     _p, _m, x = galleries[gid]
     forms = [w for (w, _i, _o) in relator_forms(x)]
     max_len = max(len(w) for w in forms)
+    by_first = _forms_by_first(forms)
     cancelling = 0
     for parent in enumerate_diagrams(x, EnumerationConfig(max_area=max_area)):
         accepted = {}
@@ -143,7 +148,7 @@ def test_gluing_admission_matches_global_checks(galleries, gid, max_area):
                     child = attach_face(parent, pos, k, w)
                     if child is not None:
                         accepted[(pos, k, w)] = child
-        gluings = {(pos, k, w): c for pos, k, w, c in _gluings(parent, forms, max_len)}
+        gluings = {(pos, k, w): c for pos, k, w, c in _gluings(parent, by_first, max_len)}
         assert gluings.keys() == accepted.keys()
         for key, child in accepted.items():
             assert is_topological_disk(child), key
@@ -161,9 +166,10 @@ def test_code_before_build_matches_built_child(galleries):
         _p, _m, x = galleries[gid]
         forms = [w for (w, _i, _o) in relator_forms(x)]
         max_len = max(len(w) for w in forms)
+        by_first = _forms_by_first(forms)
         for parent in enumerate_diagrams(x, EnumerationConfig(max_area=3)):
             B = parent.perimeter
-            for pos, k, w, cancels in _gluings(parent, forms, max_len):
+            for pos, k, w, cancels in _gluings(parent, by_first, max_len):
                 if cancels:
                     continue
                 sigma, labels, outer = _glue(parent, pos, k, w)
@@ -184,6 +190,7 @@ def reference_levels(x, max_area):
     built child that computes its own canonical code."""
     forms = [w for (w, _i, _o) in relator_forms(x)]
     max_len = max(len(w) for w in forms)
+    by_first = _forms_by_first(forms)
     first = {}
     for w in forms:
         d = DiskDiagram.from_face_word(w, x.alphabet)
@@ -197,7 +204,7 @@ def reference_levels(x, max_area):
             break
         nxt = {}
         for parent in level:
-            for pos, k, w, cancels in _gluings(parent, forms, max_len):
+            for pos, k, w, cancels in _gluings(parent, by_first, max_len):
                 if cancels:
                     continue
                 sigma, labels, outer = _glue(parent, pos, k, w)
@@ -206,6 +213,59 @@ def reference_levels(x, max_area):
                     nxt[code] = DiskDiagram(sigma, labels, x.alphabet, outer)
         level = [nxt[c] for c in sorted(nxt)]
     return [d for level in levels for d in level]
+
+
+def reference_gluings(parent, forms, max_len):
+    """``_gluings`` before it started each boundary position from the
+    forms' first-letter index: every form is filtered at ``k = 1``."""
+    O = parent.outer_orbit()
+    B = len(O)
+    partners = [cancelling_partner(_face_word_from(parent, q ^ 1)) for q in O]
+    for pos in range(B):
+        alive = forms
+        cancelling = set()
+        for k in range(1, min(B, max_len) + 1):
+            p = (pos + k - 1) % B
+            label = parent.labels[O[p]]
+            alive = [w for w in alive if len(w) >= k and w[k - 1] == label]
+            if not alive:
+                break
+            P = partners[p]
+            cut = len(P) - (k - 1)
+            if cut > 0:
+                cancelling.add(P[cut:] + P[:cut])
+            for w in alive:
+                if len(w) == k and k == B:
+                    continue
+                yield pos, k, w, w in cancelling
+
+
+@pytest.mark.parametrize("gid,max_area", LEVEL_SIZES)
+def test_unchecked_builds_and_indexed_gluings_match_references(galleries, gid, max_area):
+    """Every diagram that ``_levels`` builds without the constructor's
+    checks passes them and gets the same faces and area from the
+    constructor, and on every parent the indexed ``_gluings`` yields what
+    the unindexed loop yields, in the same order."""
+    x = galleries[gid][2]
+    forms = [w for (w, _i, _o) in relator_forms(x)]
+    max_len = max(len(w) for w in forms)
+    by_first = _forms_by_first(forms)
+    assert sum(map(len, by_first.values())) == len(forms)
+    for a, ws in by_first.items():
+        assert ws == [w for w in forms if w[0] == a]
+    built = parents = 0
+    for level in _levels(x, None, max_area):
+        for d in level:
+            checked = DiskDiagram(d.sigma, d.labels, d.alphabet, d.outer_dart)
+            assert (checked.faces, checked.face_of, checked.outer_face) == (d.faces, d.face_of, d.outer_face)
+            assert (checked.inner_face_indices, checked.area) == (d.inner_face_indices, d.area)
+            assert all(type(e) is int for e in d.sigma) and type(d.outer_dart) is int
+            built += d.area > 1
+            if d.area < max_area:
+                parents += 1
+                got = list(_gluings(d, by_first, max_len))
+                assert got and got == list(reference_gluings(d, forms, max_len))
+    assert built and parents
 
 
 @pytest.mark.parametrize("gid,max_area", LEVEL_SIZES)
@@ -267,11 +327,12 @@ def test_levels_walk_the_mirror_half_only_for_new_children(galleries, gid, max_a
     diagrams = list(enumerate_diagrams(x, EnumerationConfig(max_area=max_area)))
     forms = [w for (w, _i, _o) in relator_forms(x)]
     max_len = max(len(w) for w in forms)
+    by_first = _forms_by_first(forms)
     gluings = sum(
         not cancels
         for d in diagrams
         if d.area < max_area
-        for _pos, _k, _w, cancels in _gluings(d, forms, max_len)
+        for _pos, _k, _w, cancels in _gluings(d, by_first, max_len)
     )
     admitted = sum(d.area >= 2 for d in diagrams)
     assert (calls["forward"], calls["mirror"]) == (gluings, admitted)
@@ -521,8 +582,16 @@ def test_fox_vector_rows_match_direct_counts(galleries, case):
     pi_by_letter = {g: m.pi(name) for g, name in enumerate(p.names, start=1)}
     for w in (word, closed):
         counts = tuple(sum((v == g) - (v == -g) for v in w) for g in range(1, len(p.names) + 1))
-        assert plain._rows(plain._walk(w)[1]) == counts
-        rows = hb._rows(hb._walk(w)[1])
+        assert plain._rows(plain._walk(w)) == counts
+        starts = []
+        rows = hb._rows(hb._walk(w, starts))
+        # the prefix point before each letter: the projected path so far
+        point, points = (0, 0), []
+        for v in w:
+            points.append(point)
+            px, py = pi_by_letter[abs(v)]
+            point = (point[0] + px, point[1] + py) if v > 0 else (point[0] - px, point[1] - py)
+        assert starts == points
         if project_z2(Word(w, p.names), m) != (0, 0):
             assert rows is None and hb.bound(w) is None
         else:
@@ -823,7 +892,7 @@ def test_bound_invariant_under_sign_and_translation(galleries, case, data):
     n = len(x.alphabet)
     for hb in (_bound_for(x, m), _bound_for(x, None)):
         def uncached(w):
-            return hb._bound(hb._walk(w)[1])[0]
+            return hb._bound(hb._walk(w))[0]
 
         h = uncached(word)
         assert hb.bound(word) == h
@@ -852,7 +921,7 @@ def test_graded_solution_solves_the_system(galleries, case):
     _p, m, x = galleries[gid]
     hb = _bound_for(x, m)
     for w in (word, invert_ints(word), word[1:] + word[:1]):
-        e = hb._split(hb._walk(w)[1])
+        e = hb._split(hb._walk(w))
         res = hb._solve_laurent_system(e)
         if res[0] != "ok":
             continue
@@ -917,7 +986,7 @@ def test_pinned_move_scores_match_vector_bound(galleries, case):
     else:
         assert calls == 0
     for h, i, w in moves:
-        fox = hb._walk(cur[:i] + w + cur[i:])[1]
+        fox = hb._walk(cur[:i] + w + cur[i:])
         assert h == hb.vector_bound(fox), (i, w)
         assert hb._solve_laurent_system(hb._split(fox))[0] != "unknown"
 
