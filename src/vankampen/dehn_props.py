@@ -15,6 +15,7 @@ from .presentation import Presentation, TwoComplex, Word, symmetrized
 from .group_models import FreeProductModel, trivial_subword_witness
 from .diagram import (
     DiskDiagram,
+    _shell_runs,
     find_cutcells,
     find_shells,
     find_spurs,
@@ -83,12 +84,12 @@ def _scan_diagrams(
 
 
 def _has_spur_or_shell(d: DiskDiagram) -> bool:
-    """Whether ``d`` has a spur or shell, asked of the detectors once per
-    diagram and kept in ``d._spur_or_shell``.  Every scan pass asks it
-    first, so passes over one corpus share it; the witness lists are not
-    kept."""
+    """Whether ``d`` has a spur or shell, asked once per diagram and kept
+    in ``d._spur_or_shell``.  Every scan pass asks it first, so passes over
+    one corpus share it.  The shell half asks only whether ``_shell_runs``
+    yields a run, so it stops at the first and builds no witness."""
     if d._spur_or_shell is None:
-        d._spur_or_shell = bool(find_spurs(d) or find_shells(d))
+        d._spur_or_shell = bool(find_spurs(d)) or next(_shell_runs(d), None) is not None
     return d._spur_or_shell
 
 

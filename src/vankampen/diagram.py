@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .presentation import CyclicWord, TwoComplex, letters_text, min_rotation_starts, symmetrized
 from .group_models import FreeProductModel, GroupElement
@@ -247,6 +247,12 @@ class DiskDiagram:
                 raise DiagramError("opposite darts must carry inverse labels")
             if abs(labels[d]) > len(alphabet):
                 raise DiagramError("label outside alphabet")
+        # the JSON labels name an inverse by the suffix ^-1, so only distinct
+        # names without it read back as the labels they were written from
+        if len(set(alphabet)) != len(alphabet):
+            raise DiagramError("repeated generator name")
+        if any(name.endswith("^-1") for name in alphabet):
+            raise DiagramError("generator name ends in ^-1")
         if n == 0:
             if outer_dart is not None:
                 raise DiagramError("single-vertex diagram has no outer dart")
@@ -353,7 +359,10 @@ class DiskDiagram:
         return tuple(q ^ 1 for q in reversed(self.outer_orbit()))
 
     def boundary_word_ints(self) -> Tuple[int, ...]:
-        return tuple(self.labels[d] for d in self.boundary_circuit())
+        """The labels of ``boundary_circuit``, read off the outer orbit in
+        one pass."""
+        labels = self.labels
+        return tuple([labels[q ^ 1] for q in reversed(self.outer_orbit())])
 
     @property
     def perimeter(self) -> int:
@@ -681,28 +690,26 @@ def find_spurs(d: DiskDiagram) -> List[FeatureWitness]:
     ]
 
 
-def find_shells(d: DiskDiagram) -> List[FeatureWitness]:
-    """Inner faces with more than half their perimeter on one boundary arc.
+def _shell_runs(d: DiskDiagram) -> Iterator[Tuple[int, int, int]]:
+    """The shell runs of ``d``'s outer face ``O``, each as ``(face, j, k)``
+    as soon as the walk finds it: the inner face ``face`` has more than
+    half its circuit on the free arc behind ``O[j:k]``, positions read
+    modulo ``len(O)``.
 
-    The arc must be contiguous on the boundary attaching map as well: at
-    each intermediate vertex no other structure may interrupt, i.e.
-    ``sigma`` must step straight from one free dart to the opposite of the
-    previous one.  If a face traverses an edge twice, each traversal
-    counts separately (the definition is about attaching maps).
-
-    Reads one walk of the outer face ``O``.  A free dart of an inner face
-    is the opposite of an outer dart.  Consecutive outer darts ``O[j-1]``,
-    ``O[j]`` are linked when ``sigma[O[j]] == O[j-1] ^ 1`` (their shared
-    vertex has valence 2) and both opposites are inner; then those
-    opposites are consecutive darts of one inner face, in reverse order.
-    So a maximal linked run of ``m`` outer darts is a free arc of one face
-    ``g``, and ``g`` is a shell when ``2m > len(g)``; at most one run of a
-    face can pass.  Witnesses come in face order, each arc in the face's
-    circuit order (the run reversed); a run around the whole outer face is
-    the whole circuit of its face.
+    A free dart of an inner face is the opposite of an outer dart.
+    Consecutive outer darts ``O[j-1]``, ``O[j]`` are linked when
+    ``sigma[O[j]] == O[j-1] ^ 1`` (their shared vertex has valence 2) and
+    both opposites are inner; then those opposites are consecutive darts of
+    one inner face, in reverse order.  So a maximal linked run of ``m``
+    outer darts is a free arc of one face ``g``, and ``g`` is a shell when
+    ``2m > len(g)``; at most one run of a face can pass.  When every
+    position is linked, the whole outer face is one run and its face's
+    whole circuit; that run starts just after the outer dart opposite the
+    face's least dart, so read backwards it starts at that dart, as the
+    circuit does.
     """
     if not d.n_darts:
-        return []
+        return
     sigma, faces, face_of, outer = d.sigma, d.faces, d.face_of, d.outer_face
     O = faces[outer]
     B = len(O)
@@ -713,16 +720,34 @@ def find_shells(d: DiskDiagram) -> List[FeatureWitness]:
     # ends at the next such position, cyclically
     starts = [j for j in range(B) if opp[j] < 0 or opp[j - 1] < 0 or sigma[O[j]] != opp[j - 1]]
     if not starts:
-        g = face_of[opp[0]]
-        return [FeatureWitness("shell", face=g, darts=faces[g])]
-    shells = []
+        starts = [(O.index(faces[face_of[opp[0]]][0] ^ 1) + 1) % B]
     for j, k in zip(starts, starts[1:] + [starts[0] + B]):
         if opp[j] >= 0:
             g = face_of[opp[j]]
             if 2 * (k - j) > len(faces[g]):
-                arc = opp[j:k] if k <= B else opp[j:] + opp[: k - B]
-                arc.reverse()
-                shells.append((g, tuple(arc)))
+                yield g, j, k
+
+
+def find_shells(d: DiskDiagram) -> List[FeatureWitness]:
+    """Inner faces with more than half their perimeter on one boundary arc.
+
+    The arc must be contiguous on the boundary attaching map as well: at
+    each intermediate vertex no other structure may interrupt, i.e.
+    ``sigma`` must step straight from one free dart to the opposite of the
+    previous one.  If a face traverses an edge twice, each traversal
+    counts separately (the definition is about attaching maps).
+
+    The runs are those of ``_shell_runs``, one walk of the outer face.
+    Witnesses come in face order, each arc in the face's circuit order
+    (the run's opposites, reversed); a run around the whole outer face is
+    the whole circuit of its face.
+    """
+    O = d.outer_orbit()
+    B = len(O)
+    shells = []
+    for g, j, k in _shell_runs(d):
+        run = O[j:k] if k <= B else O[j:] + O[: k - B]
+        shells.append((g, tuple([q ^ 1 for q in reversed(run)])))
     shells.sort()
     return [FeatureWitness("shell", face=g, darts=arc) for g, arc in shells]
 
@@ -1010,7 +1035,14 @@ def is_topological_disk(d: DiskDiagram) -> bool:
     Unless a dart is its own ``sigma`` (its vertex has valence 1), that is
     a vertex left twice; and if both ends of the edge had valence 1, the
     connected map would be that one edge, with no inner face."""
-    if d.area < 1 or not d.is_connected or d.euler_characteristic != 2:
+    return d.area >= 1 and _spans_disk(d, _spanning_darts(d))
+
+
+def _spans_disk(d: DiskDiagram, tree: Sequence[int]) -> bool:
+    """``is_topological_disk`` of a map with an inner face, given its
+    ``_spanning_darts`` walk ``tree``, so a caller that needs the walk again
+    takes it once."""
+    if len(tree) != d.n_vertices - 1 or d.euler_characteristic != 2:
         return False
     vertex_of = d.vertex_of
     tails = [vertex_of[q] for q in d.outer_orbit()]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .presentation import Presentation, TwoComplex, Word, presentation_complex
 from .group_models import FreeProductModel, GroupElement, is_trivial
@@ -30,9 +30,9 @@ from .diagram import (
     DiskDiagram,
     LiftError,
     _spanning_darts,
+    _spans_disk,
     find_cutcells,
     find_shells,
-    is_topological_disk,
     reduced_witness,
     relator_form_table,
     vertex_lift,
@@ -277,12 +277,21 @@ def _vertex_coordinates(d: DiskDiagram, m: FreeProductModel) -> Tuple[Tuple[int,
     """
     if d.n_darts == 0:
         return ((0, 0),)
+    return _coordinates_along(d, m, _spanning_darts(d))
+
+
+def _coordinates_along(
+    d: DiskDiagram, m: FreeProductModel, tree: Sequence[int]
+) -> Tuple[Tuple[int, int], ...]:
+    """``_vertex_coordinates`` of a map with darts, along its
+    ``_spanning_darts`` walk ``tree``, so a caller that has the walk takes
+    it once."""
     if d.alphabet != m.presentation.names:
         raise LiftError("diagram alphabet does not match the model's presentation")
     vertex_of, labels, step = d.vertex_of, d.labels, m.letter_pi
     coords: list = [None] * d.n_vertices
     coords[0] = (0, 0)
-    for t in _spanning_darts(d):
+    for t in tree:
         x, y = coords[vertex_of[t]]
         dx, dy = step[labels[t]]
         coords[vertex_of[t ^ 1]] = (x + dx, y + dy)
@@ -298,6 +307,32 @@ def _vertex_coordinates(d: DiskDiagram, m: FreeProductModel) -> Tuple[Tuple[int,
                 f"face {fi} reads a nontrivial word: not a diagram over this presentation"
             )
     return tuple(coords)
+
+
+def _face_points(
+    d: DiskDiagram, coords: Sequence[Tuple[int, int]]
+) -> Dict[int, Tuple[set, Tuple[int, int], str]]:
+    """Each inner face's set of vertex points, with the base and kind of
+    the half-square whose corners they are, so the set is exactly
+    ``_corners(base, kind)``; DiagramError for the first face, in face
+    order, that covers no half-square."""
+    vertex_of, faces = d.vertex_of, d.faces
+    out = {}
+    for fi in d.inner_face_indices:
+        pts = {coords[vertex_of[t]] for t in faces[fi]}
+        xs = {p[0] for p in pts}
+        ys = {p[1] for p in pts}
+        if len(pts) != 3 or len(xs) != 2 or len(ys) != 2:
+            raise DiagramError(f"face {fi} does not cover a half-square")
+        x0, y0 = base = (min(xs), min(ys))
+        if base not in pts:
+            kind = "ur"
+        elif (x0 + 1, y0 + 1) not in pts:
+            kind = "ll"
+        else:
+            raise DiagramError(f"face {fi} does not cover a half-square")
+        out[fi] = (pts, base, kind)
+    return out
 
 
 def torus_coordinates(d: DiskDiagram, m: FreeProductModel) -> PlanarCoords:
@@ -317,24 +352,8 @@ def torus_coordinates(d: DiskDiagram, m: FreeProductModel) -> PlanarCoords:
     triangle-type faces on lower-left ones.
     """
     coords = _vertex_coordinates(d, m)
-    vertex_of = d.vertex_of
-    face_squares = {}
-    for fi in d.inner_face_indices:
-        pts = {coords[vertex_of[t]] for t in d.faces[fi]}
-        xs = {p[0] for p in pts}
-        ys = {p[1] for p in pts}
-        if len(pts) != 3 or len(xs) != 2 or len(ys) != 2:
-            raise DiagramError(f"face {fi} does not cover a half-square")
-        base = (min(xs), min(ys))
-        x0, y0 = base
-        if (x0, y0) not in pts:
-            kind = "ur"
-        elif (x0 + 1, y0 + 1) not in pts:
-            kind = "ll"
-        else:
-            raise DiagramError(f"face {fi} does not cover a half-square")
-        face_squares[fi] = (base, kind)
-    return PlanarCoords(coords, face_squares)
+    squares = {fi: (base, kind) for fi, (_pts, base, kind) in _face_points(d, coords).items()}
+    return PlanarCoords(coords, squares)
 
 
 def corner_classification(d: DiskDiagram, m: FreeProductModel) -> CornerWitness:
@@ -344,20 +363,27 @@ def corner_classification(d: DiskDiagram, m: FreeProductModel) -> CornerWitness:
     plane image), picks a cell whose image contains p, and returns the
     predicted witness: a pentagon containing p is a shell; otherwise the
     pentagon abutting the corner triangle across its diagonal is a shell
-    (when the rest of its boundary is free) or a strong cutcell.
+    (when the rest of its boundary is free) or a strong cutcell.  A corner
+    triangle without a c1, c2 and c3 dart has no such diagonal and raises
+    DiagramError.
+
+    One ``_spanning_darts`` walk serves the disk test and the vertex
+    placement, and the faces' points are those of ``torus_coordinates``.
+    Every vertex of a disk lies on an inner face, so p is the least vertex
+    point.
     """
     if d.area < 2:
         raise DiagramError("corner classification needs at least two cells")
-    if not is_topological_disk(d):
+    tree = _spanning_darts(d)
+    if not _spans_disk(d, tree):
         raise DiagramError("corner classification needs a topological disk")
     if reduced_witness(d) is not None:
         raise DiagramError("corner classification needs a reduced diagram")
-    pc = torus_coordinates(d, m)
-    corners_of = {fi: _corners(base, kind) for fi, (base, kind) in pc.face_squares.items()}
-    p = min((c for cs in corners_of.values() for c in cs), key=lambda c: (c[1], c[0]))
-    pentagons = {fi for fi, (_, kind) in pc.face_squares.items() if kind == "ur"}
-    holders = sorted(fi for fi, cs in corners_of.items() if p in cs)
-    pent_holders = [fi for fi in holders if fi in pentagons]
+    coords = _coordinates_along(d, m, tree)
+    points = _face_points(d, coords)
+    p = min(coords, key=lambda c: (c[1], c[0]))
+    holders = [fi for fi, (pts, _base, _kind) in points.items() if p in pts]
+    pent_holders = [fi for fi in holders if points[fi][2] == "ur"]
     if pent_holders:
         return CornerWitness("shell", pent_holders[0])
     tri = holders[0]
@@ -369,6 +395,8 @@ def corner_classification(d: DiskDiagram, m: FreeProductModel) -> CornerWitness:
         name = d.alphabet[abs(d.labels[t]) - 1]
         if name in ("c1", "c2", "c3"):
             c_dart[name] = t
+    if len(c_dart) < 3:
+        raise DiagramError(f"corner triangle {tri} has no c1 c2 c3 diagonal")
     free_c = {name: d.face_of[t ^ 1] == outer for name, t in c_dart.items()}
     if free_c["c1"] or free_c["c3"]:
         # the free diagonal end extends the left-bottom arc past half
@@ -376,8 +404,9 @@ def corner_classification(d: DiskDiagram, m: FreeProductModel) -> CornerWitness:
     if free_c["c2"]:
         # two separated boundary arcs, each with an edge: R itself is strong
         return CornerWitness("cutcell3", tri)
+    # c1 is not free, so the face across it is inner
     q = d.face_of[c_dart["c1"] ^ 1]
-    if q not in pentagons:
+    if points[q][2] != "ur":
         raise DiagramError("cell across the corner diagonal is not a pentagon")
     c_idx = {d.alphabet.index(nm) + 1 for nm in ("c1", "c2", "c3")}
     free = all(

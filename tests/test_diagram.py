@@ -15,6 +15,7 @@ from vankampen.diagram import (
     _forward_code,
     _inverse,
     _mirror_code,
+    _shell_runs,
     _spanning_darts,
     add_edge_path,
     attach_face,
@@ -521,12 +522,17 @@ def reference_is_topological_disk(d):
 
 
 def assert_detectors_match_references(d):
-    """The detectors and the disk test agree with their references.  The
-    walk's heads are distinct and not vertex 0, each dart leaves vertex 0
-    or an earlier dart's head, and it has V - 1 darts exactly when the map
-    is connected."""
+    """The detectors and the disk test agree with their references, the
+    scan's early-exit shell test with ``find_shells``, and the boundary
+    word with the labels of the boundary circuit.  The walk's heads are
+    distinct and not vertex 0, each dart leaves vertex 0 or an earlier
+    dart's head, and it has V - 1 darts exactly when the map is
+    connected."""
     assert find_spurs(d) == reference_find_spurs(d)
-    assert find_shells(d) == reference_find_shells(d)
+    shells = find_shells(d)
+    assert shells == reference_find_shells(d)
+    assert (next(_shell_runs(d), None) is not None) == bool(shells)
+    assert d.boundary_word_ints() == tuple(d.labels[t] for t in d.boundary_circuit())
     connected = reference_is_connected(d)
     assert d.is_connected == connected
     tree = _spanning_darts(d)
@@ -733,6 +739,23 @@ def assert_json_line(d):
     assert e == d
 
 
+@pytest.mark.parametrize(
+    "sigma, labels, alphabet",
+    [
+        # read back as labels (1, -1), another diagram
+        ((1, 0), (2, -2), ("a", "a")),
+        # the positive label of a^-1 and the inverse of a both write "a^-1"
+        ((1, 0), (2, -2), ("a", "a^-1")),
+        # written as "a^-1" and "a^-1^-1", neither a name of the alphabet
+        ((1, 0), (1, -1), ("a^-1",)),
+        ((), (), ("b", "b")),
+    ],
+)
+def test_constructor_rejects_names_json_cannot_carry(sigma, labels, alphabet):
+    with pytest.raises(DiagramError):
+        DiskDiagram(sigma, labels, alphabet, 0 if sigma else None)
+
+
 def test_bool_darts_are_rejected_not_written_as_json_booleans():
     # json.dumps would write "sigma":[true,false] and "outer_face_dart":true,
     # which from_json reads back as the darts 1 and 0
@@ -751,16 +774,23 @@ def test_json_lines_match_json_dumps(galleries, gid, max_area):
 
 
 # names that json.dumps escapes: quotes, backslashes, control characters
-# and non-ASCII (ensure_ascii), besides any other character
+# and non-ASCII (ensure_ascii), besides any other character, and names
+# ending in "^-1", which from_json would read as an inverse
 NAME_CHARS = st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028é€\U0001f600 ^-') | st.characters()
-# from_json reads a label ending in "^-1" as an inverse
-NAMES = st.text(NAME_CHARS, max_size=5).filter(lambda s: not s.endswith("^-1"))
+NAMES = st.text(NAME_CHARS, max_size=5) | st.text(NAME_CHARS, max_size=3).map(lambda s: s + "^-1")
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([(3, 1), (1, 1), (1, 2), None]), st.data())
 def test_json_lines_escape_names_as_json_dumps(figure, data):
+    """Distinct names without the suffix ^-1 round-trip through JSON; the
+    constructor rejects any other alphabet."""
     d = figure_diagram(*figure) if figure else DiskDiagram.from_face_word((1, 2, -1, -2), ("a", "b"))
-    names = data.draw(st.lists(NAMES, min_size=len(d.alphabet), max_size=len(d.alphabet), unique=True))
-    for e in (d, d.mirror(), DiskDiagram.single_vertex(names)):
-        assert_json_line(DiskDiagram(e.sigma, e.labels, names, e.outer_dart))
+    names = data.draw(st.lists(NAMES, min_size=len(d.alphabet), max_size=len(d.alphabet)))
+    carried = len(set(names)) == len(names) and not any(n.endswith("^-1") for n in names)
+    for e in (d, d.mirror(), DiskDiagram.single_vertex(d.alphabet)):
+        if carried:
+            assert_json_line(DiskDiagram(e.sigma, e.labels, names, e.outer_dart))
+        else:
+            with pytest.raises(DiagramError):
+                DiskDiagram(e.sigma, e.labels, names, e.outer_dart)

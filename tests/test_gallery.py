@@ -6,17 +6,22 @@ from vankampen.diagram import (
     DiagramError,
     DiskDiagram,
     LiftError,
+    add_edge_path,
+    attach_face,
     boundary_path,
     find_cutcells,
     find_shells,
     is_reduced,
     is_topological_disk,
+    reduced_witness,
+    relator_forms,
     validate,
     vertex_lift,
 )
 from vankampen.enumeration import EnumerationConfig, enumerate_diagrams
 from vankampen.gallery import (
     GALLERY_IDS,
+    _corners,
     _vertex_coordinates,
     CornerWitness,
     complex_for,
@@ -207,8 +212,138 @@ def test_corner_classification_pentagon_triangle():
 def test_corner_classification_rejects_single_cell():
     p, m = presentation("thm1")
     d = DiskDiagram.from_face_word(p.relators[0].letters, p.names)
-    with pytest.raises(DiagramError):
+    with pytest.raises(DiagramError, match="^corner classification needs at least two cells$"):
         corner_classification(d, m)
+
+
+def reference_corner_classification(d, m):
+    """The classifier as it was before one vertex walk served both its disk
+    test and its vertex placement: ``is_topological_disk``, then
+    ``torus_coordinates``, then a second ``_corners`` set per face.  It
+    carries the c-diagonal check, which replaced a bare ``KeyError``."""
+    if d.area < 2:
+        raise DiagramError("corner classification needs at least two cells")
+    if not is_topological_disk(d):
+        raise DiagramError("corner classification needs a topological disk")
+    if reduced_witness(d) is not None:
+        raise DiagramError("corner classification needs a reduced diagram")
+    pc = torus_coordinates(d, m)
+    corners_of = {fi: _corners(base, kind) for fi, (base, kind) in pc.face_squares.items()}
+    p = min((c for cs in corners_of.values() for c in cs), key=lambda c: (c[1], c[0]))
+    pentagons = {fi for fi, (_, kind) in pc.face_squares.items() if kind == "ur"}
+    holders = sorted(fi for fi, cs in corners_of.items() if p in cs)
+    pent_holders = [fi for fi in holders if fi in pentagons]
+    if pent_holders:
+        return CornerWitness("shell", pent_holders[0])
+    tri = holders[0]
+    outer = d.outer_face
+    c_dart = {}
+    for t in d.faces[tri]:
+        name = d.alphabet[abs(d.labels[t]) - 1]
+        if name in ("c1", "c2", "c3"):
+            c_dart[name] = t
+    if len(c_dart) < 3:
+        raise DiagramError(f"corner triangle {tri} has no c1 c2 c3 diagonal")
+    free_c = {name: d.face_of[t ^ 1] == outer for name, t in c_dart.items()}
+    if free_c["c1"] or free_c["c3"]:
+        return CornerWitness("shell", tri)
+    if free_c["c2"]:
+        return CornerWitness("cutcell3", tri)
+    q = d.face_of[c_dart["c1"] ^ 1]
+    if q not in pentagons:
+        raise DiagramError("cell across the corner diagonal is not a pentagon")
+    c_idx = {d.alphabet.index(nm) + 1 for nm in ("c1", "c2", "c3")}
+    free = all(
+        d.face_of[t ^ 1] == outer
+        for t in d.faces[q]
+        if abs(d.labels[t]) not in c_idx
+    )
+    return CornerWitness("shell" if free else "cutcell3", q)
+
+
+def corner_outcome(classify, d, m):
+    """The witness, or the type and message of the exception raised."""
+    try:
+        return classify(d, m)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_corner_classification_error_paths(galleries):
+    """Each rejection's type and message: a map that is not a disk, a
+    diagram that is not reduced, a model over another alphabet and a face
+    on no half-square.  The c-diagonal error is pinned on the gallery
+    diagrams below."""
+    p, m, x = galleries["thm1"]
+    d = _pentagon_triangle()
+    hung = add_edge_path(d, 0, (1,))
+    assert hung.area == 2
+    with pytest.raises(DiagramError, match="^corner classification needs a topological disk$"):
+        corner_classification(hung, m)
+    P = DiskDiagram.from_face_word(p.relators[0].letters, p.names)
+    O = P.outer_orbit()
+    folded = attach_face(P, 0, 1, tuple(P.labels[q] for q in O))
+    assert is_topological_disk(folded) and not is_reduced(folded)
+    with pytest.raises(DiagramError, match="^corner classification needs a reduced diagram$"):
+        corner_classification(folded, m)
+    with pytest.raises(LiftError, match="^diagram alphabet does not match the model's presentation$"):
+        corner_classification(d, galleries["eq1"][1])
+    _p2, m2, x2 = galleries["thm2"]
+    square = next(e for e in enumerate_diagrams(x2, EnumerationConfig(max_area=2)) if e.area == 2)
+    with pytest.raises(DiagramError) as exc:
+        corner_classification(square, m2)
+    assert type(exc.value) is DiagramError
+    assert str(exc.value) == "face 0 does not cover a half-square"
+
+
+def test_corner_classification_raises_only_diagram_errors(galleries):
+    """Every gallery diagram of area 2 to 4, each classified with its own
+    model, gets a witness or a DiagramError.  The corner triangles of eq2
+    and torusT that lack a c2 or c3 dart, which once raised a bare
+    KeyError, raise the c-diagonal DiagramError."""
+    lacking = {}
+    for gid in GALLERY_IDS:
+        _p, m, x = galleries[gid]
+        for d in enumerate_diagrams(x, EnumerationConfig(max_area=4)):
+            if d.area < 2:
+                continue
+            out = corner_outcome(corner_classification, d, m)
+            assert isinstance(out, CornerWitness) or issubclass(out[0], DiagramError), (gid, out)
+            if out in [(DiagramError, f"corner triangle {fi} has no c1 c2 c3 diagonal") for fi in d.inner_face_indices]:
+                lacking[gid] = lacking.get(gid, 0) + 1
+    assert lacking == {"eq2": 18, "torusT": 7}
+
+
+def assert_corner_classification_matches_reference(ds, m):
+    count = 0
+    for d in ds:
+        if d.area >= 2:
+            assert corner_outcome(corner_classification, d, m) == corner_outcome(
+                reference_corner_classification, d, m
+            ), d
+            count += 1
+    assert count
+
+
+@pytest.mark.parametrize("gid", GALLERY_IDS)
+def test_corner_classification_matches_reference(galleries, gid):
+    """The same witness, or the same exception type and message, as the
+    reference on every gallery diagram of area 2 to 4 and its mirror, and
+    on maps with a cell or an edge path hung at a corner."""
+    _p, m, x = galleries[gid]
+    ds = list(enumerate_diagrams(x, EnumerationConfig(max_area=4)))
+    hangs = list({idx: w for w, idx, _o in reversed(relator_forms(x))}.values())
+    hung = [
+        e
+        for d in ds
+        if d.area <= 2
+        for e in [attach_face(d, 0, 0, w) for w in hangs] + [add_edge_path(d, 0, (1,))]
+    ]
+    assert_corner_classification_matches_reference(ds + [d.mirror() for d in ds] + hung, m)
+
+
+def test_corner_classification_matches_reference_thm1_area5(corpus_thm1_5, galleries):
+    assert_corner_classification_matches_reference(corpus_thm1_5, galleries["thm1"][1])
 
 
 def test_corner_classification_confirmed_at_small_area(corpus_thm1_5, galleries):

@@ -47,8 +47,8 @@ def test_tracer_installs_and_restores_in_process():
 
 def test_library_imports_nothing_unused():
     """Each module of the library uses every name it imports, except
-    ``enumeration.attach_face``, which is kept for the tracer to wrap;
-    ``__init__`` only re-exports."""
+    ``enumeration.attach_face`` and ``dehn_props.find_shells``, which are
+    kept for the tracer to wrap; ``__init__`` only re-exports."""
     unused = set()
     for path in sorted((ROOT / "src" / "vankampen").glob("*.py")):
         if path.name == "__init__.py":
@@ -62,4 +62,4 @@ def test_library_imports_nothing_unused():
                 imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused |= {f"{path.stem}.{name}" for name in imported - used}
-    assert unused == {"enumeration.attach_face"}
+    assert unused == {"enumeration.attach_face", "dehn_props.find_shells"}
