@@ -19,6 +19,7 @@ nonzero class could only have given "no filling".
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -35,7 +36,14 @@ from .presentation import (
     min_rotation_starts,
     reduce_ints,
 )
-from .group_models import FreeProductModel, is_trivial
+from .group_models import (
+    POINT_HALF,
+    POINT_SHIFT,
+    FreeProductModel,
+    is_trivial,
+    pack_point,
+    unpack_point,
+)
 from .diagram import (
     DiskDiagram,
     _face_orbit,
@@ -277,7 +285,9 @@ def enumeration_summary(diagrams: Iterable[DiskDiagram]) -> Dict[int, int]:
 
 
 # ----------------------------------------------------------------------
-# Laurent-polynomial helpers (dict {(x, y): coeff} over Z[x^-1, x, y^-1, y])
+# Laurent-polynomial helpers: dict {point: coeff} over Z[x^-1, x, y^-1, y],
+# each exponent (x, y) a packed point (``pack_point``), so multiplying by a
+# monomial adds its point
 
 
 def _lp_add(a: Dict, b: Dict, sign: int = 1) -> Dict:
@@ -293,9 +303,9 @@ def _lp_add(a: Dict, b: Dict, sign: int = 1) -> Dict:
 
 def _lp_mul(a: Dict, b: Dict) -> Dict:
     out: Dict = {}
-    for (ax, ay), av in a.items():
-        for (bx, by), bv in b.items():
-            k = (ax + bx, ay + by)
+    for ak, av in a.items():
+        for bk, bv in b.items():
+            k = ak + bk
             nv = out.get(k, 0) + av * bv
             if nv:
                 out[k] = nv
@@ -305,9 +315,10 @@ def _lp_mul(a: Dict, b: Dict) -> Dict:
 
 
 def _lp_box(a: Dict) -> Tuple[int, int, int, int]:
-    """The least and greatest x, then y, exponents of a nonzero ``a``."""
-    xs, ys = zip(*a)
-    return min(xs), max(xs), min(ys), max(ys)
+    """The least and greatest x, then y, exponents of a nonzero ``a``: the
+    least and greatest keys have the least and greatest x."""
+    ys = [k - ((k + POINT_HALF) >> POINT_SHIFT << POINT_SHIFT) for k in a]
+    return unpack_point(min(a))[0], unpack_point(max(a))[0], min(ys), max(ys)
 
 
 def _lp_divide(num: Dict, den: Dict, den_box: Tuple[int, int, int, int]) -> Optional[Dict]:
@@ -331,17 +342,18 @@ def _lp_divide(num: Dict, den: Dict, den_box: Tuple[int, int, int, int]) -> Opti
     while num:
         lead_n = max(num)
         cn = num[lead_n]
-        sx, sy = lead_n[0] - lead_d[0], lead_n[1] - lead_d[1]
+        s = lead_n - lead_d
+        sx, sy = unpack_point(s)
         if cn % cd or not (nx0 - dx0 <= sx <= nx1 - dx1 and ny0 - dy0 <= sy <= ny1 - dy1):
             return None
-        c = quo[sx, sy] = cn // cd
-        for (kx, ky), v in den.items():
-            kk = (kx + sx, ky + sy)
-            nv = num.get(kk, 0) - c * v
+        c = quo[s] = cn // cd
+        for k, v in den.items():
+            k += s
+            nv = num.get(k, 0) - c * v
             if nv:
-                num[kk] = nv
+                num[k] = nv
             else:
-                del num[kk]
+                del num[k]
     return quo
 
 
@@ -349,12 +361,12 @@ def _lp_norm(a: Dict) -> int:
     return sum(abs(v) for v in a.values())
 
 
-def _quads(flat: Tuple[int, ...]) -> Iterator[Tuple[int, int, int, int]]:
-    """The consecutive 4-tuples of ``flat``.  The bound's cache keeps its
-    keys and solutions as flat tuples of ints: 32 bytes a term on 64-bit
-    CPython, against 80 as a tuple of 4-tuples."""
-    it = iter(flat)
-    return zip(it, it, it, it)
+def _triples(flat: bytes) -> Iterator[Tuple[int, int, int]]:
+    """The consecutive 3-tuples of the int64 array in ``flat``.  The
+    bound's cache keeps its keys and solutions as such bytes: 8 bytes an
+    int, against a pointer and, past 256, an int object in a tuple."""
+    it = iter(memoryview(flat).cast("q"))
+    return zip(it, it, it)
 
 
 # ----------------------------------------------------------------------
@@ -367,8 +379,10 @@ class _InvariantBound:
     Built from the complex and ``pi``, the rank-2 lattice projection of
     each generator under a model, or None without one (then every position
     is zero).  A word is read in one projected walk: the prefix point at
-    each position, and the word's Fox vector, the flat dict ``(kx, ky, g)
-    -> c`` of its position-weighted exponent sums over ``Z[Z^2]``.  Every
+    each position, and the word's Fox vector, the flat dict ``key -> c`` of
+    its position-weighted exponent sums over ``Z[Z^2]``, where the key of
+    generator ``g`` at point ``k`` is ``k * G + g`` (``G`` generators, ``k``
+    packed by ``pack_point``), so keys sort as ``(kx, ky, g)`` does.  Every
     row of the plain system is linear in that vector: the generator
     exponent sums and, with a projection, twice the signed area of the
     projected boundary path.  Any filling's signed face counts solve the
@@ -393,23 +407,56 @@ class _InvariantBound:
     linear, and exact division commutes with both.  So a word's bound is
     its canonical form's bound, whichever rotation or reduction is asked,
     and a search can score a move before canonicalising it.
+
+    Packed points are exact while every |y| the bound forms stays below
+    ``POINT_HALF``.  An exponent a solve forms is a word's point plus at
+    most one exponent of each polynomial ``_eliminate`` records, and a
+    move adds a form's point and a frame, so ``_walk`` reads a word only
+    if its length times the largest |y| step is below ``(POINT_HALF - 3
+    M) / 2``, ``M`` bounding the relators' and those polynomials' |y|,
+    and raises ValueError otherwise; ``_eliminate`` raises it for a
+    projection whose rows could leave the range, and a cache key past
+    int64 raises OverflowError.
     """
 
     def __init__(self, x: TwoComplex, pi: Optional[Tuple[Tuple[int, int], ...]] = None):
         graded = pi is not None
         self.pi = pi if graded else ((0, 0),) * len(x.alphabet)
+        # _walk reads words up to _max_len letters; _eliminate narrows it,
+        # and until then a relator's walk stays in the packed range
+        self._ystep = step = max([abs(py) for _px, py in self.pi], default=0)
+        self._max_len = POINT_HALF // step if step else float("inf")
         es = [self._walk(w.letters) for w in x.face_words()]
         self.n = len(es)
         # one row per generator of the graded system, one column per relator
         self.eq_matrix = [list(col) for col in zip(*map(self._split, es))] if graded else None
-        cols = [self._rows(e) for e in es]
-        self.matrix = [
-            [Fraction(col[i]) for col in cols] for i in range(len(self.pi) + graded)
-        ]
         self._x = x
-        self._cache: Dict[Tuple[int, ...], Tuple[Optional[int], Optional[Tuple[int, ...]]]] = {}
+        self._cache: Dict[bytes, Tuple[Optional[int], Optional[bytes]]] = {}
         if graded:
             self._eliminate()
+
+    @cached_property
+    def _steps(self) -> Tuple[List[int], List[int]]:
+        """Per signed letter ``x``, at index ``x`` (an inverse counts from
+        the end): the offset of its Fox key from the walk's position, and
+        the step to the next position, where a position is its prefix point
+        times ``G``.  A letter ``g`` at point ``v`` has the key of ``v``, an
+        inverse that of ``v - pi(g)``."""
+        n = len(self.pi)
+        steps = [pack_point(px, py) * n for px, py in self.pi]
+        back = range(n - 1, -1, -1)  # the inverses, from index n + 1 on
+        pre = [0, *range(n), *[g - steps[g] for g in back]]
+        post = [0, *steps, *[-steps[g] for g in back]]
+        return pre, post
+
+    @cached_property
+    def matrix(self) -> List[List[Fraction]]:
+        """The plain system, one column per relator; made on first use,
+        since with a projection the graded solve answers every word of a
+        pinned bound."""
+        cols = [self._rows(self._walk(w.letters)) for w in self._x.face_words()]
+        rows = len(self.pi) + (self.eq_matrix is not None)
+        return [[Fraction(col[i]) for col in cols] for i in range(rows)]
 
     @cached_property
     def pinned(self) -> bool:
@@ -424,9 +471,9 @@ class _InvariantBound:
         return len(divided) == self._free
 
     @cached_property
-    def forms(self) -> List[Tuple[Tuple[int, ...], List[Tuple], Optional[Tuple[int, ...]]]]:
+    def forms(self) -> List[Tuple[Tuple[int, ...], List[Tuple[int, int]], Optional[Tuple]]]:
         """Each relator form ``w`` with the items of its Fox vector and, on a
-        pinned bound, its graded solution ``(j, tx, ty, s)``, for ``_moves``.
+        pinned bound, its graded solution ``(j, t, s)``, for ``_moves``.
         A form's vector is ``s z^t`` times relator ``j``'s column, for a sign
         ``s``, so its one solution is that monomial in column ``j``; every
         form of relator ``j`` shares one cache key.  Computed on first use,
@@ -437,9 +484,9 @@ class _InvariantBound:
             fox = self._walk(w)
             mono = None
             if self.pinned:
-                (mx, my), s, (_h, sol) = self._entry(fox)
-                j, tx, ty, v = sol  # one term
-                mono = (j, tx + mx, ty + my, s * v)
+                m, s, (_h, sol) = self._entry(fox)
+                ((j, t, v),) = _triples(sol)
+                mono = (j, t + m, s * v)
             out.append((w, list(fox.items()), mono))
         return out
 
@@ -449,50 +496,51 @@ class _InvariantBound:
         a complex built from raw face words may have unreduced forms."""
         return {w: reduce_ints(w) for w, _terms, _mono in self.forms}
 
-    def _walk(self, word: Sequence[int], starts: Optional[List[Tuple[int, int]]] = None) -> Dict:
+    def _walk(self, word: Sequence[int], starts: Optional[List[int]] = None) -> Dict[int, int]:
         """The word's Fox vector: a letter g at projected prefix point v
         contributes +z^v to generator g, an inverse letter the matching
         -z^(v - pi(g)).  Given a list ``starts``, the prefix point before
-        each letter is appended to it."""
-        fox: Dict[Tuple[int, int, int], int] = {}
-        vx = vy = 0
+        each letter is appended to it, packed."""
+        if len(word) > self._max_len:
+            raise ValueError("word too long for the bound's packed lattice points")
+        pre, post = self._steps
+        n = len(self.pi)
+        fox: Dict[int, int] = {}
+        v = 0
         for x in word:
             if starts is not None:
-                starts.append((vx, vy))
-            g = abs(x) - 1
-            px, py = self.pi[g]
-            if x > 0:
-                key = (vx, vy, g)
-                vx += px
-                vy += py
-            else:
-                vx -= px
-                vy -= py
-                key = (vx, vy, g)
-            nv = fox.get(key, 0) + (1 if x > 0 else -1)
+                starts.append(v // n)
+            k = v + pre[x]
+            v += post[x]
+            nv = fox.get(k, 0) + (1 if x > 0 else -1)
             if nv:
-                fox[key] = nv
+                fox[k] = nv
             else:
-                del fox[key]
+                del fox[k]
         return fox
 
-    def _split(self, fox: Dict) -> List[Dict]:
+    def _split(self, fox: Dict[int, int]) -> List[Dict[int, int]]:
         """A Fox vector per generator, as the graded system's rows take it."""
-        e: List[Dict] = [{} for _ in self.pi]
-        for (kx, ky, g), c in fox.items():
-            e[g][kx, ky] = c
+        e: List[Dict[int, int]] = [{} for _ in self.pi]
+        n = len(self.pi)
+        for key, c in fox.items():
+            k, g = divmod(key, n)
+            e[g][k] = c
         return e
 
-    def _rows(self, fox: Dict) -> Optional[Tuple[int, ...]]:
+    def _rows(self, fox: Dict[int, int]) -> Optional[Tuple[int, ...]]:
         """The plain rows of a word from its Fox vector: each generator's
         exponent sum (the sum of its coefficients) and, with a projection,
         twice the signed area of the projected path (``c * (k x pi(g))``
         summed over the terms ``c z^k`` of generator ``g``).  None when the
         projected path, ending at the exponent sums times the projections,
         does not close."""
-        sums = [0] * len(self.pi)
+        n = len(self.pi)
+        sums = [0] * n
         ex = ey = twice = 0
-        for (kx, ky, g), c in fox.items():
+        for key, c in fox.items():
+            k, g = divmod(key, n)
+            kx, ky = unpack_point(k)
             px, py = self.pi[g]
             sums[g] += c
             ex += c * px
@@ -519,9 +567,19 @@ class _InvariantBound:
         ``(g, terms, box)`` over the columns no pivot took, in elimination
         order, where ``box`` is the divisor's ``_lp_box`` on a row with one
         column and None otherwise.  Every operation is invertible, so the
-        reduced system has exactly the solutions of the original one."""
+        reduced system has exactly the solutions of the original one.
+
+        ``r[g]`` bounds the |y| of row ``g``'s exponents: a relator's walk
+        reaches at most its length times the largest |y| step, a unit
+        doubles its row's bound, and subtracting a multiple of the pivot row
+        adds that row's bound.  ValueError if one reaches ``POINT_HALF``;
+        otherwise the largest, times the number of recorded polynomials,
+        sets ``_max_len`` (see the class docstring)."""
         n = self.n
         active = [(g, [dict(c) for c in row]) for g, row in enumerate(self.eq_matrix)]
+        step = self._ystep
+        r = [step * max(map(len, self._x.faces), default=0)] * len(active)
+        forms = 2 * r[0] if r else 0  # a form's walk, a rotated relator's
         ops: List[Tuple[int, Dict, Optional[int]]] = []
         pivots: List[Tuple[int, int, List[Dict]]] = []
         cols_left = set(range(n))
@@ -540,9 +598,10 @@ class _InvariantBound:
                 if hit is None:
                     continue
                 col, t, v = hit
-                unit = {(-t[0], -t[1]): v}
+                unit = {-t: v}
                 coeffs = [_lp_mul(unit, cc) for cc in coeffs]
                 ops.append((g, unit, None))
+                r[g] *= 2
                 active.pop(idx)
                 for j, (gj, cj) in enumerate(active):
                     f = cj[col]
@@ -550,6 +609,7 @@ class _InvariantBound:
                         active[j] = (gj, [_lp_add(cc, _lp_mul(f, pc), -1)
                                           for cc, pc in zip(cj, coeffs)])
                         ops.append((gj, f, g))
+                        r[gj] += r[g]
                 pivots.append((col, g, coeffs))
                 cols_left.discard(col)
                 changed = True
@@ -564,6 +624,13 @@ class _InvariantBound:
             terms = [(c, coeffs[c]) for c in sorted(cols_left) if coeffs[c]]
             self._left.append((g, terms, _lp_box(terms[0][1]) if len(terms) == 1 else None))
         self._free = len(cols_left)
+        top = max(r, default=0)
+        if top >= POINT_HALF:
+            raise ValueError("projection too large for the bound's packed lattice points")
+        if step:
+            # each op's multiplier and each term of a recorded row
+            reach = forms + (len(ops) + len(r) * n) * top
+            self._max_len = (POINT_HALF - 3 * reach) // (2 * step)
 
     def _solve_laurent_system(self, bs: List[Dict]) -> Tuple:
         """('ok', bound, solution) | ('infeasible',) | ('unknown',) for the
@@ -620,38 +687,39 @@ class _InvariantBound:
         placements, the plain invariant solve otherwise; None = infeasible."""
         return self.vector_bound(self._walk(word))
 
-    def vector_bound(self, fox: Dict[Tuple[int, int, int], int]) -> Optional[int]:
+    def vector_bound(self, fox: Dict[int, int]) -> Optional[int]:
         """The bound of a word whose Fox vector is ``fox``, through the
         cache."""
         return self._entry(fox)[2][0]
 
-    def _entry(self, fox: Dict[Tuple[int, int, int], int]) -> Tuple:
+    def _entry(self, fox: Dict[int, int]) -> Tuple:
         """``(m, s, (bound, solution))`` for the Fox vector ``fox``: the
-        cache entry of its key, which is ``fox`` translated by ``-m`` so
-        that its least term sits at the origin, times the sign ``s`` of that
-        term's coefficient, as the flat terms ``kx, ky, g, c``.  A miss
-        computes the entry from the key itself, so a cached value does not
-        depend on which word filled it.  The solution is in the key's frame:
-        ``fox``'s is ``s z^m`` times it."""
-        items = sorted(fox.items())
-        (mx, my, _g), lead = items[0] if items else ((0, 0, 0), 1)
-        s = 1 if lead > 0 else -1
-        flat: List[int] = []
-        for (kx, ky, g), v in items:
-            flat += (kx - mx, ky - my, g, s * v)
-        key = tuple(flat)
+        cache entry of its key, which is ``fox`` translated by ``-m`` (the
+        point of its least key) times the sign ``s`` of that key's
+        coefficient, encoded as the int64 bytes of the translated keys in
+        order and then their coefficients.  A miss computes the entry from
+        the key's terms, so a cached value does not depend on which word
+        filled it.  The solution is in the key's frame: ``fox``'s is ``s
+        z^m`` times it."""
+        keys = sorted(fox)
+        coeffs = list(map(fox.__getitem__, keys))
+        off, s = 0, 1
+        if keys:
+            off = keys[0] - keys[0] % len(self.pi)
+            if coeffs[0] < 0:
+                s, coeffs = -1, [-c for c in coeffs]
+        moved = [k - off for k in keys] if off else keys
+        key = array("q", moved + coeffs).tobytes()
         entry = self._cache.get(key)
         if entry is None:
-            entry = self._cache[key] = self._bound({(kx, ky, g): v for kx, ky, g, v in _quads(key)})
-        return (mx, my), s, entry
+            entry = self._cache[key] = self._bound(dict(zip(moved, coeffs)))
+        return off // len(self.pi), s, entry
 
-    def _bound(
-        self, fox: Dict[Tuple[int, int, int], int]
-    ) -> Tuple[Optional[int], Optional[Tuple[int, ...]]]:
+    def _bound(self, fox: Dict[int, int]) -> Tuple[Optional[int], Optional[bytes]]:
         """``(bound, solution)``, where the solution is the graded one, as
-        the flat terms ``j, kx, ky, c`` of its columns, when the graded solve
-        is "ok" (on a pinned bound, for every feasible word) and None
-        otherwise."""
+        the int64 bytes of the terms ``j, k, c`` of its columns, when the
+        graded solve is "ok" (on a pinned bound, for every feasible word)
+        and None otherwise."""
         # every relator's projected path closes, so the graded system has
         # no solution for a word whose path does not, and needs no test
         if self.eq_matrix is not None:
@@ -659,11 +727,9 @@ class _InvariantBound:
             if res[0] == "infeasible":
                 return None, None
             if res[0] == "ok":
-                flat: List[int] = []
-                for j, col in enumerate(res[2]):
-                    for (kx, ky), c in col.items():
-                        flat += (j, kx, ky, c)
-                return res[1], tuple(flat)
+                flat = [v for j, col in enumerate(res[2])
+                        for k, c in col.items() for v in (j, k, c)]
+                return res[1], array("q", flat).tobytes()
         rows = self._rows(fox)
         if rows is None:
             return None, None
@@ -841,44 +907,45 @@ def _moves(
     (with no projection, every prefix is the origin), and a target only
     filters.  The bound's cache is keyed up to sign and translation, so
     ``h`` is also the bound of the canonical form."""
-    starts: List[Tuple[int, int]] = []
+    starts: List[int] = []
     base = hb._walk(cur, starts)
     sol = None
     if hb.pinned:
-        (mx, my), s, (h, sol) = hb._entry(base)
+        m, s, (h, sol) = hb._entry(base)
     if sol is not None and target == h - 1:
-        at: Dict[Tuple[int, int], List[int]] = {}
+        at: Dict[int, List[int]] = {}
         for i, p in enumerate(starts):
             at.setdefault(p, []).append(i)
         # cur's solution is s z^m times sol, the key's, so a form with
         # solution v z^t lands on the key's term at t - m + prefix
         on: Dict[Tuple[int, int], List[Tuple]] = {}
-        for w, _terms, (j, tx, ty, v) in hb.forms:
-            on.setdefault((j, s * v), []).append((w, mx - tx, my - ty))
-        for j, kx, ky, c in _quads(sol):
-            for w, dx, dy in on.get((j, -1 if c > 0 else 1), ()):
-                for i in at.get((kx + dx, ky + dy), ()):
+        for w, _terms, (j, t, v) in hb.forms:
+            on.setdefault((j, s * v), []).append((w, m - t))
+        for j, k, c in _triples(sol):
+            for w, d in on.get((j, -1 if c > 0 else 1), ()):
+                for i in at.get(k + d, ()):
                     yield target, i, w
         return
     if sol is not None:
-        coeff = {(j, kx, ky): c for j, kx, ky, c in _quads(sol)}
-        for w, _terms, (j, tx, ty, v) in hb.forms:
+        coeff = {(j, k): c for j, k, c in _triples(sol)}
+        for w, _terms, (j, t, v) in hb.forms:
             # cur's coefficient c' at p is s * coeff[p - m], and |c' + v| = |c + s v|
-            tx, ty, v = tx - mx, ty - my, s * v
-            for i, (sx, sy) in enumerate(starts):
-                c = coeff.get((j, tx + sx, ty + sy), 0)
+            t, v = t - m, s * v
+            for i, p in enumerate(starts):
+                c = coeff.get((j, t + p), 0)
                 score = h - abs(c) + abs(c + v)
                 if target is None or score == target:
                     yield score, i, w
         return
+    n = len(hb.pi)
     for w, terms, _mono in hb.forms:
-        scores: Dict[Tuple[int, int], Optional[int]] = {}
+        scores: Dict[int, Optional[int]] = {}
         for i, start in enumerate(starts):
             if start not in scores:
-                sx, sy = start
+                shift = start * n
                 fox = base.copy()
-                for (kx, ky, g), v in terms:
-                    k = (kx + sx, ky + sy, g)
+                for k, v in terms:
+                    k += shift
                     nv = fox.get(k, 0) + v
                     if nv:
                         fox[k] = nv

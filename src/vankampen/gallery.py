@@ -24,7 +24,14 @@ from itertools import count
 from typing import Dict, Optional, Sequence, Tuple
 
 from .presentation import Presentation, TwoComplex, Word, presentation_complex
-from .group_models import FreeProductModel, GroupElement, is_trivial
+from .group_models import (
+    POINT_HALF,
+    FreeProductModel,
+    GroupElement,
+    is_trivial,
+    pack_point,
+    unpack_point,
+)
 from .diagram import (
     DiagramError,
     DiskDiagram,
@@ -259,6 +266,62 @@ class CornerWitness:
     face: int
 
 
+class _Tables:
+    """What the corner classifier reads of one model, resolved once: its
+    alphabet, the relator forms of its presentation complex, each signed
+    letter's lattice step packed as ``pack_point(y, x)`` (so the least
+    packed point is the least by y, then x: the sweep order), the largest
+    step coordinate, and the shape (``_shape``) of each face word met so
+    far, all of which the model sends to the identity."""
+
+    __slots__ = ("names", "forms", "step", "reach", "shapes")
+
+    def __init__(self, m: FreeProductModel):
+        self.names = m.presentation.names
+        self.forms = relator_form_table(presentation_complex(m.presentation))
+        self.step = {x: pack_point(dy, dx) for x, (dx, dy) in m.letter_pi.items()}
+        self.reach = max((abs(c) for v in m.letter_pi.values() for c in v), default=0)
+        self.shapes: Dict[Tuple[int, ...], Optional[Tuple[frozenset, int, str]]] = {}
+
+
+def _tables(m: FreeProductModel) -> _Tables:
+    """The model's ``_Tables``, made on its first use and kept on the model."""
+    if m._tables is None:
+        m._tables = _Tables(m)
+    return m._tables
+
+
+def _xy(p: int) -> Tuple[int, int]:
+    """The point ``(x, y)`` of a classifier point ``pack_point(y, x)``."""
+    y, x = unpack_point(p)
+    return x, y
+
+
+def _shape(w: Tuple[int, ...], m: FreeProductModel) -> Optional[Tuple[frozenset, int, str]]:
+    """The shape of a face reading ``w``, a word whose projected path
+    closes: the set of its vertex points, the base of the half-square whose
+    corners they are, and its kind, "ur" or "ll", all relative to the
+    face's first vertex and packed as classifier points; None when the
+    points cover no half-square."""
+    pts, x, y = set(), 0, 0
+    for v in w:
+        pts.add((x, y))
+        dx, dy = m.letter_pi[v]
+        x, y = x + dx, y + dy
+    xs = {p[0] for p in pts}
+    ys = {p[1] for p in pts}
+    if len(pts) != 3 or len(xs) != 2 or len(ys) != 2:
+        return None
+    x0, y0 = base = (min(xs), min(ys))
+    if base not in pts:
+        kind = "ur"
+    elif (x0 + 1, y0 + 1) not in pts:
+        kind = "ll"
+    else:
+        return None
+    return frozenset(pack_point(b, a) for a, b in pts), pack_point(y0, x0), kind
+
+
 def _vertex_coordinates(d: DiskDiagram, m: FreeProductModel) -> Tuple[Tuple[int, int], ...]:
     """The lattice projection of each vertex's lift, vertex 0 at the origin.
 
@@ -266,73 +329,55 @@ def _vertex_coordinates(d: DiskDiagram, m: FreeProductModel) -> Tuple[Tuple[int,
     plus ``m.letter_pi`` of its signed letter.  The projection is a
     homomorphism, so these are the lattice parts of ``vertex_lift`` (rank
     2), along the same walk, without the free parts.  Raises
-    LiftError as ``vertex_lift`` does: when the alphabet is not the model's,
-    when the diagram is disconnected, and when it is not a diagram over the
-    model's presentation.  A connected planar map lifts consistently exactly
-    when every inner face reads a trivial word, so each inner face is
-    checked once: a rotation of a relator or of its inverse passes by lookup
-    in the complex's ``relator_form_table``, any other word goes through the
-    model's word problem.  A map that is not planar is checked by
-    ``vertex_lift`` itself.
-    """
+    LiftError as ``vertex_lift`` does (see ``_coordinates_along``)."""
     if d.n_darts == 0:
         return ((0, 0),)
-    return _coordinates_along(d, m, _spanning_darts(d))
+    return tuple(map(_xy, _coordinates_along(d, m, _spanning_darts(d))[0]))
 
 
 def _coordinates_along(
     d: DiskDiagram, m: FreeProductModel, tree: Sequence[int]
-) -> Tuple[Tuple[int, int], ...]:
-    """``_vertex_coordinates`` of a map with darts, along its
-    ``_spanning_darts`` walk ``tree``, so a caller that has the walk takes
-    it once."""
-    if d.alphabet != m.presentation.names:
+) -> Tuple[list, Dict[int, Optional[Tuple[frozenset, int, str]]]]:
+    """The vertex points of a map with darts, as classifier points, along
+    its ``_spanning_darts`` walk ``tree``, and each inner face's ``_shape``.
+
+    Raises LiftError as ``vertex_lift`` does: when the alphabet is not the
+    model's, when the diagram is disconnected, and when it is not a
+    diagram over the model's presentation.  A connected planar map lifts
+    consistently exactly when every inner face reads a trivial word, so
+    each inner face is checked once, in face order, before any caller
+    reads a shape: a rotation of a relator or of its inverse passes by
+    lookup in the complex's ``relator_form_table``, any other word goes
+    through the model's word problem, and a word that passed is kept with
+    its shape.  A map that is not planar is checked by ``vertex_lift``
+    itself.  A map whose points could leave the packing's range raises
+    ValueError."""
+    t = _tables(m)
+    if d.alphabet != t.names:
         raise LiftError("diagram alphabet does not match the model's presentation")
-    vertex_of, labels, step = d.vertex_of, d.labels, m.letter_pi
+    if 2 * d.n_vertices * t.reach >= POINT_HALF:
+        raise ValueError("diagram too large for packed lattice points")
+    vertex_of, labels, step = d.vertex_of, d.labels, t.step
     coords: list = [None] * d.n_vertices
-    coords[0] = (0, 0)
-    for t in tree:
-        x, y = coords[vertex_of[t]]
-        dx, dy = step[labels[t]]
-        coords[vertex_of[t ^ 1]] = (x + dx, y + dy)
+    coords[0] = 0
+    for a in tree:
+        coords[vertex_of[a ^ 1]] = coords[vertex_of[a]] + step[labels[a]]
     if None in coords:
         raise LiftError("diagram is disconnected")
     if d.euler_characteristic != 2:
         vertex_lift(d, m)
-    forms = relator_form_table(presentation_complex(m.presentation))
+    known, shapes = t.shapes, {}
     for fi in d.inner_face_indices:
         w = d.face_word_ints(fi)
-        if w not in forms and not is_trivial(Word(w, d.alphabet), m):
-            raise LiftError(
-                f"face {fi} reads a nontrivial word: not a diagram over this presentation"
-            )
-    return tuple(coords)
-
-
-def _face_points(
-    d: DiskDiagram, coords: Sequence[Tuple[int, int]]
-) -> Dict[int, Tuple[set, Tuple[int, int], str]]:
-    """Each inner face's set of vertex points, with the base and kind of
-    the half-square whose corners they are, so the set is exactly
-    ``_corners(base, kind)``; DiagramError for the first face, in face
-    order, that covers no half-square."""
-    vertex_of, faces = d.vertex_of, d.faces
-    out = {}
-    for fi in d.inner_face_indices:
-        pts = {coords[vertex_of[t]] for t in faces[fi]}
-        xs = {p[0] for p in pts}
-        ys = {p[1] for p in pts}
-        if len(pts) != 3 or len(xs) != 2 or len(ys) != 2:
-            raise DiagramError(f"face {fi} does not cover a half-square")
-        x0, y0 = base = (min(xs), min(ys))
-        if base not in pts:
-            kind = "ur"
-        elif (x0 + 1, y0 + 1) not in pts:
-            kind = "ll"
-        else:
-            raise DiagramError(f"face {fi} does not cover a half-square")
-        out[fi] = (pts, base, kind)
-    return out
+        shape = known.get(w, False)
+        if shape is False:
+            if w not in t.forms and not is_trivial(Word(w, d.alphabet), m):
+                raise LiftError(
+                    f"face {fi} reads a nontrivial word: not a diagram over this presentation"
+                )
+            shape = known[w] = _shape(w, m)
+        shapes[fi] = shape
+    return coords, shapes
 
 
 def torus_coordinates(d: DiskDiagram, m: FreeProductModel) -> PlanarCoords:
@@ -340,20 +385,28 @@ def torus_coordinates(d: DiskDiagram, m: FreeProductModel) -> PlanarCoords:
     cover, and the half-square each inner face covers.
 
     The coordinates are the lattice projection of the generator images,
-    summed along a walk from vertex 0 (``_vertex_coordinates``); no vertex
+    summed along a walk from vertex 0 (``_coordinates_along``); no vertex
     lift is built.  As with ``vertex_lift``, a diagram whose alphabet is not
     the model's, a disconnected one, and one with an inner face whose word
     the model does not send to the identity raise LiftError.  A face that
-    does not cover a half-square raises DiagramError.
+    does not cover a half-square raises DiagramError.  A face's half-square
+    is its word's shape placed at its first vertex: the face's word is
+    trivial, so its projected path closes on the vertices' points.
 
     Works over any gallery presentation whose rank-2 lattice projection
     sends the a-generator to (1,0), the b-generator to (0,1) and c1 to
     (1,-1): pentagon-type faces land on upper-right half-squares,
     triangle-type faces on lower-left ones.
     """
-    coords = _vertex_coordinates(d, m)
-    squares = {fi: (base, kind) for fi, (_pts, base, kind) in _face_points(d, coords).items()}
-    return PlanarCoords(coords, squares)
+    if d.n_darts == 0:
+        return PlanarCoords(((0, 0),), {})
+    coords, shapes = _coordinates_along(d, m, _spanning_darts(d))
+    squares = {}
+    for fi, shape in shapes.items():
+        if shape is None:
+            raise DiagramError(f"face {fi} does not cover a half-square")
+        squares[fi] = (_xy(coords[d.vertex_of[d.faces[fi][0]]] + shape[1]), shape[2])
+    return PlanarCoords(tuple(map(_xy, coords)), squares)
 
 
 def corner_classification(d: DiskDiagram, m: FreeProductModel) -> CornerWitness:
@@ -368,9 +421,9 @@ def corner_classification(d: DiskDiagram, m: FreeProductModel) -> CornerWitness:
     DiagramError.
 
     One ``_spanning_darts`` walk serves the disk test and the vertex
-    placement, and the faces' points are those of ``torus_coordinates``.
-    Every vertex of a disk lies on an inner face, so p is the least vertex
-    point.
+    placement, and the faces' half-squares are those of
+    ``torus_coordinates``.  Every vertex of a disk lies on an inner face,
+    so p is the least vertex point.
     """
     if d.area < 2:
         raise DiagramError("corner classification needs at least two cells")
@@ -379,11 +432,16 @@ def corner_classification(d: DiskDiagram, m: FreeProductModel) -> CornerWitness:
         raise DiagramError("corner classification needs a topological disk")
     if reduced_witness(d) is not None:
         raise DiagramError("corner classification needs a reduced diagram")
-    coords = _coordinates_along(d, m, tree)
-    points = _face_points(d, coords)
-    p = min(coords, key=lambda c: (c[1], c[0]))
-    holders = [fi for fi, (pts, _base, _kind) in points.items() if p in pts]
-    pent_holders = [fi for fi in holders if points[fi][2] == "ur"]
+    coords, shapes = _coordinates_along(d, m, tree)
+    p = min(coords)
+    vertex_of, faces = d.vertex_of, d.faces
+    holders = []
+    for fi, shape in shapes.items():
+        if shape is None:
+            raise DiagramError(f"face {fi} does not cover a half-square")
+        if p - coords[vertex_of[faces[fi][0]]] in shape[0]:
+            holders.append(fi)
+    pent_holders = [fi for fi in holders if shapes[fi][2] == "ur"]
     if pent_holders:
         return CornerWitness("shell", pent_holders[0])
     tri = holders[0]
@@ -406,7 +464,7 @@ def corner_classification(d: DiskDiagram, m: FreeProductModel) -> CornerWitness:
         return CornerWitness("cutcell3", tri)
     # c1 is not free, so the face across it is inner
     q = d.face_of[c_dart["c1"] ^ 1]
-    if points[q][2] != "ur":
+    if shapes[q][2] != "ur":
         raise DiagramError("cell across the corner diagonal is not a pentagon")
     c_idx = {d.alphabet.index(nm) + 1 for nm in ("c1", "c2", "c3")}
     free = all(

@@ -33,6 +33,23 @@ class LatticeVector(NamedTuple):
 # syllables: ("z", vector-tuple) or ("f", reduced-letter-tuple)
 Syllable = Tuple[str, Tuple[int, ...]]
 
+# A lattice point (x, y) packed as one int, x * 2**POINT_SHIFT + y.  For
+# |y| < POINT_HALF the packing is one-to-one and sorts as (x, y) does, and
+# the sum of two packed points packs the sum of the points; callers keep
+# every y they form inside that range.  Ints below 2**30 are one machine
+# digit, so small points hash, add and sort at CPython's fastest.
+POINT_SHIFT = 20
+POINT_HALF = 1 << (POINT_SHIFT - 1)
+
+
+def pack_point(x: int, y: int) -> int:
+    return (x << POINT_SHIFT) + y
+
+
+def unpack_point(p: int) -> Tuple[int, int]:
+    x = (p + POINT_HALF) >> POINT_SHIFT
+    return x, p - (x << POINT_SHIFT)
+
 
 class GroupElement:
     """Normal form in Z^d * F_k.
@@ -119,7 +136,7 @@ class FreeProductModel:
     """
 
     __slots__ = ("presentation", "abelian_rank", "free_rank", "images",
-                 "letter_pi", "_letter_of", "_letter_images")
+                 "letter_pi", "_letter_of", "_letter_images", "_tables")
 
     def __init__(
         self,
@@ -132,6 +149,9 @@ class FreeProductModel:
         self.abelian_rank = abelian_rank
         self.free_rank = free_rank
         self.images = dict(images)
+        # the corner classifier's tables for this model (gallery._tables),
+        # made on first use
+        self._tables = None
         for name in presentation.names:
             if name not in self.images:
                 raise ModelError(f"no image for generator {name!r}")

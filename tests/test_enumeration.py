@@ -58,7 +58,7 @@ from vankampen.enumeration import (
     _prefix_classes,
 )
 from vankampen.gallery import GALLERY_IDS, LATTICE_BASIS, figure_diagram, presentation
-from vankampen.group_models import FreeProductModel, GroupElement, project_z2
+from vankampen.group_models import FreeProductModel, GroupElement, pack_point, project_z2
 
 
 def test_thm2_area_one_exactly_two(galleries):
@@ -585,10 +585,10 @@ def test_fox_vector_rows_match_direct_counts(galleries, case):
         assert plain._rows(plain._walk(w)) == counts
         starts = []
         rows = hb._rows(hb._walk(w, starts))
-        # the prefix point before each letter: the projected path so far
+        # the prefix point before each letter, packed: the projected path so far
         point, points = (0, 0), []
         for v in w:
-            points.append(point)
+            points.append(pack_point(*point))
             px, py = pi_by_letter[abs(v)]
             point = (point[0] + px, point[1] + py) if v > 0 else (point[0] - px, point[1] - py)
         assert starts == points
@@ -1025,8 +1025,8 @@ def test_form_solutions_are_signed_monomials(galleries):
             res = hb._solve_laurent_system(hb._split(dict(terms)))
             assert res[0] == "ok" and res[1] == 1, (gid, w)
             ((j, col),) = [(j, col) for j, col in enumerate(res[2]) if col]
-            (((tx, ty), v),) = col.items()
-            assert v in (1, -1) and mono == (j, tx, ty, v), (gid, w)
+            ((t, v),) = col.items()
+            assert v in (1, -1) and mono == (j, t, v), (gid, w)
 
 
 def test_unpinned_bounds_score_through_vector_bound(galleries):
@@ -1100,8 +1100,9 @@ def test_core_length_counts_the_seams(case):
         assert _core_length(cur, i, w) == len(cyclic_core(cur[:i] + w + cur[i:])), i
 
 
+# Laurent polynomials with packed exponents (x, y)
 laurent = st.dictionaries(
-    st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-3, 3).filter(bool), max_size=5
+    st.builds(pack_point, st.integers(-3, 3), st.integers(-3, 3)), st.integers(-3, 3).filter(bool), max_size=5
 )
 
 
@@ -1112,7 +1113,7 @@ def test_lp_divide_inverts_lp_mul(q, d):
 
 
 @settings(max_examples=200, deadline=None)
-@given(laurent, laurent.filter(lambda d: len(d) >= 2), st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
+@given(laurent, laurent.filter(lambda d: len(d) >= 2), st.builds(pack_point, st.integers(-6, 6), st.integers(-6, 6)))
 def test_lp_divide_refuses_a_product_plus_a_monomial(q, d, k):
     """A monomial is divisible only by a monomial, so ``q * d + z^k`` is
     not divisible by a ``d`` of two or more terms."""
@@ -1123,9 +1124,10 @@ def test_lp_divide_refuses_a_product_plus_a_monomial(q, d, k):
 def test_lp_divide_ends_without_a_quotient():
     """The lex-leading terms of 1 / (1 - x) never run out; the step that
     leaves the box of possible quotient exponents ends the division."""
-    d = {(0, 0): 1, (1, 0): -1}
-    assert _lp_divide({(0, 0): 1}, d, _lp_box(d)) is None
-    assert _lp_divide({(0, 0): 1, (3, 0): -1}, d, _lp_box(d)) == {(0, 0): 1, (1, 0): 1, (2, 0): 1}
+    x = pack_point(1, 0)
+    d = {0: 1, x: -1}
+    assert _lp_divide({0: 1}, d, _lp_box(d)) is None
+    assert _lp_divide({0: 1, 3 * x: -1}, d, _lp_box(d)) == {0: 1, x: 1, 2 * x: 1}
 
 
 def eager_perfect_probe(letters, h0, hb):

@@ -216,21 +216,51 @@ def test_corner_classification_rejects_single_cell():
         corner_classification(d, m)
 
 
+def reference_face_points(d, coords):
+    """Each inner face's set of vertex points, read off the vertex
+    coordinates, with the base and kind of the half-square whose corners
+    they are; DiagramError for the first face, in face order, that covers
+    no half-square.  The classifier's per-word shapes must agree."""
+    out = {}
+    for fi in d.inner_face_indices:
+        pts = {coords[d.vertex_of[t]] for t in d.faces[fi]}
+        xs = {q[0] for q in pts}
+        ys = {q[1] for q in pts}
+        if len(pts) != 3 or len(xs) != 2 or len(ys) != 2:
+            raise DiagramError(f"face {fi} does not cover a half-square")
+        x0, y0 = base = (min(xs), min(ys))
+        if base not in pts:
+            kind = "ur"
+        elif (x0 + 1, y0 + 1) not in pts:
+            kind = "ll"
+        else:
+            raise DiagramError(f"face {fi} does not cover a half-square")
+        out[fi] = (pts, base, kind)
+    return out
+
+
+def reference_torus_squares(d, m):
+    points = reference_face_points(d, _vertex_coordinates(d, m))
+    return {fi: (base, kind) for fi, (_pts, base, kind) in points.items()}
+
+
 def reference_corner_classification(d, m):
     """The classifier as it was before one vertex walk served both its disk
-    test and its vertex placement: ``is_topological_disk``, then
-    ``torus_coordinates``, then a second ``_corners`` set per face.  It
-    carries the c-diagonal check, which replaced a bare ``KeyError``."""
+    test and its vertex placement, and before faces were placed by their
+    words' shapes: ``is_topological_disk``, then the vertex coordinates
+    and each face's points read off them, then a second ``_corners`` set
+    per face.  It carries the c-diagonal check, which replaced a bare
+    ``KeyError``."""
     if d.area < 2:
         raise DiagramError("corner classification needs at least two cells")
     if not is_topological_disk(d):
         raise DiagramError("corner classification needs a topological disk")
     if reduced_witness(d) is not None:
         raise DiagramError("corner classification needs a reduced diagram")
-    pc = torus_coordinates(d, m)
-    corners_of = {fi: _corners(base, kind) for fi, (base, kind) in pc.face_squares.items()}
+    squares = reference_torus_squares(d, m)
+    corners_of = {fi: _corners(base, kind) for fi, (base, kind) in squares.items()}
     p = min((c for cs in corners_of.values() for c in cs), key=lambda c: (c[1], c[0]))
-    pentagons = {fi for fi, (_, kind) in pc.face_squares.items() if kind == "ur"}
+    pentagons = {fi for fi, (_, kind) in squares.items() if kind == "ur"}
     holders = sorted(fi for fi, cs in corners_of.items() if p in cs)
     pent_holders = [fi for fi in holders if fi in pentagons]
     if pent_holders:
@@ -314,9 +344,16 @@ def test_corner_classification_raises_only_diagram_errors(galleries):
     assert lacking == {"eq2": 18, "torusT": 7}
 
 
+def torus_squares(d, m):
+    return torus_coordinates(d, m).face_squares
+
+
 def assert_corner_classification_matches_reference(ds, m):
+    """The classifier and ``torus_coordinates``' half-squares give what
+    the references give, or raise the same exception."""
     count = 0
     for d in ds:
+        assert corner_outcome(torus_squares, d, m) == corner_outcome(reference_torus_squares, d, m), d
         if d.area >= 2:
             assert corner_outcome(corner_classification, d, m) == corner_outcome(
                 reference_corner_classification, d, m
@@ -329,10 +366,16 @@ def assert_corner_classification_matches_reference(ds, m):
 def test_corner_classification_matches_reference(galleries, gid):
     """The same witness, or the same exception type and message, as the
     reference on every gallery diagram of area 2 to 4 and its mirror, and
-    on maps with a cell or an edge path hung at a corner."""
+    on maps with a cell or an edge path hung at a corner.  The hung cells
+    read a relator form, or a trivial word that is not one: a form with a
+    cancelling pair inserted (a free letter's pair keeps the form's
+    points, a lattice letter's adds one), or a product of two forms."""
     _p, m, x = galleries[gid]
     ds = list(enumerate_diagrams(x, EnumerationConfig(max_area=4)))
     hangs = list({idx: w for w, idx, _o in reversed(relator_forms(x))}.values())
+    w = hangs[0]
+    hangs += [w[:1] + (a, -a) + w[1:] for a in range(1, len(x.alphabet) + 1)]
+    hangs.append(hangs[0] + hangs[1])
     hung = [
         e
         for d in ds
@@ -340,6 +383,46 @@ def test_corner_classification_matches_reference(galleries, gid):
         for e in [attach_face(d, 0, 0, w) for w in hangs] + [add_edge_path(d, 0, (1,))]
     ]
     assert_corner_classification_matches_reference(ds + [d.mirror() for d in ds] + hung, m)
+
+
+def glued(first, second, names):
+    """A face reading ``first`` with a face reading a rotation of
+    ``second`` glued along one edge: faces 0 and 2, in that order."""
+    d = DiskDiagram.from_face_word(first, names)
+    for pos, t in enumerate(d.outer_orbit()):
+        for r in range(len(second)):
+            w = second[r:] + second[:r]
+            if w[0] == d.labels[t]:
+                e = attach_face(d, pos, 1, w)
+                if e is not None:
+                    assert e.inner_face_indices == (0, 2) and e.face_word_ints(0) == tuple(first)
+                    return e
+    raise AssertionError
+
+
+def test_nontrivial_face_raises_before_a_face_on_no_half_square(galleries):
+    """Every face is checked for a trivial word, in face order, before any
+    face's half-square: a nontrivial face raises its LiftError even after
+    a trivial face that covers no half-square, which raises DiagramError
+    only when every face is trivial.  Face 0 reads the product of the two
+    thm1 relators (trivial, not a relator form, a whole square); the
+    other face reads the pentagon or, nontrivial, the triangle with its
+    free letters inverted."""
+    p, m, _x = galleries["thm1"]
+    square = p.relators[0].letters + p.relators[1].letters
+    free = {p.names.index(name) + 1 for name in ("a2", "b2", "c2", "c3")}
+    bad = tuple(-v if abs(v) in free else v for v in p.relators[1].letters)
+    form = p.relators[0].letters
+    cases = [
+        (glued(square, form, p.names), DiagramError, "face 0 does not cover a half-square"),
+        (glued(square, bad, p.names), LiftError, "face 2 reads a nontrivial word"),
+        (glued(bad, square, p.names), LiftError, "face 0 reads a nontrivial word"),
+    ]
+    for d, exc, msg in cases:
+        assert is_topological_disk(d) and is_reduced(d)
+        for classify in (torus_coordinates, corner_classification, reference_corner_classification):
+            with pytest.raises(exc, match=f"^{msg}"):
+                classify(d, m)
 
 
 def test_corner_classification_matches_reference_thm1_area5(corpus_thm1_5, galleries):
