@@ -719,7 +719,11 @@ class _InvariantBound:
         """``(bound, solution)``, where the solution is the graded one, as
         the int64 bytes of the terms ``j, k, c`` of its columns, when the
         graded solve is "ok" (on a pinned bound, for every feasible word)
-        and None otherwise."""
+        and None otherwise.  The zero vector, a word that the invariants
+        cannot tell from the identity, needs no solve: both systems give it
+        bound 0, and the graded one the empty solution when pinned."""
+        if not fox:
+            return 0, b"" if self.pinned else None
         # every relator's projected path closes, so the graded system has
         # no solution for a word whose path does not, and needs no test
         if self.eq_matrix is not None:

@@ -271,16 +271,20 @@ class _Tables:
     alphabet, the relator forms of its presentation complex, each signed
     letter's lattice step packed as ``pack_point(y, x)`` (so the least
     packed point is the least by y, then x: the sweep order), the largest
-    step coordinate, and the shape (``_shape``) of each face word met so
-    far, all of which the model sends to the identity."""
+    step coordinate, the letters c1, c2 and c3 that the alphabet has,
+    each mapped to its name, and the shape (``_shape``) of each face word
+    met so far, all of which the model sends to the identity.  A shape
+    places a face on a half-square exactly when its points are
+    ``_corners(base, kind)``."""
 
-    __slots__ = ("names", "forms", "step", "reach", "shapes")
+    __slots__ = ("names", "forms", "step", "reach", "diagonal", "shapes")
 
     def __init__(self, m: FreeProductModel):
         self.names = m.presentation.names
         self.forms = relator_form_table(presentation_complex(m.presentation))
         self.step = {x: pack_point(dy, dx) for x, (dx, dy) in m.letter_pi.items()}
         self.reach = max((abs(c) for v in m.letter_pi.values() for c in v), default=0)
+        self.diagonal = {i: nm for i, nm in enumerate(self.names, 1) if nm in ("c1", "c2", "c3")}
         self.shapes: Dict[Tuple[int, ...], Optional[Tuple[frozenset, int, str]]] = {}
 
 
@@ -301,45 +305,31 @@ def _shape(w: Tuple[int, ...], m: FreeProductModel) -> Optional[Tuple[frozenset,
     """The shape of a face reading ``w``, a word whose projected path
     closes: the set of its vertex points, the base of the half-square whose
     corners they are, and its kind, "ur" or "ll", all relative to the
-    face's first vertex and packed as classifier points; None when the
-    points cover no half-square."""
+    face's first vertex and packed as classifier points.  The base is the
+    least x and the least y of the points, and the face covers the
+    half-square exactly when its points are ``_corners(base, kind)``; None
+    when they are neither kind's corners."""
     pts, x, y = set(), 0, 0
     for v in w:
         pts.add((x, y))
         dx, dy = m.letter_pi[v]
         x, y = x + dx, y + dy
-    xs = {p[0] for p in pts}
-    ys = {p[1] for p in pts}
-    if len(pts) != 3 or len(xs) != 2 or len(ys) != 2:
-        return None
-    x0, y0 = base = (min(xs), min(ys))
-    if base not in pts:
-        kind = "ur"
-    elif (x0 + 1, y0 + 1) not in pts:
-        kind = "ll"
-    else:
-        return None
-    return frozenset(pack_point(b, a) for a, b in pts), pack_point(y0, x0), kind
-
-
-def _vertex_coordinates(d: DiskDiagram, m: FreeProductModel) -> Tuple[Tuple[int, int], ...]:
-    """The lattice projection of each vertex's lift, vertex 0 at the origin.
-
-    Along the walk of ``_spanning_darts``, each dart's head is its tail
-    plus ``m.letter_pi`` of its signed letter.  The projection is a
-    homomorphism, so these are the lattice parts of ``vertex_lift`` (rank
-    2), along the same walk, without the free parts.  Raises
-    LiftError as ``vertex_lift`` does (see ``_coordinates_along``)."""
-    if d.n_darts == 0:
-        return ((0, 0),)
-    return tuple(map(_xy, _coordinates_along(d, m, _spanning_darts(d))[0]))
+    x0, y0 = base = min(p[0] for p in pts), min(p[1] for p in pts)
+    for kind in ("ur", "ll"):
+        if pts == _corners(base, kind):
+            return frozenset(pack_point(b, a) for a, b in pts), pack_point(y0, x0), kind
+    return None
 
 
 def _coordinates_along(
     d: DiskDiagram, m: FreeProductModel, tree: Sequence[int]
 ) -> Tuple[list, Dict[int, Optional[Tuple[frozenset, int, str]]]]:
-    """The vertex points of a map with darts, as classifier points, along
-    its ``_spanning_darts`` walk ``tree``, and each inner face's ``_shape``.
+    """The vertex points of a map, as classifier points, along its
+    ``_spanning_darts`` walk ``tree``, and each inner face's ``_shape``:
+    a half-square exactly when the face's points are ``_corners(base,
+    kind)``, and None otherwise, on which the callers raise DiagramError.
+    A single vertex has the empty walk and sits at the origin, after the
+    same alphabet check.
 
     Raises LiftError as ``vertex_lift`` does: when the alphabet is not the
     model's, when the diagram is disconnected, and when it is not a
@@ -388,18 +378,18 @@ def torus_coordinates(d: DiskDiagram, m: FreeProductModel) -> PlanarCoords:
     summed along a walk from vertex 0 (``_coordinates_along``); no vertex
     lift is built.  As with ``vertex_lift``, a diagram whose alphabet is not
     the model's, a disconnected one, and one with an inner face whose word
-    the model does not send to the identity raise LiftError.  A face that
-    does not cover a half-square raises DiagramError.  A face's half-square
-    is its word's shape placed at its first vertex: the face's word is
-    trivial, so its projected path closes on the vertices' points.
+    the model does not send to the identity raise LiftError.  A face
+    whose points are not ``_corners(base, kind)`` of a half-square raises
+    DiagramError.  A face's half-square is its word's shape placed at its
+    first vertex: the face's word is trivial, so its projected path closes
+    on the vertices' points.  A single vertex goes through the same walk,
+    so over another alphabet it raises LiftError too.
 
     Works over any gallery presentation whose rank-2 lattice projection
     sends the a-generator to (1,0), the b-generator to (0,1) and c1 to
     (1,-1): pentagon-type faces land on upper-right half-squares,
     triangle-type faces on lower-left ones.
     """
-    if d.n_darts == 0:
-        return PlanarCoords(((0, 0),), {})
     coords, shapes = _coordinates_along(d, m, _spanning_darts(d))
     squares = {}
     for fi, shape in shapes.items():
@@ -448,10 +438,11 @@ def corner_classification(d: DiskDiagram, m: FreeProductModel) -> CornerWitness:
     # the triangle's left and bottom sides are free; the cases split on how
     # much of its diagonal c1 c2 c3 is free as well
     outer = d.outer_face
+    diagonal = _tables(m).diagonal
     c_dart = {}
     for t in d.faces[tri]:
-        name = d.alphabet[abs(d.labels[t]) - 1]
-        if name in ("c1", "c2", "c3"):
+        name = diagonal.get(abs(d.labels[t]))
+        if name is not None:
             c_dart[name] = t
     if len(c_dart) < 3:
         raise DiagramError(f"corner triangle {tri} has no c1 c2 c3 diagonal")
@@ -466,11 +457,10 @@ def corner_classification(d: DiskDiagram, m: FreeProductModel) -> CornerWitness:
     q = d.face_of[c_dart["c1"] ^ 1]
     if shapes[q][2] != "ur":
         raise DiagramError("cell across the corner diagonal is not a pentagon")
-    c_idx = {d.alphabet.index(nm) + 1 for nm in ("c1", "c2", "c3")}
     free = all(
         d.face_of[t ^ 1] == outer
         for t in d.faces[q]
-        if abs(d.labels[t]) not in c_idx
+        if abs(d.labels[t]) not in diagonal
     )
     return CornerWitness("shell" if free else "cutcell3", q)
 

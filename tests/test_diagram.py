@@ -418,10 +418,38 @@ def test_json_roundtrip():
 
 
 def test_dot_export_mentions_features():
+    """Cutcells are noted on their faces; for a square with an edge hung
+    at a corner, the spur's tip is red, the square's four edges (its free
+    arc) are blue, and the hung edge is not coloured."""
     d = figure_diagram(1, 2)
     feats = find_cutcells(d, 1)
     dot = d.to_dot(feats)
     assert "digraph" in dot and "cutcell def 1" in dot
+    d = add_edge_path(DiskDiagram.from_face_word((1, 2, -1, -2), ("a", "b")), 0, (2,))
+    spurs, shells = find_spurs(d), find_shells(d)
+    assert len(spurs) == 1 and len(shells) == 1
+    lines = d.to_dot(spurs + shells).splitlines()
+    tip = spurs[0].vertex
+    assert [ln for ln in lines if 'color="red"' in ln] == [f'  v{tip} [shape=point color="red"];']
+    assert sum('color="blue"' in ln for ln in lines) == 4
+    (hung,) = [ln for ln in lines if f"-> v{tip} " in ln]
+    assert hung.endswith('[label="b"];')
+
+
+def test_json_line_without_alphabet_reads_over_sorted_names():
+    """A line without ``"alphabet"`` reads back over the sorted names of
+    the labels it carries: here ``b`` and ``a`` swap numbers, and a name
+    no label carries is dropped."""
+    d = DiskDiagram.from_face_word((1, 2, -1, -2), ("b", "a"))
+    data = json.loads(d.to_json())
+    del data["alphabet"]
+    e = DiskDiagram.from_json(json.dumps(data))
+    swapped = tuple((3 - abs(x)) * (1 if x > 0 else -1) for x in d.labels)
+    assert (e.sigma, e.labels, e.alphabet, e.outer_dart) == (d.sigma, swapped, ("a", "b"), d.outer_dart)
+    one = json.loads(DiskDiagram((1, 0), (2, -2), ("b", "a"), 0).to_json())
+    del one["alphabet"]
+    e = DiskDiagram.from_json(json.dumps(one))
+    assert (e.labels, e.alphabet) == ((1, -1), ("a",))
 
 
 def test_removals_preserve_validity_small_corpus(thm2, corpus_thm2_6):

@@ -1,5 +1,7 @@
 import random
 import weakref
+from array import array
+from math import ceil
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1000,19 +1002,59 @@ def a2b2_a3b3_bound():
     return p, _InvariantBound(presentation_complex(p), ((1, 0), (0, 1)))
 
 
+def zero_vector_entry(hb):
+    """The zero Fox vector's entry computed by the solves: the graded
+    solve's bound and solution bytes when it is "ok", else the plain
+    solve's bound and no solution."""
+    res = hb._solve_laurent_system(hb._split({})) if hb.eq_matrix is not None else ("unknown",)
+    if res[0] == "ok":
+        flat = [v for j, col in enumerate(res[2]) for k, c in col.items() for v in (j, k, c)]
+        return 0, 1, (res[1], array("q", flat).tobytes())
+    return 0, 1, (ceil(hb._solve(hb._rows({}))), None)
+
+
 def test_pinned_exactly_when_no_solve_is_unknown(galleries):
     """A pinned bound's graded solve never returns "unknown" (the zero
     vector, any word's, solves to zero); on a bound with a graded system
-    that is not pinned, the zero vector already returns "unknown"."""
+    that is not pinned, the zero vector already returns "unknown".  On
+    fresh bounds, the zero vector's entry, which ``_bound`` gives without
+    a solve, is the one the solves give."""
     for gid in GALLERY_IDS:
         _p, m, x = galleries[gid]
         hb = _bound_for(x, m)
         assert hb.pinned, gid
         assert hb._solve_laurent_system(hb._split({})) == ("ok", 0, [{}] * hb.n)
         assert not _bound_for(x, None).pinned
+        for fresh in (_InvariantBound(x, hb.pi), _InvariantBound(x)):
+            assert fresh._entry({}) == zero_vector_entry(fresh), gid
     _p, hb = a2b2_a3b3_bound()
     assert not hb.pinned
     assert hb._solve_laurent_system(hb._split({})) == ("unknown",)
+    assert hb._entry({}) == zero_vector_entry(hb) == (0, 1, (0, None))
+
+
+def test_rows_without_columns_must_be_zero():
+    """Over ``<a, b, c | c>`` with a -> (1, 0), b -> (0, 1) and c -> (0, 0),
+    only c's row of the graded system names the one column, so the rows
+    of a and b have none after elimination: [a, b], whose a-row is not
+    zero, is infeasible, and c a c^-1 a^-1, whose a-row is zero, needs
+    (1 - z^(1,0)) times the relator c."""
+    p = Presentation.build("a b c", ["c"])
+    hb = _InvariantBound(presentation_complex(p), ((1, 0), (0, 1), (0, 0)))
+    assert sorted(g for g, terms, _box in hb._left if not terms) == [0, 1]
+    assert hb.bound((1, 2, -1, -2)) is None
+    assert hb.bound((3, 1, -3, -1)) == 2
+
+
+def test_unpinned_bound_of_a_path_that_does_not_close():
+    """On the ``[a^2,b^2], [a^3,b^3]`` bound the graded solve of ``a``
+    cannot decide, and the plain rows see that its projected path ends at
+    (1, 0), so no filling exists."""
+    _p, hb = a2b2_a3b3_bound()
+    fox = hb._walk((1,))
+    assert hb._solve_laurent_system(hb._split(fox)) == ("unknown",)
+    assert hb._rows(fox) is None
+    assert hb.bound((1,)) is None
 
 
 def test_form_solutions_are_signed_monomials(galleries):

@@ -1,11 +1,12 @@
 import pytest
 
-from vankampen.presentation import presentation_complex
-from vankampen.group_models import LatticeVector, project_z2
+from vankampen.presentation import Presentation, presentation_complex
+from vankampen.group_models import FreeProductModel, GroupElement, LatticeVector, project_z2
 from vankampen.diagram import (
     DiagramError,
     DiskDiagram,
     LiftError,
+    _spanning_darts,
     add_edge_path,
     attach_face,
     boundary_path,
@@ -21,8 +22,9 @@ from vankampen.diagram import (
 from vankampen.enumeration import EnumerationConfig, enumerate_diagrams
 from vankampen.gallery import (
     GALLERY_IDS,
+    _coordinates_along,
     _corners,
-    _vertex_coordinates,
+    _xy,
     CornerWitness,
     complex_for,
     confirm_corner_witness,
@@ -119,6 +121,28 @@ def test_torus_coordinates_single_vertex():
     assert pc.face_squares == {}
 
 
+def test_face_on_three_points_of_no_unit_half_square_raises():
+    """The one cell of ``<a, b, c | a b c>`` with a -> (2, 0), b -> (-2, 2)
+    and c -> (0, -2) reads a trivial word on the points (0, 0), (2, 0) and
+    (0, 2): three points on two x and two y values, but not the corners
+    of a half-square of the unit grid."""
+    p = Presentation.build("a b c", ["a b c"])
+    lattice = GroupElement.lattice
+    m = FreeProductModel(p, 2, 0, {"a": lattice((2, 0)), "b": lattice((-2, 2)), "c": lattice((0, -2))})
+    d = DiskDiagram.from_face_word(p.relators[0].letters, p.names)
+    assert vertex_points(d, m) == ((0, 0), (2, 0), (0, 2))
+    with pytest.raises(DiagramError, match="^face 0 does not cover a half-square$"):
+        torus_coordinates(d, m)
+    with pytest.raises(DiagramError, match="^face 0 does not cover a half-square$"):
+        reference_torus_squares(d, m)
+
+
+def vertex_points(d, m):
+    """The lattice projection of each vertex's lift, vertex 0 at the
+    origin, as the classifier places the vertices."""
+    return tuple(map(_xy, _coordinates_along(d, m, _spanning_darts(d))[0]))
+
+
 def _lattice_parts(d, m):
     lift = vertex_lift(d, m)
     return tuple(m.lattice_part(lift[v]) for v in range(d.n_vertices))
@@ -137,7 +161,7 @@ def test_vertex_coordinates_match_vertex_lifts(galleries):
         m = galleries[gid][1]
         for n in (1, 2, 3):
             d = figure_diagram(fig, n)
-            assert _vertex_coordinates(d, m) == _lattice_parts(d, m)
+            assert vertex_points(d, m) == _lattice_parts(d, m)
 
 
 def test_torus_coordinates_rejects_face_off_the_presentation():
@@ -155,10 +179,17 @@ def test_torus_coordinates_rejects_face_off_the_presentation():
 
 
 def test_torus_coordinates_rejects_wrong_alphabet_and_disconnected():
+    """The single vertex takes the general walk, so its alphabet is
+    checked as ``vertex_lift`` checks it."""
     p, m = presentation("thm1")
     d = DiskDiagram.from_face_word(p.relators[0].letters, p.names)
     with pytest.raises(LiftError, match="alphabet"):
         torus_coordinates(d, presentation("eq1")[1])
+    vertex = DiskDiagram.single_vertex(("x",))
+    with pytest.raises(LiftError, match="alphabet"):
+        vertex_lift(vertex, m)
+    with pytest.raises(LiftError, match="^diagram alphabet does not match the model's presentation$"):
+        torus_coordinates(vertex, m)
     n = d.n_darts
     twice = DiskDiagram(
         d.sigma + tuple(n + t for t in d.sigma), d.labels * 2, p.names, d.outer_dart
@@ -218,29 +249,23 @@ def test_corner_classification_rejects_single_cell():
 
 def reference_face_points(d, coords):
     """Each inner face's set of vertex points, read off the vertex
-    coordinates, with the base and kind of the half-square whose corners
-    they are; DiagramError for the first face, in face order, that covers
-    no half-square.  The classifier's per-word shapes must agree."""
+    coordinates, with the base (the least x and the least y of its points)
+    and kind of the half-square whose corners they are; DiagramError for
+    the first face, in face order, whose points are neither kind's
+    corners.  The classifier's per-word shapes must agree."""
     out = {}
     for fi in d.inner_face_indices:
         pts = {coords[d.vertex_of[t]] for t in d.faces[fi]}
-        xs = {q[0] for q in pts}
-        ys = {q[1] for q in pts}
-        if len(pts) != 3 or len(xs) != 2 or len(ys) != 2:
+        base = (min(q[0] for q in pts), min(q[1] for q in pts))
+        kinds = [kind for kind in ("ur", "ll") if pts == _corners(base, kind)]
+        if not kinds:
             raise DiagramError(f"face {fi} does not cover a half-square")
-        x0, y0 = base = (min(xs), min(ys))
-        if base not in pts:
-            kind = "ur"
-        elif (x0 + 1, y0 + 1) not in pts:
-            kind = "ll"
-        else:
-            raise DiagramError(f"face {fi} does not cover a half-square")
-        out[fi] = (pts, base, kind)
+        out[fi] = (pts, base, kinds[0])
     return out
 
 
 def reference_torus_squares(d, m):
-    points = reference_face_points(d, _vertex_coordinates(d, m))
+    points = reference_face_points(d, vertex_points(d, m))
     return {fi: (base, kind) for fi, (_pts, base, kind) in points.items()}
 
 

@@ -63,3 +63,25 @@ def test_library_imports_nothing_unused():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused |= {f"{path.stem}.{name}" for name in imported - used}
     assert unused == {"enumeration.attach_face", "dehn_props.find_shells"}
+
+
+def test_library_names_every_private_definition():
+    """Each ``_``-prefixed function, method or class of the library, other
+    than a dunder, is named (as a name or an attribute) somewhere in the
+    library outside its own definition, so no helper lives in ``src``
+    only for the tests."""
+    defs, refs = [], {}
+    for path in sorted((ROOT / "src" / "vankampen").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defs.append((path.stem, node))
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                refs.setdefault(name, []).append(node)
+    unnamed = []
+    for module, node in defs:
+        inside = set(map(id, ast.walk(node)))
+        if all(id(ref) in inside for ref in refs.get(node.name, [])):
+            unnamed.append(f"{module}.{node.name}")
+    assert unnamed == []
