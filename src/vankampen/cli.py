@@ -102,12 +102,12 @@ def _report_payload(rep: PropertyReport) -> dict:
 
 
 def cmd_check(args) -> int:
-    p, m = _load_presentation(args)
     prop = args.property
     if prop == "pieces":
         return cmd_pieces(args)
     if prop == "embed":
         return cmd_embed(args)
+    p, m = _load_presentation(args)
     x = presentation_complex(p)
     bound = args.max_area
     if bound is None:

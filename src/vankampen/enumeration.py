@@ -376,24 +376,27 @@ def _triples(flat: bytes) -> Iterator[Tuple[int, int, int]]:
 class _InvariantBound:
     """Exact lower bound on filling area from abelianized invariants.
 
-    Built from the complex and ``pi``, the rank-2 lattice projection of
-    each generator under a model, or None without one (then every position
-    is zero).  A word is read in one projected walk: the prefix point at
-    each position, and the word's Fox vector, the flat dict ``key -> c`` of
-    its position-weighted exponent sums over ``Z[Z^2]``, where the key of
-    generator ``g`` at point ``k`` is ``k * G + g`` (``G`` generators, ``k``
-    packed by ``pack_point``), so keys sort as ``(kx, ky, g)`` does.  Every
-    row of the plain system is linear in that vector: the generator
-    exponent sums and, with a projection, twice the signed area of the
-    projected boundary path.  Any filling's signed face counts solve the
-    plain system, so the minimal l1-norm over rational solutions bounds the
-    area from below; with a projection, the graded system over ``Z[Z^2]``
-    is tried first and, when it pins each relator's translates, gives the
-    bound.  Its coefficient side depends only on the relators, so it is
-    eliminated once, here, and each solve replays the recorded row
-    operations on the word's vector alone, split per generator.  The bound
-    is ``pinned`` when that elimination leaves every column a pivot or an
-    exact division: then a feasible word has exactly one graded solution.
+    Built from the complex and ``pi``, a projection of each generator to
+    the lattice Z^2 under which every relator's path closes: a rank-2
+    model's, or the complex's own (``_bound_for``).  Any such projection
+    gives a valid bound, since the Fox derivative of ``u r^+-1 u^-1`` maps
+    to ``+-z^pi(u)`` times ``r``'s (R. H. Fox, "Free differential calculus
+    I", Ann. of Math. 57, 1953).  A word is read in one projected walk: the
+    prefix point at each position, and the word's Fox vector, the flat dict
+    ``key -> c`` of its position-weighted exponent sums over ``Z[Z^2]``,
+    where the key of generator ``g`` at point ``k`` is ``k * G + g`` (``G``
+    generators, ``k`` packed by ``pack_point``), so keys sort as ``(kx, ky,
+    g)`` does.  Every row of the plain system is linear in that vector: the
+    generator exponent sums and twice the signed area of the projected
+    boundary path.  Any filling's signed face counts solve the plain
+    system, so the minimal l1-norm over rational solutions bounds the area
+    from below; the graded system over ``Z[Z^2]`` is tried first and, when
+    it pins each relator's translates, gives the bound.  Its coefficient
+    side depends only on the relators, so it is eliminated once, here, and
+    each solve replays the recorded row operations on the word's vector
+    alone, split per generator.  The bound is ``pinned`` when that
+    elimination leaves every column a pivot or an exact division: then a
+    feasible word has exactly one graded solution.
     The relator forms' vectors, and on a pinned bound their solutions, are
     computed once per bound too, for the word moves.
 
@@ -419,21 +422,19 @@ class _InvariantBound:
     int64 raises OverflowError.
     """
 
-    def __init__(self, x: TwoComplex, pi: Optional[Tuple[Tuple[int, int], ...]] = None):
-        graded = pi is not None
-        self.pi = pi if graded else ((0, 0),) * len(x.alphabet)
+    def __init__(self, x: TwoComplex, pi: Tuple[Tuple[int, int], ...]):
+        self.pi = pi
         # _walk reads words up to _max_len letters; _eliminate narrows it,
         # and until then a relator's walk stays in the packed range
-        self._ystep = step = max([abs(py) for _px, py in self.pi], default=0)
+        self._ystep = step = max([abs(py) for _px, py in pi], default=0)
         self._max_len = POINT_HALF // step if step else float("inf")
-        es = [self._walk(w.letters) for w in x.face_words()]
+        es = [self._split(self._walk(w.letters)) for w in x.face_words()]
         self.n = len(es)
         # one row per generator of the graded system, one column per relator
-        self.eq_matrix = [list(col) for col in zip(*map(self._split, es))] if graded else None
+        self.eq_matrix = [[e[g] for e in es] for g in range(len(pi))]
         self._x = x
         self._cache: Dict[bytes, Tuple[Optional[int], Optional[bytes]]] = {}
-        if graded:
-            self._eliminate()
+        self._eliminate()
 
     @cached_property
     def _steps(self) -> Tuple[List[int], List[int]]:
@@ -452,11 +453,9 @@ class _InvariantBound:
     @cached_property
     def matrix(self) -> List[List[Fraction]]:
         """The plain system, one column per relator; made on first use,
-        since with a projection the graded solve answers every word of a
-        pinned bound."""
+        since the graded solve answers every word of a pinned bound."""
         cols = [self._rows(self._walk(w.letters)) for w in self._x.face_words()]
-        rows = len(self.pi) + (self.eq_matrix is not None)
-        return [[Fraction(col[i]) for col in cols] for i in range(rows)]
+        return [[Fraction(col[i]) for col in cols] for i in range(len(self.pi) + 1)]
 
     @cached_property
     def pinned(self) -> bool:
@@ -465,8 +464,6 @@ class _InvariantBound:
         division, never returns "unknown", and gives a feasible word exactly
         one solution.  This reads only ``_eliminate``'s record of the
         coefficient side, so it holds for every word or for none."""
-        if self.eq_matrix is None:
-            return False
         divided = {terms[0][0] for _g, terms, box in self._left if box is not None}
         return len(divided) == self._free
 
@@ -530,11 +527,11 @@ class _InvariantBound:
 
     def _rows(self, fox: Dict[int, int]) -> Optional[Tuple[int, ...]]:
         """The plain rows of a word from its Fox vector: each generator's
-        exponent sum (the sum of its coefficients) and, with a projection,
-        twice the signed area of the projected path (``c * (k x pi(g))``
-        summed over the terms ``c z^k`` of generator ``g``).  None when the
-        projected path, ending at the exponent sums times the projections,
-        does not close."""
+        exponent sum (the sum of its coefficients) and twice the signed
+        area of the projected path (``c * (k x pi(g))`` summed over the
+        terms ``c z^k`` of generator ``g``).  None when the projected path,
+        ending at the exponent sums times the projections, does not
+        close."""
         n = len(self.pi)
         sums = [0] * n
         ex = ey = twice = 0
@@ -546,8 +543,6 @@ class _InvariantBound:
             ex += c * px
             ey += c * py
             twice += c * (kx * py - ky * px)
-        if self.eq_matrix is None:
-            return tuple(sums)
         if ex or ey:
             return None
         return (*sums, twice)
@@ -726,14 +721,13 @@ class _InvariantBound:
             return 0, b"" if self.pinned else None
         # every relator's projected path closes, so the graded system has
         # no solution for a word whose path does not, and needs no test
-        if self.eq_matrix is not None:
-            res = self._solve_laurent_system(self._split(fox))
-            if res[0] == "infeasible":
-                return None, None
-            if res[0] == "ok":
-                flat = [v for j, col in enumerate(res[2])
-                        for k, c in col.items() for v in (j, k, c)]
-                return res[1], array("q", flat).tobytes()
+        res = self._solve_laurent_system(self._split(fox))
+        if res[0] == "infeasible":
+            return None, None
+        if res[0] == "ok":
+            flat = [v for j, col in enumerate(res[2])
+                    for k, c in col.items() for v in (j, k, c)]
+            return res[1], array("q", flat).tobytes()
         rows = self._rows(fox)
         if rows is None:
             return None, None
@@ -786,14 +780,23 @@ def _rref(matrix: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]
 # Words A* stores (``len(dist)``) before ``relator_bfs`` gives up
 # uncertified, and nodes the bound-perfect probe visits before handing over
 # to A*.  A* expands each stored word at most once (see ``_astar``),
-# so the store cap bounds its expansions too.  With ``relator_bfs``, eq1's
-# model-free commutator at bound 4 gives up at the cap after 4 to 7 s, at a
-# peak of 88 MB.
+# so the store cap bounds its expansions too.  It does not bound the bound's
+# cache: on a bound that is not pinned, each move scored keeps an entry, and
+# over <a, b | [a^2,b^2], [a^3,b^3]> ``relator_bfs`` on [a, b] at bound 4
+# had stored 40,000 words after 88 s, with 630,000 cache entries, at 430 MB.
 # No tested or pinned search stores more than 41,019 words (a conjugated
 # relator product of the A* pin, at bound 3 with a model), nor any
 # benchmark query more than 162.
 MAX_STORED = 200_000
 PROBE_NODE_BUDGET = 30_000
+# Gluings one complex's disk stream (``_DiskAreas``, which ``diagram_search``
+# reads) tries over all its levels before it raises ``ResourceCapError``.
+# No gallery stream in the tests tries more than 11,580 (eq1 to area 5), and
+# thm1's to area 5 tries 99,388.  Over <a, b | [a^2,b^2], [a^3,b^3]>,
+# ``auto`` on [a, b] at bound 4 reaches the cap while growing area 4, after
+# about 12 s at a peak of 276 MB; uncapped, that level passed 1.1 GB within
+# 900,000 gluings.
+MAX_CANDIDATES = 200_000
 
 
 @dataclass(frozen=True)
@@ -825,8 +828,10 @@ def area_oracle(
     """Minimal area of a filling of ``w`` over ``x``, up to ``bound``.
 
     ``relator_bfs`` runs an A* search over cyclic words with relator
-    insertions as moves, guided by the invariant lower bound; its result is
-    certified unless the search stores more than ``MAX_STORED`` words.
+    insertions as moves, guided by the invariant lower bound of
+    ``_bound_for``, which projects with a rank-2 model when one is given and
+    with the complex's own projection otherwise; its result is certified
+    unless the search stores more than ``MAX_STORED`` words.
     Each move is scored before it is canonicalised (see ``_moves``): on a
     pinned bound, in O(1) from the parent's graded solution, since an
     insertion changes one coefficient of it by one; otherwise from the parent's Fox vector
@@ -850,7 +855,8 @@ def area_oracle(
     so its exponent vector lies in the span, and each unordered split gives
     the same two arcs, with the same sum, from either end; its answer is
     always certified.  Its disks come from ``disk_boundary_table``, which
-    enumerates each complex's levels once for all bounds.
+    enumerates each complex's levels once for all bounds and raises
+    ``ResourceCapError`` once they have tried ``MAX_CANDIDATES`` gluings.
 
     ``auto`` first asks what ``relator_bfs`` certifies before its A*: the
     invariants, the model's word problem and the probe.  A word these leave
@@ -878,7 +884,10 @@ def area_oracle(
     # search.  Enumerating any gallery complex's disks to area 4 takes at
     # most 0.18 s (thm1), about what A* takes to store 6,000 words, so there
     # A* gives up early, at 2,000 words at area 4 and a tenth of that per
-    # area below; to areas 5 and 6 thm1 takes 2.7 and 47 s.
+    # area below; to areas 5 and 6 thm1 takes 2.7 and 47 s.  A word reaches
+    # this A* when the complex's own bound is not pinned: over <a, b |
+    # [a^2,b^2], [a^3,b^3]>, [a, b] at bound 2 takes 0.02 s with the cap and
+    # 0.7 s without it.
     cap = MAX_STORED
     if model is None and bound <= 4:
         cap = MAX_STORED // 10 ** (6 - bound)
@@ -907,10 +916,9 @@ def _moves(
     its column with the opposite sign), at the positions whose projected
     prefix puts the form on that term, looked up in a dict from each
     prefix point to its positions.  Otherwise each form's vector is added
-    to ``cur``'s and scored by ``vector_bound`` once per distinct prefix
-    (with no projection, every prefix is the origin), and a target only
-    filters.  The bound's cache is keyed up to sign and translation, so
-    ``h`` is also the bound of the canonical form."""
+    to ``cur``'s and scored by ``vector_bound`` once per distinct prefix,
+    and a target only filters.  The bound's cache is keyed up to sign and
+    translation, so ``h`` is also the bound of the canonical form."""
     starts: List[int] = []
     base = hb._walk(cur, starts)
     sol = None
@@ -1125,9 +1133,18 @@ _cached_bound = lru_cache(maxsize=None)(_InvariantBound)
 
 
 def _bound_for(x: TwoComplex, model: Optional[FreeProductModel]) -> _InvariantBound:
-    pi = None
+    """The invariant bound over ``x`` with a rank-2 model's lattice
+    projection, or else with the complex's own: ``_letter_classes``'s
+    functionals ``f_1 .. f_r`` (a basis of the homomorphisms to Z that kill
+    every relator) send generator ``g`` to ``(sum_k f_k(g), sum_k k
+    f_k(g))``, which is ``(0, 0)`` when ``r = 0``.  Either kills every
+    relator, which is all the bound needs of its projection."""
     if model is not None and model.abelian_rank == 2:
         pi = tuple(map(model.pi, x.alphabet))
+    else:
+        classes = _letter_classes(x)
+        pi = tuple((sum(c), sum(k * v for k, v in enumerate(c, 1)))
+                   for c in map(classes.__getitem__, range(1, len(x.alphabet) + 1)))
     return _cached_bound(x, pi)
 
 
@@ -1140,7 +1157,7 @@ class _DiskAreas:
     __slots__ = ("levels", "least", "read")
 
     def __init__(self, x: TwoComplex):
-        self.levels = _levels(x, None)
+        self.levels = _levels(x, MAX_CANDIDATES)
         self.least: Dict[Tuple[int, ...], int] = {}
         self.read = 0
 
@@ -1275,7 +1292,7 @@ def is_minimal(
 
     The bound's value is kept in ``d._bound`` with the bound object that
     gave it, and reused only for that same object.  Bound objects are
-    cached by content (the complex and the model's lattice projection), so
+    cached by content (the complex and the lattice projection), so
     the same object means the same complex and projection.  The oracle's
     answer below the bound is not kept: it reads the whole model.
 

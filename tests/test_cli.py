@@ -209,30 +209,66 @@ def test_presentation_and_model_files(capsys, tmp_path):
     assert code == 0
 
 
+# a presentation whose own invariant bound is not pinned
+UNPINNED = "gens: a b\nrel: a a b b A A B B\nrel: a a a b b b A A A B B B\n"
+
+
 def test_area_store_cap_exits_3(capsys, tmp_path, monkeypatch):
     from vankampen import enumeration
 
-    p, _m = presentation("eq1")
-    pres_path = tmp_path / "eq1.pres"
-    pres_path.write_text(presentation_file_text(p))
+    pres_path = tmp_path / "unpinned.pres"
+    pres_path.write_text(UNPINNED)
     monkeypatch.setattr(enumeration, "MAX_STORED", 1000)
     code, out, _ = run_cli(capsys, "area", "--presentation", str(pres_path),
-                           "--word", "c2 c3 c2^-1 c3^-1", "--bound", "4",
+                           "--word", "a b A B", "--bound", "4",
                            "--method", "relator_bfs")
     assert code == 3
     assert "[uncertified]  (store cap hit)" in out
 
 
-def test_check_without_a_model_prints_the_gallery_json(capsys, tmp_path):
-    # without a model, the scan certifies minimality by a capped A* or by
-    # diagram_search where the invariants and the probe leave a word open
-    p, _m = presentation("eq1")
-    pres_path = tmp_path / "eq1.pres"
+def test_area_disk_stream_cap_exits_3(capsys, tmp_path, monkeypatch):
+    """``auto``'s capped A* gives up on [a, b] at bound 4, and the
+    enumeration under ``diagram_search`` stops at ``MAX_CANDIDATES``
+    gluings, from a fresh stream, instead of exhausting memory."""
+    from functools import lru_cache
+
+    from vankampen import enumeration
+
+    pres_path = tmp_path / "unpinned.pres"
+    pres_path.write_text(UNPINNED)
+    monkeypatch.setattr(enumeration, "MAX_CANDIDATES", 1000)
+    monkeypatch.setattr(enumeration, "_disk_areas", lru_cache(maxsize=None)(enumeration._DiskAreas))
+    code, out, err = run_cli(capsys, "area", "--presentation", str(pres_path),
+                             "--word", "a b A B", "--bound", "4")
+    assert (code, out) == (3, "")
+    assert err == "resource cap: enumeration exceeded 1000 candidate gluings\n"
+
+
+def check_without_a_model(capsys, tmp_path, gid, prop, max_area):
+    """``check --presentation`` over the gallery's file, without its model,
+    prints the ``--gallery`` run's JSON with no unknowns: the complex's own
+    projection certifies each minimal diagram as the model's does."""
+    p, _m = presentation(gid)
+    pres_path = tmp_path / f"{gid}.pres"
     pres_path.write_text(presentation_file_text(p))
-    scan = ("--property", "gdehn2", "--max-area", "3", "--json")
+    scan = ("--property", prop, "--max-area", str(max_area), "--json")
     code, out, _ = run_cli(capsys, "check", "--presentation", str(pres_path), *scan)
-    assert (code, out) == run_cli(capsys, "check", "--gallery", "eq1", *scan)[:2]
-    assert code == 1 and json.loads(out)["unknowns"] == 0
+    assert (code, out) == run_cli(capsys, "check", "--gallery", gid, *scan)[:2]
+    assert json.loads(out)["unknowns"] == 0
+
+
+def test_check_without_a_model_prints_the_gallery_json(capsys, tmp_path):
+    for gid, prop, max_area in (
+        ("thm1", "gdehn3", 4), ("thm2", "gdehn1", 6), ("eq1", "gdehn1", 4),
+        ("eq1", "gdehn2", 4), ("eq2", "gdehn3", 4), ("torusT", "dehn", 5),
+    ):
+        check_without_a_model(capsys, tmp_path, gid, prop, max_area)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("gid,prop,max_area", [("thm1", "gdehn3", 5), ("thm2", "gdehn1", 8)])
+def test_check_without_a_model_at_the_acceptance_sizes(capsys, tmp_path, gid, prop, max_area):
+    check_without_a_model(capsys, tmp_path, gid, prop, max_area)
 
 
 def test_check_with_unknowns_exits_3(capsys, monkeypatch):

@@ -538,6 +538,20 @@ def test_prefix_classes_are_zero_on_relators(galleries):
     assert len(classes) == 5 and classes[0] == classes[4] != classes[1]
 
 
+def a2b2_a3b3():
+    """``<a, b | [a^2,b^2], [a^3,b^3]>`` and its complex, whose own bound is
+    not pinned."""
+    p = Presentation.build("a b", ["a a b b a^-1 a^-1 b^-1 b^-1",
+                                   "a a a b b b a^-1 a^-1 a^-1 b^-1 b^-1 b^-1"])
+    return p, presentation_complex(p)
+
+
+def exponent_sum_bound(x):
+    """The bound with every generator projected to the origin: its rows
+    are the exponent sums, and it is not pinned over any gallery."""
+    return enumeration._cached_bound(x, ((0, 0),) * len(x.alphabet))
+
+
 def _pi_path(word, pi_by_letter):
     """The projected boundary path of a word, from the origin."""
     xx = yy = 0
@@ -580,11 +594,11 @@ def test_fox_vector_rows_match_direct_counts(galleries, case):
     shoelace area of the projected path, and an open path has no bound."""
     gid, word, closed = case
     p, m, x = galleries[gid]
-    hb, plain = _bound_for(x, m), _bound_for(x, None)
+    hb, plain = _bound_for(x, m), exponent_sum_bound(x)
     pi_by_letter = {g: m.pi(name) for g, name in enumerate(p.names, start=1)}
     for w in (word, closed):
         counts = tuple(sum((v == g) - (v == -g) for v in w) for g in range(1, len(p.names) + 1))
-        assert plain._rows(plain._walk(w)) == counts
+        assert plain._rows(plain._walk(w)) == (*counts, 0)
         starts = []
         rows = hb._rows(hb._walk(w, starts))
         # the prefix point before each letter, packed: the projected path so far
@@ -602,21 +616,28 @@ def test_fox_vector_rows_match_direct_counts(galleries, case):
 
 def test_relator_bfs_refutes_by_astar_or_word_problem(galleries):
     p, m, x = galleries["eq1"]
-    # free-factor commutator: invisible to the invariants, nontrivial in the model
+    # free-factor commutator: invisible to the model's projection, nontrivial
+    # in the model, and seen by the complex's own projection
     w = p.word("c2 c3 c2^-1 c3^-1")
-    res = area_oracle(w, x, bound=2, method="relator_bfs")
-    assert res.value is None and res.certified_exact and res.expanded > 0
     res = area_oracle(w, x, bound=2, method="relator_bfs", model=m)
     assert res.value is None and res.certified_exact and res.expanded == 0
     assert res.note.startswith("model word problem")
+    res = area_oracle(w, x, bound=2, method="relator_bfs")
+    assert res.value is None and res.certified_exact and res.expanded == 0
+    assert res.note.startswith("abelian obstruction")
+    # the unpinned bound leaves [a, b] open, and A* exhausts its moves
+    p, x = a2b2_a3b3()
+    res = area_oracle(p.word("a b a^-1 b^-1"), x, bound=2, method="relator_bfs")
+    assert res.value is None and res.certified_exact and res.expanded > 0
+    assert res.note == "no filling within bound"
 
 
-def test_relator_bfs_store_cap_gives_up_uncertified(galleries, monkeypatch):
-    # without a model nothing refutes the free-factor commutator at bound 4,
-    # and A* stores words far faster than it expands them
-    p, _m, x = galleries["eq1"]
+def test_relator_bfs_store_cap_gives_up_uncertified(monkeypatch):
+    # on the unpinned bound nothing refutes [a, b] at bound 4, and A*
+    # stores words far faster than it expands them
+    p, x = a2b2_a3b3()
     monkeypatch.setattr(enumeration, "MAX_STORED", 1000)
-    res = area_oracle(p.word("c2 c3 c2^-1 c3^-1"), x, bound=4, method="relator_bfs")
+    res = area_oracle(p.word("a b a^-1 b^-1"), x, bound=4, method="relator_bfs")
     assert res.value is None and not res.certified_exact
     assert res.note == "store cap hit" and res.expanded < 1000
 
@@ -630,13 +651,17 @@ def test_auto_without_a_model_answers_as_relator_bfs_or_by_diagram_search(galler
     answer when the certificates or its capped A* settle the word, and
     otherwise answers with ``diagram_search``, with the value and the
     certified flag of ``relator_bfs``.  Over the boundary words of thm1 and
-    eq1 to area 2 at their area and one below, eq1's free-factor
-    commutator at bound 2 and a word with a nonzero exponent sum."""
+    eq1 to area 2 and those of perimeter at most 12 over the unpinned
+    ``<a, b | [a^2,b^2], [a^3,b^3]>`` to area 2, each at its area and one
+    below, eq1's free-factor commutator at bound 2 and a word with a
+    nonzero exponent sum.  The gallery words are certified before A*; the
+    unpinned words take all three routes."""
     routes = {"certificate": 0, "astar": 0, "diagram_search": 0}
-    for gid in ("thm1", "eq1"):
-        p, _m, x = galleries[gid]
+    complexes = [(gid, galleries[gid][0], galleries[gid][2], None) for gid in ("thm1", "eq1")]
+    complexes.append(("unpinned", *a2b2_a3b3(), 12))
+    for gid, p, x, perimeter in complexes:
         words = {}
-        for d in enumerate_diagrams(x, EnumerationConfig(max_area=2)):
+        for d in enumerate_diagrams(x, EnumerationConfig(max_area=2, max_perimeter=perimeter)):
             words.setdefault(canonical_cyclic(d.boundary_word_ints()), d.area)
         cases = [(w, b) for w, a in words.items() for b in (a - 1, a)]
         if gid == "eq1":
@@ -646,11 +671,13 @@ def test_auto_without_a_model_answers_as_relator_bfs_or_by_diagram_search(galler
             auto = area_oracle(w, x, bound=b)
             if auto.method == "relator_bfs":
                 assert auto == bfs, (gid, w, b)
-                routes["certificate" if bfs.note.startswith(CERTIFICATE_NOTES) else "astar"] += 1
+                route = "certificate" if bfs.note.startswith(CERTIFICATE_NOTES) else "astar"
             else:
                 assert auto.method == "diagram_search" and not bfs.note.startswith(CERTIFICATE_NOTES)
                 assert (auto.value, auto.certified_exact) == (bfs.value, bfs.certified_exact)
-                routes["diagram_search"] += 1
+                route = "diagram_search"
+            assert route == "certificate" or gid == "unpinned", (gid, w, b)
+            routes[route] += 1
     assert all(routes.values()), routes
 
 
@@ -888,11 +915,13 @@ def test_bound_invariant_under_sign_and_translation(galleries, case, data):
     """The bound's cache is keyed by the Fox vector up to sign and
     translation, which is exact only if the uncached bound agrees on a
     closed word's rotations, its inverse and the word with a cancelling
-    pair inserted, and on each scored move and its canonical form."""
+    pair inserted, and on each scored move and its canonical form: with
+    the model's projection, the complex's own and the exponent sums alone,
+    which is not pinned."""
     gid, word = case
     _p, m, x = galleries[gid]
     n = len(x.alphabet)
-    for hb in (_bound_for(x, m), _bound_for(x, None)):
+    for hb in (_bound_for(x, m), _bound_for(x, None), exponent_sum_bound(x)):
         def uncached(w):
             return hb._bound(hb._walk(w))[0]
 
@@ -997,35 +1026,69 @@ def a2b2_a3b3_bound():
     """The bound of ``<a, b | [a^2,b^2], [a^3,b^3]>`` with a -> (1, 0) and
     b -> (0, 1): every coefficient of its graded system has four or six
     terms, so no pivot and no division row pins a column."""
-    p = Presentation.build("a b", ["a a b b a^-1 a^-1 b^-1 b^-1",
-                                   "a a a b b b a^-1 a^-1 a^-1 b^-1 b^-1 b^-1"])
-    return p, _InvariantBound(presentation_complex(p), ((1, 0), (0, 1)))
+    p, x = a2b2_a3b3()
+    return p, _InvariantBound(x, ((1, 0), (0, 1)))
 
 
 def zero_vector_entry(hb):
     """The zero Fox vector's entry computed by the solves: the graded
     solve's bound and solution bytes when it is "ok", else the plain
     solve's bound and no solution."""
-    res = hb._solve_laurent_system(hb._split({})) if hb.eq_matrix is not None else ("unknown",)
+    res = hb._solve_laurent_system(hb._split({}))
     if res[0] == "ok":
         flat = [v for j, col in enumerate(res[2]) for k, c in col.items() for v in (j, k, c)]
         return 0, 1, (res[1], array("q", flat).tobytes())
     return 0, 1, (ceil(hb._solve(hb._rows({}))), None)
 
 
+def test_own_projection_meets_every_disk_as_the_model_does(
+    galleries, corpus_thm2_6, corpus_thm1_5, corpus_eq1_4, corpus_eq2_4
+):
+    """The complex's own projection (``_bound_for(x, None)``) pins every
+    gallery's bound, and on each enumerated disk (thm2 and torusT to area
+    6, thm1, eq1 and eq2 to area 4) its bound is the disk's area and the
+    model's bound.  Over ``<a, b | [a^2,b^2], [a^3,b^3]>``, whose own bound
+    is not pinned, the bound stays at most each disk's area to area 2."""
+    corpora = {"thm2": corpus_thm2_6, "thm1": [d for d in corpus_thm1_5 if d.area <= 4],
+               "eq1": corpus_eq1_4, "eq2": corpus_eq2_4,
+               "torusT": list(enumerate_diagrams(galleries["torusT"][2], EnumerationConfig(max_area=6)))}
+    checked = 0
+    for gid, ds in corpora.items():
+        _p, m, x = galleries[gid]
+        own, model = _bound_for(x, None), _bound_for(x, m)
+        assert own.pinned and own.pi != model.pi, gid
+        for d in ds:
+            w = d.boundary_word_ints()
+            assert own.bound(w) == d.area == model.bound(w), (gid, d.to_json())
+            checked += 1
+    assert checked == 3058
+    _p, x = a2b2_a3b3()
+    own = _bound_for(x, None)
+    assert not own.pinned
+    ds = list(enumerate_diagrams(x, EnumerationConfig(max_area=2)))
+    assert len(ds) == 140
+    for d in ds:
+        assert own.bound(d.boundary_word_ints()) <= d.area, d.to_json()
+
+
 def test_pinned_exactly_when_no_solve_is_unknown(galleries):
     """A pinned bound's graded solve never returns "unknown" (the zero
     vector, any word's, solves to zero); on a bound with a graded system
-    that is not pinned, the zero vector already returns "unknown".  On
-    fresh bounds, the zero vector's entry, which ``_bound`` gives without
-    a solve, is the one the solves give."""
+    that is not pinned, the zero vector already returns "unknown".  Every
+    gallery's bound is pinned with its model's projection and with its
+    own, and not with the exponent sums alone.  On fresh bounds, the zero
+    vector's entry, which ``_bound`` gives without a solve, is the one the
+    solves give."""
     for gid in GALLERY_IDS:
         _p, m, x = galleries[gid]
-        hb = _bound_for(x, m)
-        assert hb.pinned, gid
-        assert hb._solve_laurent_system(hb._split({})) == ("ok", 0, [{}] * hb.n)
-        assert not _bound_for(x, None).pinned
-        for fresh in (_InvariantBound(x, hb.pi), _InvariantBound(x)):
+        for hb in (_bound_for(x, m), _bound_for(x, None)):
+            assert hb.pinned, gid
+            assert hb._solve_laurent_system(hb._split({})) == ("ok", 0, [{}] * hb.n)
+        plain = exponent_sum_bound(x)
+        assert not plain.pinned
+        assert plain._solve_laurent_system(plain._split({})) == ("unknown",)
+        for hb in (_bound_for(x, m), _bound_for(x, None), plain):
+            fresh = _InvariantBound(x, hb.pi)
             assert fresh._entry({}) == zero_vector_entry(fresh), gid
     _p, hb = a2b2_a3b3_bound()
     assert not hb.pinned
@@ -1072,14 +1135,17 @@ def test_form_solutions_are_signed_monomials(galleries):
 
 
 def test_unpinned_bounds_score_through_vector_bound(galleries):
-    """With no model, and on the ``[a^2,b^2], [a^3,b^3]`` bound, every
-    move is scored by ``vector_bound``: the forms carry no solution."""
+    """On the exponent-sum bounds of the galleries, and on the ``[a^2,b^2],
+    [a^3,b^3]`` bounds with the unit projection and with the complex's
+    own, every move is scored by ``vector_bound``: the forms carry no
+    solution."""
     cases = []
     for gid in GALLERY_IDS:
         _p, _m, x = galleries[gid]
-        cases.append((_bound_for(x, None), lattice_commutator(gid, 1)))
+        cases.append((exponent_sum_bound(x), lattice_commutator(gid, 1)))
     p, hb = a2b2_a3b3_bound()
     cases.append((hb, p.relators[0].letters * 2))
+    cases.append((_bound_for(presentation_complex(p), None), p.relators[0].letters * 2))
     for hb, word in cases:
         assert not hb.pinned and all(mono is None for _w, _t, mono in hb.forms)
         moves, calls = scored_moves(word, hb)
@@ -1092,13 +1158,14 @@ def test_unpinned_bounds_score_through_vector_bound(galleries):
 @given(st.one_of(relator_products(), closed_words()))
 def test_targeted_moves_match_filtered_moves(galleries, case):
     """``_moves`` with a target yields the moves that score it, as the
-    unfiltered generator does: on the pinned bound (the target one below
-    the word's bound goes through the solution's support, one above
-    through the filter) and on the no-model bound, which is not pinned."""
+    unfiltered generator does: on the pinned bounds of the model's
+    projection and the complex's own (the target one below the word's
+    bound goes through the solution's support, one above through the
+    filter) and on the exponent-sum bound, which is not pinned."""
     gid, word = case
     _p, m, x = galleries[gid]
     cur = canonical_cyclic(word)
-    for hb in (_bound_for(x, m), _bound_for(x, None)):
+    for hb in (_bound_for(x, m), _bound_for(x, None), exponent_sum_bound(x)):
         h = hb.bound(cur)
         if not cur or h is None:
             continue
@@ -1262,15 +1329,16 @@ def test_perfect_probe_matches_eager_reference(galleries, monkeypatch):
 
 def test_moves_keep_the_bound_feasible_and_consistent(galleries):
     """Every move out of a null-homotopic word has a bound, within one of
-    the word's, on the pinned bound with the model and on the plain bound
-    without one; a sample of the moves is scored again from its word.  So
-    A*'s heuristic is consistent: ``_relator_bfs`` tests no move for
-    feasibility and needs no expansion cap beside ``MAX_STORED``."""
+    the word's, on the pinned bounds with the model's projection and the
+    complex's own and on the exponent-sum bound, which is not pinned; a
+    sample of the moves is scored again from its word.  So A*'s heuristic
+    is consistent: ``_relator_bfs`` tests no move for feasibility and needs
+    no expansion cap beside ``MAX_STORED``."""
     checked = 0
     for gid, word in probe_cases():
         _p, m, x = galleries[gid]
         letters = canonical_cyclic(word)
-        for hb in (_bound_for(x, m), _bound_for(x, None)):
+        for hb in (_bound_for(x, m), _bound_for(x, None), exponent_sum_bound(x)):
             h = hb.bound(letters)
             assert h is not None, (gid, word)
             for h2, i, w in _moves(letters, hb):

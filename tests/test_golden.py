@@ -193,7 +193,7 @@ def test_invariant_bound_pinned():
                 bound = _bound_for(x, m if with_model else None).bound(word)
                 lines.append(repr((gid, with_model, word, bound)))
     assert sha("\n".join(lines)) == (
-        "5a32b6b7e72dab9e42fb46c0915628d623e5b034e7b792272d5b9741baee6149"
+        "02b0df88df2ba30bc46071df5ab3080387b4e53aac173ae419f31f3d6b5988db"
     )
 
 
@@ -205,8 +205,8 @@ def relator_bfs_corpus():
     """(gallery, word, bound, with model): the distinct canonical boundary
     words of the eq1 disks of area <= 3 and the torusT disks of area <= 5,
     each at its least enumerated area; thm2's [a^n, b^n] for n = 1..3 at
-    bound 18; and eq1's free-factor commutator without a model, which A*
-    refutes by exhausting its moves."""
+    bound 18; and eq1's free-factor commutator without a model, which the
+    complex's own projection refutes."""
     out = []
     for gid, area in (("eq1", 3), ("torusT", 5)):
         x = presentation_complex(presentation(gid)[0])
@@ -233,7 +233,7 @@ def test_relator_bfs_pinned():
         fields = (res.value, res.certified_exact, res.method, res.expanded, res.note)
         lines.append(repr((gid, word, bound, with_model, fields)))
     assert sha("\n".join(lines)) == (
-        "5bd7d3fae4e6688c09650f6a1ff004e2d4fdef6cc03ce828b8c1a2ca5cf09b61"
+        "6e951b3c3eb49ab986a781e0cedcaaa46b751be1d4e72328248c0b30e24079aa"
     )
 
 

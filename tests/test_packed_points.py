@@ -32,8 +32,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def projection(gid, graded=True):
+    """The gallery's complex and its model's projection, or, not graded,
+    every generator at the origin: the exponent-sum bound."""
     p, m = presentation(gid)
-    return presentation_complex(p), tuple(map(m.pi, p.names)) if graded else None
+    return presentation_complex(p), tuple(map(m.pi, p.names) if graded else [(0, 0)] * len(p.names))
 
 
 def reference_walk(word, pi, starts=None):
@@ -112,9 +114,10 @@ def assert_entry_matches_reference(hb, x, ref, entry):
     """The entry's bound and solution are those of the reference key's
     vector: a graded solution, decoded, times the relators' tuple-keyed
     columns gives back the key's vector, and its norm is the bound (on a
-    pinned bound a feasible word has one solution); without a projection,
-    the bound is the plain solve of the exponent sums read off the
-    tuple-keyed vector."""
+    pinned bound a feasible word has one solution).  Otherwise the entry is
+    the solve of the reference vector, packed afresh, and with every
+    generator at the origin a bound is the plain solve of the exponent sums
+    read off the tuple-keyed vector."""
     bound, sol = entry
     terms = {(kx, ky, g): c for kx, ky, g, c in zip(*[iter(ref)] * 4)}
     if sol is not None:
@@ -129,17 +132,13 @@ def assert_entry_matches_reference(hb, x, ref, entry):
                     got[(*k, g)] = got.get((*k, g), 0) + v
         assert {k: v for k, v in got.items() if v} == terms
         return
-    if hb.eq_matrix is not None:
-        # an infeasible graded system: the entry is the solve of the
-        # reference vector, packed afresh
-        G = len(hb.pi)
-        assert entry == hb._bound({pack_point(kx, ky) * G + g: c for (kx, ky, g), c in terms.items()})
-        return
-    sums = [0] * len(hb.pi)
-    for (_kx, _ky, g), c in terms.items():
-        sums[g] += c
-    val = hb._solve(tuple(sums))
-    assert bound == (None if val is None else ceil(val))
+    G = len(hb.pi)
+    assert entry == hb._bound({pack_point(kx, ky) * G + g: c for (kx, ky, g), c in terms.items()})
+    if bound is not None and not any(map(any, hb.pi)):
+        sums = [0] * G
+        for (_kx, _ky, g), c in terms.items():
+            sums[g] += c
+        assert bound == ceil(hb._solve((*sums, 0)))
 
 
 @st.composite
@@ -269,9 +268,9 @@ def certify_queries():
 
 
 def test_moves_match_tuple_reference_on_certify_inputs():
-    """On every certify word, with and without the model's projection and
-    at every target the probe and A* ask, ``_moves`` yields the reference's
-    ``(h, i, w)`` sequence, in order."""
+    """On every certify word, with the model's projection and with every
+    generator at the origin, and at every target the probe and A* ask,
+    ``_moves`` yields the reference's ``(h, i, w)`` sequence, in order."""
     queries = certify_queries()
     assert len(queries) > 40
     for graded in (True, False):
