@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import heapq
 from array import array
+from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -278,10 +280,7 @@ def enumerate_diagrams(x: TwoComplex, cfg: EnumerationConfig) -> Iterator[DiskDi
 
 
 def enumeration_summary(diagrams: Iterable[DiskDiagram]) -> Dict[int, int]:
-    counts: Dict[int, int] = {}
-    for d in diagrams:
-        counts[d.area] = counts.get(d.area, 0) + 1
-    return dict(sorted(counts.items()))
+    return dict(sorted(Counter(d.area for d in diagrams).items()))
 
 
 # ----------------------------------------------------------------------
@@ -434,6 +433,7 @@ class _InvariantBound:
         self.eq_matrix = [[e[g] for e in es] for g in range(len(pi))]
         self._x = x
         self._cache: Dict[bytes, Tuple[Optional[int], Optional[bytes]]] = {}
+        self.lookups = 0  # of the cache, hit or not; a search counts its own
         self._eliminate()
 
     @cached_property
@@ -705,6 +705,7 @@ class _InvariantBound:
                 s, coeffs = -1, [-c for c in coeffs]
         moved = [k - off for k in keys] if off else keys
         key = array("q", moved + coeffs).tobytes()
+        self.lookups += 1
         entry = self._cache.get(key)
         if entry is None:
             entry = self._cache[key] = self._bound(dict(zip(moved, coeffs)))
@@ -735,22 +736,21 @@ class _InvariantBound:
         return (None if val is None else ceil(val)), None
 
     def _solve(self, b: Tuple[int, ...]) -> Optional[Fraction]:
-        """The least l1-norm of a rational solution, over the supports whose
-        columns are independent and reach ``b``: those whose augmented
-        matrix has its pivots exactly on the support.  A larger support's
-        columns are dependent, so it fails that test."""
-        best: Optional[Fraction] = None
-        for size in range(self.n + 1):
-            for support in combinations(range(self.n), size):
-                aug = [[row[j] for j in support] + [Fraction(bi)]
-                       for row, bi in zip(self.matrix, b)]
-                rows, pivots = _rref(aug)
-                if pivots != list(range(size)):
-                    continue
-                norm = sum(abs(row[-1]) for row in rows)
-                if best is None or norm < best:
-                    best = norm
-        return best
+        """The least l1-norm of a rational solution, None when there is
+        none.  It is taken at a solution whose support's columns are
+        independent (a vertex of the linear program), and such a support
+        extends, with the same solution, to one of ``rank`` independent
+        columns, which reach every ``b`` in their span.  So only those are
+        tried: a support does when its augmented matrix has its pivots
+        exactly on the support."""
+        rank = len(_rref(self.matrix)[1])
+        norms = []
+        for support in combinations(range(self.n), rank):
+            rows, pivots = _rref([[row[j] for j in support] + [Fraction(bi)]
+                                  for row, bi in zip(self.matrix, b)])
+            if pivots == list(range(rank)):
+                norms.append(sum(abs(row[-1]) for row in rows))
+        return min(norms, default=None)
 
 
 def _rref(matrix: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
@@ -777,16 +777,17 @@ def _rref(matrix: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]
 # ----------------------------------------------------------------------
 # area oracles
 
-# Words A* stores (``len(dist)``) before ``relator_bfs`` gives up
-# uncertified, and nodes the bound-perfect probe visits before handing over
-# to A*.  A* expands each stored word at most once (see ``_astar``),
-# so the store cap bounds its expansions too.  It does not bound the bound's
-# cache: on a bound that is not pinned, each move scored keeps an entry, and
-# over <a, b | [a^2,b^2], [a^3,b^3]> ``relator_bfs`` on [a, b] at bound 4
-# had stored 40,000 words after 88 s, with 630,000 cache entries, at 430 MB.
-# No tested or pinned search stores more than 41,019 words (a conjugated
-# relator product of the A* pin, at bound 3 with a model), nor any
-# benchmark query more than 162.
+# Words A* stores (``len(dist)``) and bound cache lookups it makes before
+# ``relator_bfs`` gives up uncertified, and nodes the bound-perfect probe
+# visits before handing over to A*.  A* expands each stored word at most
+# once (see ``_astar``), so the store cap bounds its expansions too, and a
+# lookup adds at most one cache entry, so it bounds the cache's growth.  On
+# a pinned bound A* looks up one vector per expansion; on one that is not,
+# one per form and distinct prefix: over <a, b | [a^2,b^2], [a^3,b^3]>,
+# ``relator_bfs`` on [a, b] at bound 4 gives up after 334 expansions, in
+# about 5 s at 43 MB.  No tested or pinned search stores more than 41,019
+# words (a conjugated relator product of the A* pin, at bound 3 with a
+# model), nor any benchmark query more than 162.
 MAX_STORED = 200_000
 PROBE_NODE_BUDGET = 30_000
 # Gluings one complex's disk stream (``_DiskAreas``, which ``diagram_search``
@@ -795,8 +796,16 @@ PROBE_NODE_BUDGET = 30_000
 # thm1's to area 5 tries 99,388.  Over <a, b | [a^2,b^2], [a^3,b^3]>,
 # ``auto`` on [a, b] at bound 4 reaches the cap while growing area 4, after
 # about 12 s at a peak of 276 MB; uncapped, that level passed 1.1 GB within
-# 900,000 gluings.
+# 900,000 gluings.  The cap is below thm2's stream to area 8 (387,917) and
+# thm1's to area 6 (1,431,196), which took 47 s and about 1 GB uncapped, so
+# ``diagram_search`` no longer answers there.
 MAX_CANDIDATES = 200_000
+# Letters a complex's own projection must let its bound read (``_max_len``)
+# for ``_own_projection`` to keep it.  Every gallery's reads 14,542 or more
+# (thm1).  Over random presentations of 8 to 10 generators and one or two
+# relators fewer, most own projections read no word; of 6 generators and 5
+# relators, a few read none and one read 559.
+MIN_WALK = 1_000
 
 
 @dataclass(frozen=True)
@@ -831,7 +840,8 @@ def area_oracle(
     insertions as moves, guided by the invariant lower bound of
     ``_bound_for``, which projects with a rank-2 model when one is given and
     with the complex's own projection otherwise; its result is certified
-    unless the search stores more than ``MAX_STORED`` words.
+    unless the words the search stores and the bound cache lookups it makes
+    number more than ``MAX_STORED``.
     Each move is scored before it is canonicalised (see ``_moves``): on a
     pinned bound, in O(1) from the parent's graded solution, since an
     insertion changes one coefficient of it by one; otherwise from the parent's Fox vector
@@ -862,9 +872,9 @@ def area_oracle(
     invariants, the model's word problem and the probe.  A word these leave
     open goes to A*, and at ``bound <= 6`` to ``diagram_search`` if A*
     gives up.  Without a model at ``bound <= 4``, A* gives up after 2,000
-    stored words (fewer below area 4), since there enumerating the disks
-    costs less than storing ``MAX_STORED`` words; otherwise it runs to
-    ``MAX_STORED``.
+    stored words and lookups (fewer below area 4), since there enumerating
+    the disks costs less than storing ``MAX_STORED`` words; otherwise it
+    runs to ``MAX_STORED``.
     """
     if method not in ("auto", "relator_bfs", "diagram_search"):
         raise ValueError(f"unknown oracle method {method!r}")
@@ -884,10 +894,10 @@ def area_oracle(
     # search.  Enumerating any gallery complex's disks to area 4 takes at
     # most 0.18 s (thm1), about what A* takes to store 6,000 words, so there
     # A* gives up early, at 2,000 words at area 4 and a tenth of that per
-    # area below; to areas 5 and 6 thm1 takes 2.7 and 47 s.  A word reaches
-    # this A* when the complex's own bound is not pinned: over <a, b |
-    # [a^2,b^2], [a^3,b^3]>, [a, b] at bound 2 takes 0.02 s with the cap and
-    # 0.7 s without it.
+    # area below; to area 5 thm1 takes 2.7 s, and its stream to area 6 passes
+    # MAX_CANDIDATES.  A word reaches this A* when the complex's own bound is
+    # not pinned: over <a, b | [a^2,b^2], [a^3,b^3]>, [a, b] at bound 2 takes
+    # 0.05 s with the cap and 2 s without it.
     cap = MAX_STORED
     if model is None and bound <= 4:
         cap = MAX_STORED // 10 ** (6 - bound)
@@ -1095,7 +1105,8 @@ def _astar(
 ) -> AreaResult:
     """``relator_bfs`` past its certificates: A* from a word of bound
     ``h0`` over the words that relator insertions reach, guided by the
-    invariant bound; uncertified once it stores more than ``cap`` words."""
+    invariant bound; uncertified once an expansion leaves more than
+    ``cap`` words stored and bound cache lookups made."""
     # A move adds a form's vector to the word's, so out of a feasible word
     # it stays feasible, and it moves the bound by at most one: exactly one
     # on a pinned bound, one relator column of the plain system otherwise.
@@ -1103,6 +1114,7 @@ def _astar(
     dist: Dict[Tuple[int, ...], int] = {letters: 0}
     heap: List[Tuple[int, int, int, Tuple[int, ...]]] = [(h0, 0, len(letters), letters)]
     expanded = 0
+    looked = hb.lookups
     while heap:
         f, negg, _, cur = heapq.heappop(heap)
         g = -negg
@@ -1121,14 +1133,16 @@ def _astar(
             if dist.get(nxt, bound + 1) <= g2:
                 continue
             dist[nxt] = g2
-            if len(dist) > cap:
-                return AreaResult(None, False, "relator_bfs", expanded=expanded,
-                                  note="store cap hit")
             heapq.heappush(heap, (g2 + h, -g2, len(nxt), nxt))
+        # each score looked up may add a cache entry, so they count as
+        # stored too: on a bound that is not pinned they outnumber the words
+        if len(dist) + hb.lookups - looked > cap:
+            return AreaResult(None, False, "relator_bfs", expanded=expanded,
+                              note="store cap hit")
     return AreaResult(None, True, "relator_bfs", expanded=expanded, note="no filling within bound")
 
 
-# keyed by what the bound reads: the complex and a rank-2 model's projection
+# keyed by what the bound reads: the complex and the lattice projection
 _cached_bound = lru_cache(maxsize=None)(_InvariantBound)
 
 
@@ -1137,15 +1151,26 @@ def _bound_for(x: TwoComplex, model: Optional[FreeProductModel]) -> _InvariantBo
     projection, or else with the complex's own: ``_letter_classes``'s
     functionals ``f_1 .. f_r`` (a basis of the homomorphisms to Z that kill
     every relator) send generator ``g`` to ``(sum_k f_k(g), sum_k k
-    f_k(g))``, which is ``(0, 0)`` when ``r = 0``.  Either kills every
-    relator, which is all the bound needs of its projection."""
+    f_k(g))``, which is ``(0, 0)`` when ``r = 0``, unless
+    ``_own_projection`` falls back to the zero projection.  Each kills
+    every relator, which is all the bound needs of its projection."""
     if model is not None and model.abelian_rank == 2:
-        pi = tuple(map(model.pi, x.alphabet))
-    else:
-        classes = _letter_classes(x)
-        pi = tuple((sum(c), sum(k * v for k, v in enumerate(c, 1)))
-                   for c in map(classes.__getitem__, range(1, len(x.alphabet) + 1)))
-    return _cached_bound(x, pi)
+        return _cached_bound(x, tuple(map(model.pi, x.alphabet)))
+    return _cached_bound(x, _own_projection(x))
+
+
+@lru_cache(maxsize=None)
+def _own_projection(x: TwoComplex) -> Tuple[Tuple[int, int], ...]:
+    """The complex's own lattice projection (see ``_bound_for``), or the
+    zero projection when the bound it gives could not read words of
+    ``MIN_WALK`` letters: its rows leave the packed range, or its
+    ``_max_len`` is shorter.  The zero projection's bound reads any word."""
+    classes = map(_letter_classes(x).__getitem__, range(1, len(x.alphabet) + 1))
+    pi = tuple((sum(c), sum(k * v for k, v in enumerate(c, 1))) for c in classes)
+    with suppress(ValueError):  # rows past the packed range
+        if _cached_bound(x, pi)._max_len >= MIN_WALK:
+            return pi
+    return ((0, 0),) * len(x.alphabet)
 
 
 class _DiskAreas:

@@ -226,6 +226,28 @@ def test_area_store_cap_exits_3(capsys, tmp_path, monkeypatch):
     assert "[uncertified]  (store cap hit)" in out
 
 
+@pytest.mark.slow
+def test_area_store_cap_exits_3_at_the_default_cap(capsys, tmp_path):
+    """At the default ``MAX_STORED`` the same query exits 3 too: A* counts
+    its bound cache lookups, which grow far faster than its words over this
+    bound, so the cache grows by at most the cap and one expansion's
+    scores."""
+    from vankampen import enumeration
+    from vankampen.presentation import parse_presentation_file, presentation_complex
+
+    pres_path = tmp_path / "unpinned.pres"
+    pres_path.write_text(UNPINNED)
+    hb = enumeration._bound_for(presentation_complex(parse_presentation_file(UNPINNED)), None)
+    before = len(hb._cache)
+    code, out, _ = run_cli(capsys, "area", "--presentation", str(pres_path),
+                           "--word", "a b A B", "--bound", "4",
+                           "--method", "relator_bfs")
+    assert code == 3
+    assert "[uncertified]  (store cap hit)" in out
+    # 40 forms, at most 52 positions each in a word of bound 4
+    assert len(hb._cache) - before <= enumeration.MAX_STORED + 40 * 52
+
+
 def test_area_disk_stream_cap_exits_3(capsys, tmp_path, monkeypatch):
     """``auto``'s capped A* gives up on [a, b] at bound 4, and the
     enumeration under ``diagram_search`` stops at ``MAX_CANDIDATES``

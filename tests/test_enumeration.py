@@ -642,6 +642,29 @@ def test_relator_bfs_store_cap_gives_up_uncertified(monkeypatch):
     assert res.note == "store cap hit" and res.expanded < 1000
 
 
+def test_astar_counts_its_bound_cache_lookups_against_the_store_cap():
+    """On a bound that is not pinned, each scored move looks its vector up
+    in the bound's cache and may keep an entry there, and the lookups
+    outnumber the words A* stores.  A* counts them against its store cap,
+    so its lookups, and with them the cache's growth, pass the cap by at
+    most one expansion's (one per form and position, in a word of at most
+    40 letters below bound 4), and it gives up after the same expansions
+    whatever the cache held before.  Counting the words alone lets this
+    search make 6,480 lookups under a cap of 3,000."""
+    p, x = a2b2_a3b3()
+    letters = canonical_cyclic(p.word("a b a^-1 b^-1").letters)
+    cap, step = 3000, len(relator_forms(x)) * (len(letters) + 3 * max(map(len, x.faces)))
+    results = []
+    for hb in (_InvariantBound(x, _bound_for(x, None).pi), _bound_for(x, None)):
+        h0 = hb.bound(letters)
+        cached, looked = len(hb._cache), hb.lookups
+        res = enumeration._astar(letters, h0, hb, 4, cap)
+        assert res.note == "store cap hit" and not res.certified_exact
+        assert len(hb._cache) - cached <= hb.lookups - looked <= cap + step
+        results.append(res)
+    assert results[0] == results[1]
+
+
 # what relator_bfs answers before A* runs, by its notes
 CERTIFICATE_NOTES = ("abelian obstruction", "lower bound", "filling meets the invariant lower bound")
 
@@ -655,7 +678,10 @@ def test_auto_without_a_model_answers_as_relator_bfs_or_by_diagram_search(galler
     ``<a, b | [a^2,b^2], [a^3,b^3]>`` to area 2, each at its area and one
     below, eq1's free-factor commutator at bound 2 and a word with a
     nonzero exponent sum.  The gallery words are certified before A*; the
-    unpinned words take all three routes."""
+    unpinned words take all three routes.  Their A* scores each move by a
+    cache lookup, about 400 per expansion, which it counts against its
+    store cap, so it has room to answer at bound 4 (2,000) and not below;
+    they are asked at bound 4 too."""
     routes = {"certificate": 0, "astar": 0, "diagram_search": 0}
     complexes = [(gid, galleries[gid][0], galleries[gid][2], None) for gid in ("thm1", "eq1")]
     complexes.append(("unpinned", *a2b2_a3b3(), 12))
@@ -664,6 +690,8 @@ def test_auto_without_a_model_answers_as_relator_bfs_or_by_diagram_search(galler
         for d in enumerate_diagrams(x, EnumerationConfig(max_area=2, max_perimeter=perimeter)):
             words.setdefault(canonical_cyclic(d.boundary_word_ints()), d.area)
         cases = [(w, b) for w, a in words.items() for b in (a - 1, a)]
+        if gid == "unpinned":
+            cases += [(w, 4) for w in words]
         if gid == "eq1":
             cases += [(p.word("c2 c3 c2^-1 c3^-1").letters, 2), (p.word("a1 c2").letters, 2)]
         for w, b in cases:
@@ -1069,6 +1097,36 @@ def test_own_projection_meets_every_disk_as_the_model_does(
     assert len(ds) == 140
     for d in ds:
         assert own.bound(d.boundary_word_ints()) <= d.area, d.to_json()
+
+
+# presentations whose own projection's bound reads words of fewer than
+# MIN_WALK letters: none at all (the first) or 559 (the second)
+SHORT_WALK_PRESENTATIONS = [
+    ["a5^-1 a6 a4", "a3^-1 a4 a2 a1", "a5 a2^-1 a3^-1 a4^-1", "a4^-1 a5 a2", "a5^-1 a3^-1 a2"],
+    ["a4 a1^-1 a3", "a6 a1 a2^-1 a5^-1 a6", "a3 a6 a3", "a2 a3 a6 a2 a6", "a3^-1 a6 a1^-1 a4 a1^-1"],
+]
+
+
+@pytest.mark.parametrize("relators", SHORT_WALK_PRESENTATIONS, ids=["none", "559"])
+def test_own_projection_falls_back_to_zero_when_its_bound_reads_short_words(relators):
+    """With many relators the complex's own projection can take large y
+    steps, and its bound's ``_max_len`` falls below ``MIN_WALK`` letters
+    (or below zero, so that it reads no word).  Then ``_bound_for`` projects
+    to the origin, whose bound reads any word, and the oracles answer as
+    the exponent-sum bound always did."""
+    p = Presentation.build("a1 a2 a3 a4 a5 a6", relators)
+    x = presentation_complex(p)
+    classes = _letter_classes(x)
+    own = tuple((sum(c), sum(k * v for k, v in enumerate(c, 1)))
+                for c in map(classes.__getitem__, range(1, 7)))
+    assert any(own) and enumeration._cached_bound(x, own)._max_len < enumeration.MIN_WALK
+    assert _bound_for(x, None).pi == ((0, 0),) * 6
+    r0, r1 = (r.letters for r in p.relators[:2])
+    commutator = p.word("a1 a2 a1^-1 a2^-1").letters
+    for word, bound, answer in ((r0, 1, 1), (r0 + r1, 2, 2), (commutator, 3, None), ((1,), 3, None)):
+        for method in ("auto", "relator_bfs", "diagram_search"):
+            res = area_oracle(word, x, bound=bound, method=method)
+            assert (res.value, res.certified_exact) == (answer, True), (word, method)
 
 
 def test_pinned_exactly_when_no_solve_is_unknown(galleries):
