@@ -206,9 +206,11 @@ class DiskDiagram:
     the map stays true for the object's life, so a few are computed on
     first use and kept: the vertices, the canonical code, whether the map
     has a spur or shell (``dehn_props``; the witness lists are not kept),
-    and the invariant bound of its boundary word, with the bound object
-    that gave it (``enumeration.is_minimal``, which reuses it only for that
-    same object).
+    whether it is a topological disk (``is_topological_disk``; the
+    enumerator seeds that answer for the disks it builds, as it seeds the
+    code), and the invariant bound of its boundary word, with the bound
+    object that gave it (``enumeration.is_minimal``, which reuses it only
+    for that same object).
     """
 
     __slots__ = (
@@ -225,6 +227,7 @@ class DiskDiagram:
         "_vertices",
         "_canon",
         "_spur_or_shell",
+        "_disk",
         "_bound",
     )
 
@@ -284,6 +287,7 @@ class DiskDiagram:
         self._vertices = None
         self._canon = None
         self._spur_or_shell = None
+        self._disk = None
         self._bound = None
 
     # ------------------------------------------------------------------
@@ -1026,6 +1030,7 @@ def add_edge_path(d: DiskDiagram, pos: int, word: Sequence[int]) -> DiskDiagram:
 
 def is_topological_disk(d: DiskDiagram) -> bool:
     """A closed 2-cell: faces present, no 1-dimensional parts, simple boundary.
+    Asked once per diagram and kept in ``d._disk``.
 
     A connected planar map with an inner face is a disk exactly when its
     outer circuit leaves no vertex twice.  That test also rejects an edge
@@ -1035,18 +1040,14 @@ def is_topological_disk(d: DiskDiagram) -> bool:
     Unless a dart is its own ``sigma`` (its vertex has valence 1), that is
     a vertex left twice; and if both ends of the edge had valence 1, the
     connected map would be that one edge, with no inner face."""
-    return d.area >= 1 and _spans_disk(d, _spanning_darts(d))
-
-
-def _spans_disk(d: DiskDiagram, tree: Sequence[int]) -> bool:
-    """``is_topological_disk`` of a map with an inner face, given its
-    ``_spanning_darts`` walk ``tree``, so a caller that needs the walk again
-    takes it once."""
-    if len(tree) != d.n_vertices - 1 or d.euler_characteristic != 2:
-        return False
-    vertex_of = d.vertex_of
-    tails = [vertex_of[q] for q in d.outer_orbit()]
-    return len(tails) == len(set(tails))
+    if d._disk is None:
+        disk = d.area >= 1 and d.is_connected and d.euler_characteristic == 2
+        if disk:
+            vertex_of = d.vertex_of
+            tails = [vertex_of[q] for q in d.outer_orbit()]
+            disk = len(tails) == len(set(tails))
+        d._disk = disk
+    return d._disk
 
 
 def disk_pieces(d: DiskDiagram) -> List[DiskDiagram]:

@@ -145,14 +145,15 @@ def _built(
 ) -> Iterator[DiskDiagram]:
     """The diagrams of ``(code, sigma, labels, outer)`` entries sorted by
     descending code, built in ascending code order, each seeded with its
-    code.  Each raw entry is dropped as its diagram is built.  ``_glue``
-    made each entry, so the constructor's checks would pass, and only its
-    setup runs."""
+    code and as a topological disk.  Each raw entry is dropped as its
+    diagram is built.  ``_glue`` made each entry, so the constructor's
+    checks would pass, and only its setup runs."""
     while entries:
         code, sigma, labels, outer = entries.pop()
         d = DiskDiagram.__new__(DiskDiagram)
         d._setup(tuple(sigma), tuple(labels), alphabet, outer)
         d._canon = code
+        d._disk = True
         yield d
 
 
@@ -181,6 +182,8 @@ def _levels(
     parent alone.  Cancelling gluings are skipped unbuilt, and neither
     ``is_topological_disk`` nor ``reduced_witness`` runs on a child (the
     tests check both invariants); only the one-cell seeds go through them.
+    Each child keeps the disk answer as ``_built`` seeds it, so a later
+    ``is_topological_disk`` reads it without a walk.
 
     Duplicates are found before any child is built, from the glued
     rotation system and its outer face orbit.  Each level keys both halves
@@ -839,7 +842,9 @@ def area_oracle(
     ``relator_bfs`` runs an A* search over cyclic words with relator
     insertions as moves, guided by the invariant lower bound of
     ``_bound_for``, which projects with a rank-2 model when one is given and
-    with the complex's own projection otherwise; its result is certified
+    with the complex's own projection otherwise, and with the zero
+    projection when the search's words, the word with ``bound`` forms
+    inserted, could be longer than that bound reads; its result is certified
     unless the words the search stores and the bound cache lookups it makes
     number more than ``MAX_STORED``.
     Each move is scored before it is canonicalised (see ``_moves``): on a
@@ -883,7 +888,7 @@ def area_oracle(
         return AreaResult(0, True, method)
     if method == "diagram_search":
         return _diagram_search(letters, x, bound)
-    hb = _bound_for(x, model)
+    hb = _bound_for(x, model, len(letters) + bound * max(map(len, x.faces), default=0))
     h0 = hb.bound(letters)
     res = _certificate(letters, h0, hb, x, bound, model)
     if res is not None:
@@ -1146,17 +1151,36 @@ def _astar(
 _cached_bound = lru_cache(maxsize=None)(_InvariantBound)
 
 
-def _bound_for(x: TwoComplex, model: Optional[FreeProductModel]) -> _InvariantBound:
+def _bound_for(
+    x: TwoComplex, model: Optional[FreeProductModel], length: int = 0
+) -> _InvariantBound:
     """The invariant bound over ``x`` with a rank-2 model's lattice
     projection, or else with the complex's own: ``_letter_classes``'s
     functionals ``f_1 .. f_r`` (a basis of the homomorphisms to Z that kill
     every relator) send generator ``g`` to ``(sum_k f_k(g), sum_k k
     f_k(g))``, which is ``(0, 0)`` when ``r = 0``, unless
     ``_own_projection`` falls back to the zero projection.  Each kills
-    every relator, which is all the bound needs of its projection."""
+    every relator, which is all the bound needs of its projection.  The
+    bound is handed back only if it reads words of ``length`` letters, the
+    longest its caller's words can be (see ``_reading``)."""
     if model is not None and model.abelian_rank == 2:
-        return _cached_bound(x, tuple(map(model.pi, x.alphabet)))
-    return _cached_bound(x, _own_projection(x))
+        hb = _cached_bound(x, tuple(map(model.pi, x.alphabet)))
+    else:
+        hb = _cached_bound(x, _own_projection(x))
+    return _reading(hb, length)
+
+
+def _reading(hb: _InvariantBound, length: int) -> _InvariantBound:
+    """``hb``, or, when a word of ``length`` letters could pass its
+    ``_max_len``, the zero projection's bound over the same complex, which
+    reads any length."""
+    if length <= hb._max_len:
+        return hb
+    return _cached_bound(hb._x, _zero_projection(hb._x))
+
+
+def _zero_projection(x: TwoComplex) -> Tuple[Tuple[int, int], ...]:
+    return ((0, 0),) * len(x.alphabet)
 
 
 @lru_cache(maxsize=None)
@@ -1170,7 +1194,7 @@ def _own_projection(x: TwoComplex) -> Tuple[Tuple[int, int], ...]:
     with suppress(ValueError):  # rows past the packed range
         if _cached_bound(x, pi)._max_len >= MIN_WALK:
             return pi
-    return ((0, 0),) * len(x.alphabet)
+    return _zero_projection(x)
 
 
 class _DiskAreas:
@@ -1310,23 +1334,49 @@ def is_minimal(
 ) -> Optional[bool]:
     """Whether the diagram's area equals the certified minimal area of its
     boundary word; None when ``area_oracle`` (auto, at the diagram's own
-    area, since no larger area matters) cannot certify it.  The invariant
-    bound is asked first, about the boundary word as it stands: the bound
-    does not see rotation, inversion or free reduction, so the word need not
-    be canonicalised, and a diagram that meets the bound is minimal.
+    area, since no larger area matters) cannot certify it.  A diagram that
+    meets the invariant bound is minimal.
 
-    The bound's value is kept in ``d._bound`` with the bound object that
-    gave it, and reused only for that same object.  Bound objects are
-    cached by content (the complex and the lattice projection), so
-    the same object means the same complex and projection.  The oracle's
-    answer below the bound is not kept: it reads the whole model.
+    The bound is first read off the diagram's own faces
+    (``_faces_meet_bound``): when ``hb`` is pinned, ``d`` is a topological
+    disk, every inner face reads a relator form and the faces of each
+    relator all carry one orientation, the bound of the boundary word is
+    the area.  The disk's faces give a graded solution: by van Kampen's
+    lemma (Lyndon and Schupp, "Combinatorial Group Theory", ch. V) the
+    boundary word is freely equal to a product of one conjugate ``u r^e
+    u^-1`` per inner face, ``r`` the face's relator and ``e`` its
+    orientation, and the Fox vector of that conjugate is ``e z^pi(u)``
+    times ``r``'s, since ``r``'s projected path closes.  So putting ``e``
+    at ``pi(u)`` in ``r``'s column, summed over the faces, solves the
+    graded system for the boundary word.  A pinned bound has exactly one
+    solution, and its bound is that solution's l1 norm.  With no opposite
+    signs inside one column, no terms cancel, and the norm is the number
+    of faces.  Nothing is walked or solved.  (A pinned bound's columns are
+    independent, so no relator is freely trivial, whose column is zero,
+    and no two relators share a form, whose columns would differ by a
+    unit; so the relator and orientation that ``relator_form_table``
+    gives a face are its own.)
+
+    Otherwise the bound is asked about the boundary word as it stands: the
+    bound does not see rotation, inversion or free reduction, so the word
+    need not be canonicalised.  A boundary longer than ``hb`` reads is read
+    by the zero projection's bound (``_reading``).
+
+    The bound's value is kept in ``d._bound`` with ``hb``, and reused only
+    for that same object.  Bound objects are cached by content (the
+    complex and the lattice projection), so the same object means the same
+    complex and projection.  The oracle's answer below the bound is not
+    kept: it reads the whole model.
 
     ``hb`` is ``_bound_for(x, model)``, looked up when it is not given; a
     scan pass looks it up once and passes it to every call."""
     if hb is None:
         hb = _bound_for(x, model)
     if d._bound is None or d._bound[0] is not hb:
-        d._bound = (hb, hb.bound(d.boundary_word_ints()))
+        if _faces_meet_bound(d, x, hb):
+            d._bound = (hb, d.area)
+        else:
+            d._bound = (hb, _reading(hb, d.perimeter).bound(d.boundary_word_ints()))
     if d._bound[1] == d.area:
         return True
     res = area_oracle(d.boundary_word_ints(), x, bound=d.area, model=model)
@@ -1336,6 +1386,23 @@ def is_minimal(
         # no filling within area(d) would contradict d itself
         raise AssertionError("oracle found no filling although the diagram is one")
     return res.value == d.area
+
+
+def _faces_meet_bound(d: DiskDiagram, x: TwoComplex, hb: _InvariantBound) -> bool:
+    """Whether ``is_minimal``'s face certificate holds: ``hb`` is pinned,
+    ``d`` is a topological disk, and its inner faces read relator forms of
+    ``x`` with one orientation per relator.  Then the bound of ``d``'s
+    boundary word is ``d.area``."""
+    if not (hb.pinned and is_topological_disk(d)):
+        return False
+    table = relator_form_table(x)
+    labels, faces = d.labels, d.faces
+    signs: Dict[int, int] = {}
+    for fi in d.inner_face_indices:
+        hit = table.get(tuple([labels[t] for t in faces[fi]]))
+        if hit is None or signs.setdefault(hit[0], hit[1]) != hit[1]:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

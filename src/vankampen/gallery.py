@@ -37,9 +37,9 @@ from .diagram import (
     DiskDiagram,
     LiftError,
     _spanning_darts,
-    _spans_disk,
     find_cutcells,
     find_shells,
+    is_topological_disk,
     reduced_witness,
     relator_form_table,
     vertex_lift,
@@ -410,19 +410,19 @@ def corner_classification(d: DiskDiagram, m: FreeProductModel) -> CornerWitness:
     triangle without a c1, c2 and c3 dart has no such diagonal and raises
     DiagramError.
 
-    One ``_spanning_darts`` walk serves the disk test and the vertex
-    placement, and the faces' half-squares are those of
-    ``torus_coordinates``.  Every vertex of a disk lies on an inner face,
-    so p is the least vertex point.
+    The disk test is the diagram's kept ``is_topological_disk`` answer,
+    which the enumerator seeds for the disks it builds; one
+    ``_spanning_darts`` walk places the vertices, and the faces'
+    half-squares are those of ``torus_coordinates``.  Every vertex of a
+    disk lies on an inner face, so p is the least vertex point.
     """
     if d.area < 2:
         raise DiagramError("corner classification needs at least two cells")
-    tree = _spanning_darts(d)
-    if not _spans_disk(d, tree):
+    if not is_topological_disk(d):
         raise DiagramError("corner classification needs a topological disk")
     if reduced_witness(d) is not None:
         raise DiagramError("corner classification needs a reduced diagram")
-    coords, shapes = _coordinates_along(d, m, tree)
+    coords, shapes = _coordinates_along(d, m, _spanning_darts(d))
     p = min(coords)
     vertex_of, faces = d.vertex_of, d.faces
     holders = []

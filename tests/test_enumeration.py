@@ -25,6 +25,7 @@ from vankampen.diagram import (
     attach_face,
     boundary_path,
     cancelling_partner,
+    face_tags,
     is_reduced,
     is_topological_disk,
     reduced_witness,
@@ -47,6 +48,7 @@ from vankampen.enumeration import (
     _bound_for,
     _core_length,
     _disk_areas,
+    _faces_meet_bound,
     _forms_by_first,
     _gluings,
     _levels,
@@ -58,6 +60,7 @@ from vankampen.enumeration import (
     _lp_norm,
     _moves,
     _prefix_classes,
+    _reading,
 )
 from vankampen.gallery import GALLERY_IDS, LATTICE_BASIS, figure_diagram, presentation
 from vankampen.group_models import FreeProductModel, GroupElement, pack_point, project_z2
@@ -262,6 +265,8 @@ def test_unchecked_builds_and_indexed_gluings_match_references(galleries, gid, m
             assert (checked.faces, checked.face_of, checked.outer_face) == (d.faces, d.face_of, d.outer_face)
             assert (checked.inner_face_indices, checked.area) == (d.inner_face_indices, d.area)
             assert all(type(e) is int for e in d.sigma) and type(d.outer_dart) is int
+            # the seeded disk answer is what the constructor's map answers
+            assert d._disk is True and is_topological_disk(checked)
             built += d.area > 1
             if d.area < max_area:
                 parents += 1
@@ -765,21 +770,127 @@ def test_is_minimal_examples(galleries):
     assert is_minimal(DiskDiagram.from_face_word(p.relators[0].letters, p.names), x, model=m) is True
 
 
-def test_is_minimal_rejects_cancellable_pair(galleries):
-    p, m, x = galleries["thm2"]
+def cancelling_pair(galleries):
+    """thm2's pentagon with its mirror glued along one edge."""
+    p, _m, _x = galleries["thm2"]
     P = DiskDiagram.from_face_word(p.relators[0].letters, p.names)
     O = P.outer_orbit()
     B = len(O)
-    mirror = None
     for pos in range(B):
         w_full = tuple(P.labels[O[(pos + t) % B]] for t in range(B))
         cand = attach_face(P, pos, 1, w_full)
         if cand is not None and not is_reduced(cand):
-            mirror = cand
-            break
-    assert mirror is not None
+            return cand
+    raise AssertionError("no cancelling gluing")
+
+
+def test_is_minimal_rejects_cancellable_pair(galleries):
+    _p, m, x = galleries["thm2"]
     # boundary is freely trivial, so the true area is 0 < 2
-    assert is_minimal(mirror, x, model=m) is False
+    assert is_minimal(cancelling_pair(galleries), x, model=m) is False
+
+
+def one_sign_per_relator(d, x):
+    """Whether every inner face of ``d`` reads a relator form of ``x`` and
+    the faces of each relator carry one orientation, from ``face_tags``."""
+    signs = {}
+    for tag in face_tags(d, x):
+        if tag is None:
+            return False
+        if tag.kind == "inner" and signs.setdefault(tag.relator_index, tag.orientation) != tag.orientation:
+            return False
+    return True
+
+
+def torus_and_cell(galleries):
+    """A map over thm2 that is not a disk: thm2's presentation complex as
+    a torus (one vertex; faces ``a b A B c`` and ``C``) beside a lone cell
+    ``C``, whose outside is the outer face.  Its three inner faces carry
+    one orientation per relator, and its boundary ``C`` has area 1."""
+    p, _m, _x = galleries["thm2"]
+    d = DiskDiagram([3, 2, 4, 1, 5, 0, 7, 6], [1, -1, 2, -2, 3, -3, -3, 3], p.names, 7)
+    assert sorted(map(d.face_word_ints, d.inner_face_indices)) == [(-3,), (-3,), (1, 2, -1, -2, 3)]
+    return d
+
+
+def test_is_minimal_reads_the_bound_off_a_disks_faces(galleries, monkeypatch):
+    """On a pinned bound, a disk whose faces carry one orientation per
+    relator meets the bound without asking it: no boundary walk."""
+    _p, m, x = galleries["thm2"]
+    hb = _bound_for(x, m)
+    calls = []
+    monkeypatch.setattr(hb, "bound", lambda w: calls.append(w))
+    for d in (figure_diagram(1, 2), DiskDiagram.from_json(figure_diagram(1, 3).to_json())):
+        assert is_minimal(d, x, model=m) is True
+        assert d._bound == (hb, d.area)
+    assert calls == []
+
+
+def test_is_minimal_walks_where_the_face_certificate_does_not_hold(galleries, monkeypatch):
+    """A pinned bound and a disk with mixed signs (a cancelling pair), one
+    sign per relator on a bound that is not pinned (``<a | a^2, a^3>``), a
+    disk whose face reads no relator form, and a map that is not a disk
+    but has one sign per relator: each takes the boundary walk, seen by
+    ``hb.bound``, and keeps its answer."""
+    p, m, x = galleries["thm2"]
+    powers = presentation_complex(Presentation.build("a", ["a a", "a a a"]))
+    unpinned = [d for d in enumerate_diagrams(powers, EnumerationConfig(max_area=3))
+                if d.area == 3 and one_sign_per_relator(d, powers)]
+    assert unpinned and not _bound_for(powers, None).pinned
+    two_gon = DiskDiagram.from_face_word((1, -1), p.names)
+    cases = [
+        (cancelling_pair(galleries), x, m, False),
+        (torus_and_cell(galleries), x, m, False),
+        (two_gon, x, m, False),
+        *[(d, powers, None, False) for d in unpinned],
+    ]
+    assert is_topological_disk(cases[0][0]) and not one_sign_per_relator(cases[0][0], x)
+    assert not is_topological_disk(cases[1][0]) and one_sign_per_relator(cases[1][0], x)
+    assert is_topological_disk(two_gon) and not one_sign_per_relator(two_gon, x)
+    for d, cx, model, answer in cases:
+        hb = _bound_for(cx, model)
+        assert not _faces_meet_bound(d, cx, hb)
+        calls = []
+        walk = hb.bound
+        monkeypatch.setattr(hb, "bound", lambda w: calls.append(w) or walk(w))
+        assert is_minimal(d, cx, model=model) is answer, d.to_json()
+        assert calls[0] == d.boundary_word_ints()
+        assert d._bound == (hb, walk(d.boundary_word_ints())) and d._bound[1] != d.area
+        monkeypatch.undo()
+
+
+@pytest.mark.slow
+def test_face_certificate_meets_the_walk_on_every_disk(galleries):
+    """On every enumerated disk of thm2 to area 7 and thm1 to area 5, the
+    face certificate holds with the model's bound and with the complex's
+    own, and the boundary walk's bound is the area, as the certificate
+    says.  An enumerator that emitted a disk with mixed signs fails here."""
+    for gid, area in (("thm2", 7), ("thm1", 5)):
+        _p, m, x = galleries[gid]
+        bounds = (_bound_for(x, m), _bound_for(x, None))
+        checked = 0
+        for d in enumerate_diagrams(x, EnumerationConfig(max_area=area)):
+            w = d.boundary_word_ints()
+            for hb in bounds:
+                assert _faces_meet_bound(d, x, hb) and hb.bound(w) == d.area, (gid, d.to_json())
+            checked += 1
+        assert checked == {"thm2": 6738, "thm1": 11079}[gid]
+
+
+def test_a_long_word_is_read_by_the_zero_projection(galleries):
+    """A word that could pass the own bound's ``_max_len`` is read by the
+    zero projection's bound, which reads any length: over thm1 without a
+    model, ``[a1, a2]^3636`` (14,544 letters, the own bound reading 14,542)
+    has a certified "no filling" at bound 1."""
+    p, _m, x = galleries["thm1"]
+    own = _bound_for(x, None)
+    assert own._max_len == 14_542
+    assert _reading(own, own._max_len) is own
+    zero = _reading(own, own._max_len + 1)
+    assert zero.pi == ((0, 0),) * 7 and zero._max_len == float("inf")
+    word = p.word("a1 a2 a1^-1 a2^-1").letters * 3636
+    res = area_oracle(word, x, bound=1, method="relator_bfs")
+    assert (res.value, res.certified_exact) == (None, True)
 
 
 def test_dehn_table_values(galleries):
@@ -1075,8 +1186,9 @@ def test_own_projection_meets_every_disk_as_the_model_does(
     """The complex's own projection (``_bound_for(x, None)``) pins every
     gallery's bound, and on each enumerated disk (thm2 and torusT to area
     6, thm1, eq1 and eq2 to area 4) its bound is the disk's area and the
-    model's bound.  Over ``<a, b | [a^2,b^2], [a^3,b^3]>``, whose own bound
-    is not pinned, the bound stays at most each disk's area to area 2."""
+    model's bound, and ``is_minimal``'s face certificate holds with both.
+    Over ``<a, b | [a^2,b^2], [a^3,b^3]>``, whose own bound is not pinned,
+    the bound stays at most each disk's area to area 2."""
     corpora = {"thm2": corpus_thm2_6, "thm1": [d for d in corpus_thm1_5 if d.area <= 4],
                "eq1": corpus_eq1_4, "eq2": corpus_eq2_4,
                "torusT": list(enumerate_diagrams(galleries["torusT"][2], EnumerationConfig(max_area=6)))}
@@ -1088,6 +1200,7 @@ def test_own_projection_meets_every_disk_as_the_model_does(
         for d in ds:
             w = d.boundary_word_ints()
             assert own.bound(w) == d.area == model.bound(w), (gid, d.to_json())
+            assert _faces_meet_bound(d, x, own) and _faces_meet_bound(d, x, model), gid
             checked += 1
     assert checked == 3058
     _p, x = a2b2_a3b3()
