@@ -206,11 +206,12 @@ class DiskDiagram:
     the map stays true for the object's life, so a few are computed on
     first use and kept: the vertices, the canonical code, whether the map
     has a spur or shell (``dehn_props``; the witness lists are not kept),
-    whether it is a topological disk (``is_topological_disk``; the
-    enumerator seeds that answer for the disks it builds, as it seeds the
-    code), and the invariant bound of its boundary word, with the bound
-    object that gave it (``enumeration.is_minimal``, which reuses it only
-    for that same object).
+    whether it is a topological disk (``is_topological_disk``) and whether
+    it is reduced (``is_reduced``; the enumerator seeds both answers for
+    the disks it builds, as it seeds the code), and the invariant bound of
+    its boundary word, with the bound object that gave it
+    (``enumeration.is_minimal``, which reuses it only for that same
+    object).
     """
 
     __slots__ = (
@@ -228,6 +229,7 @@ class DiskDiagram:
         "_canon",
         "_spur_or_shell",
         "_disk",
+        "_reduced",
         "_bound",
     )
 
@@ -288,6 +290,7 @@ class DiskDiagram:
         self._canon = None
         self._spur_or_shell = None
         self._disk = None
+        self._reduced = None
         self._bound = None
 
     # ------------------------------------------------------------------
@@ -677,7 +680,11 @@ def _face_word_from(d: DiskDiagram, dart: int) -> Tuple[int, ...]:
 
 
 def is_reduced(d: DiskDiagram) -> bool:
-    return reduced_witness(d) is None
+    """Whether ``reduced_witness`` finds no cancellable pair, asked once
+    per diagram and kept in ``d._reduced``."""
+    if d._reduced is None:
+        d._reduced = reduced_witness(d) is None
+    return d._reduced
 
 
 def find_spurs(d: DiskDiagram) -> List[FeatureWitness]:
@@ -696,9 +703,9 @@ def find_spurs(d: DiskDiagram) -> List[FeatureWitness]:
 
 def _shell_runs(d: DiskDiagram) -> Iterator[Tuple[int, int, int]]:
     """The shell runs of ``d``'s outer face ``O``, each as ``(face, j, k)``
-    as soon as the walk finds it: the inner face ``face`` has more than
-    half its circuit on the free arc behind ``O[j:k]``, positions read
-    modulo ``len(O)``.
+    as soon as the walk reaches the run's end: the inner face ``face`` has
+    more than half its circuit on the free arc behind ``O[j:k]``, positions
+    read modulo ``len(O)``.
 
     A free dart of an inner face is the opposite of an outer dart.
     Consecutive outer darts ``O[j-1]``, ``O[j]`` are linked when
@@ -706,7 +713,12 @@ def _shell_runs(d: DiskDiagram) -> Iterator[Tuple[int, int, int]]:
     both opposites are inner; then those opposites are consecutive darts of
     one inner face, in reverse order.  So a maximal linked run of ``m``
     outer darts is a free arc of one face ``g``, and ``g`` is a shell when
-    ``2m > len(g)``; at most one run of a face can pass.  When every
+    ``2m > len(g)``; at most one run of a face can pass.
+
+    The walk works out each position's link as it reaches it.  Runs start
+    at the positions not linked to the one before; the walk starts at the
+    first of them, and the run it skipped before that position is the
+    tail of the last run, which ends there a lap later.  When every
     position is linked, the whole outer face is one run and its face's
     whole circuit; that run starts just after the outer dart opposite the
     face's least dart, so read backwards it starts at that dart, as the
@@ -716,20 +728,27 @@ def _shell_runs(d: DiskDiagram) -> Iterator[Tuple[int, int, int]]:
         return
     sigma, faces, face_of, outer = d.sigma, d.faces, d.face_of, d.outer_face
     O = faces[outer]
+    first = j = -1
+    p = O[-1]
+    for k, q in enumerate(O):
+        if sigma[q] != p ^ 1 or face_of[p ^ 1] == outer or face_of[q ^ 1] == outer:
+            if j < 0:
+                first = k
+            else:
+                g = face_of[O[j] ^ 1]
+                if g != outer and 2 * (k - j) > len(faces[g]):
+                    yield g, j, k
+            j = k
+        p = q
     B = len(O)
-    # the inner dart behind each outer dart, or -1 where the outer face is
-    # on both sides
-    opp = [q ^ 1 if face_of[q ^ 1] != outer else -1 for q in O]
-    # a run starts at each position not linked to the one before it and
-    # ends at the next such position, cyclically
-    starts = [j for j in range(B) if opp[j] < 0 or opp[j - 1] < 0 or sigma[O[j]] != opp[j - 1]]
-    if not starts:
-        starts = [(O.index(faces[face_of[opp[0]]][0] ^ 1) + 1) % B]
-    for j, k in zip(starts, starts[1:] + [starts[0] + B]):
-        if opp[j] >= 0:
-            g = face_of[opp[j]]
-            if 2 * (k - j) > len(faces[g]):
-                yield g, j, k
+    if j < 0:
+        g = face_of[O[0] ^ 1]
+        j = (O.index(faces[g][0] ^ 1) + 1) % B
+        first = j
+    else:
+        g = face_of[O[j] ^ 1]
+    if g != outer and 2 * (first + B - j) > len(faces[g]):
+        yield g, j, first + B
 
 
 def find_shells(d: DiskDiagram) -> List[FeatureWitness]:

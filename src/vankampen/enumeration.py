@@ -145,8 +145,8 @@ def _built(
 ) -> Iterator[DiskDiagram]:
     """The diagrams of ``(code, sigma, labels, outer)`` entries sorted by
     descending code, built in ascending code order, each seeded with its
-    code and as a topological disk.  Each raw entry is dropped as its
-    diagram is built.  ``_glue`` made each entry, so the constructor's
+    code and as a reduced topological disk.  Each raw entry is dropped as
+    its diagram is built.  ``_glue`` made each entry, so the constructor's
     checks would pass, and only its setup runs."""
     while entries:
         code, sigma, labels, outer = entries.pop()
@@ -154,6 +154,7 @@ def _built(
         d._setup(tuple(sigma), tuple(labels), alphabet, outer)
         d._canon = code
         d._disk = True
+        d._reduced = True
         yield d
 
 
@@ -181,9 +182,10 @@ def _levels(
     an inner face behind a glued dart, which ``_gluings`` tests from the
     parent alone.  Cancelling gluings are skipped unbuilt, and neither
     ``is_topological_disk`` nor ``reduced_witness`` runs on a child (the
-    tests check both invariants); only the one-cell seeds go through them.
-    Each child keeps the disk answer as ``_built`` seeds it, so a later
-    ``is_topological_disk`` reads it without a walk.
+    tests check both invariants); only the one-cell seeds go through them,
+    and each seed keeps both answers.  Each child keeps them as ``_built``
+    seeds them, so a later ``is_topological_disk`` or ``is_reduced`` reads
+    them without a walk.
 
     Duplicates are found before any child is built, from the glued
     rotation system and its outer face orbit.  Each level keys both halves
@@ -224,8 +226,10 @@ def _levels(
     first: Dict[bytes, DiskDiagram] = {}
     for w in forms:
         d = DiskDiagram.from_face_word(w, x.alphabet)
-        if is_topological_disk(d) and reduced_witness(d) is None:
-            first.setdefault(d._code(), d)
+        if is_topological_disk(d):
+            d._reduced = reduced_witness(d) is None
+            if d._reduced:
+                first.setdefault(d._code(), d)
     if not first:
         return
     max_len = max(len(w) for w in forms)

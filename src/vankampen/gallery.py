@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from .presentation import Presentation, TwoComplex, Word, presentation_complex
 from .group_models import (
@@ -36,11 +36,10 @@ from .diagram import (
     DiagramError,
     DiskDiagram,
     LiftError,
-    _spanning_darts,
     find_cutcells,
     find_shells,
+    is_reduced,
     is_topological_disk,
-    reduced_witness,
     relator_form_table,
     vertex_lift,
 )
@@ -322,39 +321,63 @@ def _shape(w: Tuple[int, ...], m: FreeProductModel) -> Optional[Tuple[frozenset,
 
 
 def _coordinates_along(
-    d: DiskDiagram, m: FreeProductModel, tree: Sequence[int]
+    d: DiskDiagram, m: FreeProductModel
 ) -> Tuple[list, Dict[int, Optional[Tuple[frozenset, int, str]]]]:
-    """The vertex points of a map, as classifier points, along its
-    ``_spanning_darts`` walk ``tree``, and each inner face's ``_shape``:
-    a half-square exactly when the face's points are ``_corners(base,
-    kind)``, and None otherwise, on which the callers raise DiagramError.
-    A single vertex has the empty walk and sits at the origin, after the
-    same alphabet check.
+    """The point of each dart's tail vertex, as a classifier point, and
+    each inner face's ``_shape``: a half-square exactly when the face's
+    points are ``_corners(base, kind)``, and None otherwise, on which the
+    callers raise DiagramError.
+
+    One walk over the darts places them, dart 0 at the origin: a dart
+    shares its point with ``sigma[d]``, and the point of ``d ^ 1`` is
+    ``d``'s plus the step of ``d``'s label.  The walk enters each vertex
+    orbit once, through the first dart of it that it reaches, and counts
+    the orbits it enters, so no vertex orbits are built.  A single vertex
+    has no dart, and it goes through the same alphabet check.
 
     Raises LiftError as ``vertex_lift`` does: when the alphabet is not the
-    model's, when the diagram is disconnected, and when it is not a
-    diagram over the model's presentation.  A connected planar map lifts
-    consistently exactly when every inner face reads a trivial word, so
-    each inner face is checked once, in face order, before any caller
-    reads a shape: a rotation of a relator or of its inverse passes by
-    lookup in the complex's ``relator_form_table``, any other word goes
-    through the model's word problem, and a word that passed is kept with
-    its shape.  A map that is not planar is checked by ``vertex_lift``
-    itself.  A map whose points could leave the packing's range raises
-    ValueError."""
+    model's, when the diagram is disconnected (a dart is not reached), and
+    when it is not a diagram over the model's presentation.  A connected
+    planar map lifts consistently exactly when every inner face reads a
+    trivial word, so each inner face is checked once, in face order,
+    before any caller reads a shape: a rotation of a relator or of its
+    inverse passes by lookup in the complex's ``relator_form_table``, any
+    other word goes through the model's word problem, and a word that
+    passed is kept with its shape.  A map that is not planar is checked
+    by ``vertex_lift`` itself.  The walk reaches each dart along a path
+    of at most E edges, so a point, and the difference of two points,
+    stays in the packing's range while 2 E times the longest step is
+    below ``POINT_HALF``; a larger map raises ValueError."""
     t = _tables(m)
     if d.alphabet != t.names:
         raise LiftError("diagram alphabet does not match the model's presentation")
-    if 2 * d.n_vertices * t.reach >= POINT_HALF:
+    if 2 * d.n_edges * t.reach >= POINT_HALF:
         raise ValueError("diagram too large for packed lattice points")
-    vertex_of, labels, step = d.vertex_of, d.labels, t.step
-    coords: list = [None] * d.n_vertices
-    coords[0] = 0
-    for a in tree:
-        coords[vertex_of[a ^ 1]] = coords[vertex_of[a]] + step[labels[a]]
-    if None in coords:
+    sigma, labels, step = d.sigma, d.labels, t.step
+    n = len(sigma)
+    pt: list = [None] * n
+    placed = []
+    vertices = 1
+    if n:
+        e = 0
+        while pt[e] is None:
+            pt[e] = 0
+            placed.append(e)
+            e = sigma[e]
+    # ``placed`` grows as the loop reads it: each vertex entered is walked too
+    for a in placed:
+        b = a ^ 1
+        if pt[b] is None:
+            p = pt[a] + step[labels[a]]
+            vertices += 1
+            e = b
+            while pt[e] is None:
+                pt[e] = p
+                placed.append(e)
+                e = sigma[e]
+    if len(placed) != n:
         raise LiftError("diagram is disconnected")
-    if d.euler_characteristic != 2:
+    if n and vertices - n // 2 + len(d.faces) != 2:
         vertex_lift(d, m)
     known, shapes = t.shapes, {}
     for fi in d.inner_face_indices:
@@ -367,7 +390,7 @@ def _coordinates_along(
                 )
             shape = known[w] = _shape(w, m)
         shapes[fi] = shape
-    return coords, shapes
+    return pt, shapes
 
 
 def torus_coordinates(d: DiskDiagram, m: FreeProductModel) -> PlanarCoords:
@@ -375,10 +398,11 @@ def torus_coordinates(d: DiskDiagram, m: FreeProductModel) -> PlanarCoords:
     cover, and the half-square each inner face covers.
 
     The coordinates are the lattice projection of the generator images,
-    summed along a walk from vertex 0 (``_coordinates_along``); no vertex
-    lift is built.  As with ``vertex_lift``, a diagram whose alphabet is not
-    the model's, a disconnected one, and one with an inner face whose word
-    the model does not send to the identity raise LiftError.  A face
+    summed along the dart walk of ``_coordinates_along`` from vertex 0,
+    each vertex read at its least dart; no vertex lift is built.  As with
+    ``vertex_lift``, a diagram whose alphabet is not the model's, a
+    disconnected one, and one with an inner face whose word the model
+    does not send to the identity raise LiftError.  A face
     whose points are not ``_corners(base, kind)`` of a half-square raises
     DiagramError.  A face's half-square is its word's shape placed at its
     first vertex: the face's word is trivial, so its projected path closes
@@ -390,13 +414,13 @@ def torus_coordinates(d: DiskDiagram, m: FreeProductModel) -> PlanarCoords:
     (1,-1): pentagon-type faces land on upper-right half-squares,
     triangle-type faces on lower-left ones.
     """
-    coords, shapes = _coordinates_along(d, m, _spanning_darts(d))
+    pt, shapes = _coordinates_along(d, m)
     squares = {}
     for fi, shape in shapes.items():
         if shape is None:
             raise DiagramError(f"face {fi} does not cover a half-square")
-        squares[fi] = (_xy(coords[d.vertex_of[d.faces[fi][0]]] + shape[1]), shape[2])
-    return PlanarCoords(tuple(map(_xy, coords)), squares)
+        squares[fi] = (_xy(pt[d.faces[fi][0]] + shape[1]), shape[2])
+    return PlanarCoords(tuple(_xy(pt[v[0]] if v else 0) for v in d.vertices), squares)
 
 
 def corner_classification(d: DiskDiagram, m: FreeProductModel) -> CornerWitness:
@@ -410,26 +434,28 @@ def corner_classification(d: DiskDiagram, m: FreeProductModel) -> CornerWitness:
     triangle without a c1, c2 and c3 dart has no such diagonal and raises
     DiagramError.
 
-    The disk test is the diagram's kept ``is_topological_disk`` answer,
-    which the enumerator seeds for the disks it builds; one
-    ``_spanning_darts`` walk places the vertices, and the faces'
-    half-squares are those of ``torus_coordinates``.  Every vertex of a
-    disk lies on an inner face, so p is the least vertex point.
+    The disk and reducedness tests are the diagram's kept
+    ``is_topological_disk`` and ``is_reduced`` answers, which the
+    enumerator seeds for the disks it builds.  The dart walk of
+    ``_coordinates_along`` places the points without building the vertex
+    orbits, and the faces' half-squares are those of
+    ``torus_coordinates``.  Every vertex of a disk has a dart and lies on
+    an inner face, so p is the least dart point.
     """
     if d.area < 2:
         raise DiagramError("corner classification needs at least two cells")
     if not is_topological_disk(d):
         raise DiagramError("corner classification needs a topological disk")
-    if reduced_witness(d) is not None:
+    if not is_reduced(d):
         raise DiagramError("corner classification needs a reduced diagram")
-    coords, shapes = _coordinates_along(d, m, _spanning_darts(d))
-    p = min(coords)
-    vertex_of, faces = d.vertex_of, d.faces
+    pt, shapes = _coordinates_along(d, m)
+    p = min(pt)
+    faces = d.faces
     holders = []
     for fi, shape in shapes.items():
         if shape is None:
             raise DiagramError(f"face {fi} does not cover a half-square")
-        if p - coords[vertex_of[faces[fi][0]]] in shape[0]:
+        if p - pt[faces[fi][0]] in shape[0]:
             holders.append(fi)
     pent_holders = [fi for fi in holders if shapes[fi][2] == "ur"]
     if pent_holders:

@@ -272,6 +272,60 @@ def test_cutcell_defn_validation():
         find_cutcells(figure_diagram(3, 1), 4)
 
 
+class CountingSigma(tuple):
+    """A rotation that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        CountingSigma.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_shell_runs_match_eager_reference_on_figures_and_hand_made_maps(thm2):
+    """The lazy walk yields the eager reference's runs in the same order on
+    the figure grids, on a single cell (one run around the whole outer
+    face), on that cell with a cell or an edge path hung at each corner,
+    and on a figure grid that has no shell."""
+    p, _m, x = thm2
+    cell = single_pentagon(p)
+    w = relator_forms(x)[0][0]
+    maps = [figure_diagram(fig, n) for fig in (1, 3) for n in (1, 2, 3, 4)]
+    maps += [cell] + [attach_face(cell, pos, 0, w) for pos in range(cell.perimeter)]
+    maps += [add_edge_path(cell, pos, (1, -2)) for pos in range(cell.perimeter)]
+    for d in maps:
+        assert list(_shell_runs(d)) == reference_shell_runs(d)
+    B = cell.perimeter
+    assert [k - j for _g, j, k in _shell_runs(cell)] == [B]
+    assert list(_shell_runs(figure_diagram(1, 2))) == []
+
+
+def test_shell_runs_stop_at_the_first_shell(thm2):
+    """Seven thm2 pentagons, each glued to the map along one edge, have a
+    shell run that ends before the last outer position.  Asking for the
+    first run reads the rotation only up to that run's end; the whole
+    walk reads it once per outer dart."""
+    p, _m, x = thm2
+    d = single_pentagon(p)
+    w = relator_forms(x)[0][0]
+    for _ in range(6):
+        d = next(
+            e
+            for pos in range(d.perimeter)
+            if d.labels[d.outer_orbit()[pos]] == w[0]
+            for e in [attach_face(d, pos, 1, w)]
+            if e is not None
+        )
+    d.sigma = CountingSigma(d.sigma)
+    CountingSigma.reads = 0
+    run = next(_shell_runs(d))
+    first = CountingSigma.reads
+    CountingSigma.reads = 0
+    list(_shell_runs(d))
+    assert first <= run[2] + 1 < d.perimeter == CountingSigma.reads
+    assert run == reference_shell_runs(d)[0]
+
+
 def test_remove_shell_area2(thm2):
     _p, _m, x = thm2
     d = figure_diagram(1, 1)
@@ -517,6 +571,28 @@ def reference_find_shells(d):
     return out
 
 
+def reference_shell_runs(d):
+    """``_shell_runs`` as it was before it went lazy: the inner dart behind
+    each outer dart and the list of run starts, both over the whole outer
+    face, then the runs between consecutive starts."""
+    if not d.n_darts:
+        return []
+    sigma, faces, face_of, outer = d.sigma, d.faces, d.face_of, d.outer_face
+    O = faces[outer]
+    B = len(O)
+    opp = [q ^ 1 if face_of[q ^ 1] != outer else -1 for q in O]
+    starts = [j for j in range(B) if opp[j] < 0 or opp[j - 1] < 0 or sigma[O[j]] != opp[j - 1]]
+    if not starts:
+        starts = [(O.index(faces[face_of[opp[0]]][0] ^ 1) + 1) % B]
+    runs = []
+    for j, k in zip(starts, starts[1:] + [starts[0] + B]):
+        if opp[j] >= 0:
+            g = face_of[opp[j]]
+            if 2 * (k - j) > len(faces[g]):
+                runs.append((g, j, k))
+    return runs
+
+
 def reference_is_connected(d):
     """Whether a walk over the darts, by ``sigma`` and by opposition,
     reaches every dart."""
@@ -560,6 +636,7 @@ def assert_detectors_match_references(d):
     shells = find_shells(d)
     assert shells == reference_find_shells(d)
     assert (next(_shell_runs(d), None) is not None) == bool(shells)
+    assert list(_shell_runs(d)) == reference_shell_runs(d)
     assert d.boundary_word_ints() == tuple(d.labels[t] for t in d.boundary_circuit())
     connected = reference_is_connected(d)
     assert d.is_connected == connected

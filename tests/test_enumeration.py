@@ -17,6 +17,7 @@ from vankampen.presentation import (
     reduce_ints,
 )
 from vankampen.diagram import (
+    DiagramError,
     DiskDiagram,
     _face_orbit,
     _face_word_from,
@@ -62,7 +63,7 @@ from vankampen.enumeration import (
     _prefix_classes,
     _reading,
 )
-from vankampen.gallery import GALLERY_IDS, LATTICE_BASIS, figure_diagram, presentation
+from vankampen.gallery import GALLERY_IDS, LATTICE_BASIS, corner_classification, figure_diagram, presentation
 from vankampen.group_models import FreeProductModel, GroupElement, pack_point, project_z2
 
 
@@ -265,8 +266,9 @@ def test_unchecked_builds_and_indexed_gluings_match_references(galleries, gid, m
             assert (checked.faces, checked.face_of, checked.outer_face) == (d.faces, d.face_of, d.outer_face)
             assert (checked.inner_face_indices, checked.area) == (d.inner_face_indices, d.area)
             assert all(type(e) is int for e in d.sigma) and type(d.outer_dart) is int
-            # the seeded disk answer is what the constructor's map answers
+            # the seeded answers are what the constructor's map answers
             assert d._disk is True and is_topological_disk(checked)
+            assert d._reduced is True and reduced_witness(checked) is None
             built += d.area > 1
             if d.area < max_area:
                 parents += 1
@@ -788,6 +790,19 @@ def test_is_minimal_rejects_cancellable_pair(galleries):
     _p, m, x = galleries["thm2"]
     # boundary is freely trivial, so the true area is 0 < 2
     assert is_minimal(cancelling_pair(galleries), x, model=m) is False
+
+
+def test_corner_classification_rejects_cancellable_pair(galleries):
+    """The classifier asks the kept reducedness answer, and a map built by
+    hand, whose answer is not kept yet, still gets its own check."""
+    m = galleries["thm2"][1]
+    d = cancelling_pair(galleries)
+    assert d._reduced is False
+    fresh = DiskDiagram(d.sigma, d.labels, d.alphabet, d.outer_dart)
+    for e in (d, fresh):
+        with pytest.raises(DiagramError, match="^corner classification needs a reduced diagram$"):
+            corner_classification(e, m)
+    assert fresh._reduced is False
 
 
 def one_sign_per_relator(d, x):

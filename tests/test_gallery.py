@@ -1,12 +1,11 @@
 import pytest
 
 from vankampen.presentation import Presentation, presentation_complex
-from vankampen.group_models import FreeProductModel, GroupElement, LatticeVector, project_z2
+from vankampen.group_models import POINT_HALF, FreeProductModel, GroupElement, LatticeVector, project_z2
 from vankampen.diagram import (
     DiagramError,
     DiskDiagram,
     LiftError,
-    _spanning_darts,
     add_edge_path,
     attach_face,
     boundary_path,
@@ -139,8 +138,11 @@ def test_face_on_three_points_of_no_unit_half_square_raises():
 
 def vertex_points(d, m):
     """The lattice projection of each vertex's lift, vertex 0 at the
-    origin, as the classifier places the vertices."""
-    return tuple(map(_xy, _coordinates_along(d, m, _spanning_darts(d))[0]))
+    origin, as the classifier places the vertices: the dart walk's point
+    at each vertex's least dart (the single vertex has no dart, and sits
+    at the origin)."""
+    pt = _coordinates_along(d, m)[0]
+    return tuple(_xy(pt[v[0]]) if v else (0, 0) for v in d.vertices)
 
 
 def _lattice_parts(d, m):
@@ -162,6 +164,65 @@ def test_vertex_coordinates_match_vertex_lifts(galleries):
         for n in (1, 2, 3):
             d = figure_diagram(fig, n)
             assert vertex_points(d, m) == _lattice_parts(d, m)
+
+
+def dart_points_and_lifts(d, m):
+    """The dart walk's point of every dart, and the lattice part of the
+    vertex lift at its tail."""
+    lift = vertex_lift(d, m)
+    pt = _coordinates_along(d, m)[0]
+    return [_xy(p) for p in pt], [m.lattice_part(lift[d.vertex_of[t]]) for t in range(d.n_darts)]
+
+
+def test_dart_points_match_vertex_lifts(galleries):
+    """Every dart's point is the lattice part of the vertex lift at its
+    tail: on every diagram of thm1 and eq1 to area 4 and on the figure
+    grids."""
+    count = 0
+    for gid in ("thm1", "eq1"):
+        _p, m, x = galleries[gid]
+        for d in enumerate_diagrams(x, EnumerationConfig(max_area=4)):
+            points, lifts = dart_points_and_lifts(d, m)
+            assert points == lifts
+            count += 1
+    for fig, gid in ((1, "thm2"), (3, "eq1")):
+        m = galleries[gid][1]
+        for n in (1, 2, 3):
+            points, lifts = dart_points_and_lifts(figure_diagram(fig, n), m)
+            assert points == lifts
+            count += 1
+    assert count
+
+
+def test_corner_classification_builds_no_vertex_orbits(galleries):
+    """The classifier places darts, so an enumerated disk that it
+    classifies still has no vertex orbits."""
+    _p, m, x = galleries["thm1"]
+    count = 0
+    for d in enumerate_diagrams(x, EnumerationConfig(max_area=3)):
+        if d.area >= 2:
+            corner_classification(d, m)
+            assert d._vertices is None and d._vertex_of is None
+            count += 1
+    assert count
+
+
+def test_packed_point_guard():
+    """The one cell of ``<a, b, c | a b c>`` with a -> (s, 0),
+    b -> (-s, s) and c -> (0, -s): its walk has 3 edges, so the points
+    are placed while 2 * 3 * s is below ``POINT_HALF``, and ValueError is
+    raised from there on, as it is at s = ``POINT_HALF``, where the point
+    (s, 0) is out of the packing's range."""
+    p = Presentation.build("a b c", ["a b c"])
+    lattice = GroupElement.lattice
+    for s, fits in ((POINT_HALF // 6, True), (POINT_HALF // 6 + 1, False), (POINT_HALF, False)):
+        m = FreeProductModel(p, 2, 0, {"a": lattice((s, 0)), "b": lattice((-s, s)), "c": lattice((0, -s))})
+        d = DiskDiagram.from_face_word(p.relators[0].letters, p.names)
+        if fits:
+            assert vertex_points(d, m) == ((0, 0), (s, 0), (0, s))
+        else:
+            with pytest.raises(ValueError, match="^diagram too large for packed lattice points$"):
+                torus_coordinates(d, m)
 
 
 def test_torus_coordinates_rejects_face_off_the_presentation():
