@@ -87,9 +87,21 @@ def _has_spur_or_shell(d: DiskDiagram) -> bool:
     """Whether ``d`` has a spur or shell, asked once per diagram and kept
     in ``d._spur_or_shell``.  Every scan pass asks it first, so passes over
     one corpus share it.  The shell half asks only whether ``_shell_runs``
-    yields a run, so it stops at the first and builds no witness."""
+    yields a run, so it stops at the first and builds no witness.
+
+    A disk that the enumerator built (it keeps a form mask, ``d._forms``)
+    has no spur, so ``find_spurs`` is not asked about it.  The edge at a
+    valence-1 vertex has one face on both sides, and every edge of such a
+    disk has two: a one-cell seed's edges lie between its face and the
+    outer face, and a gluing puts each glued outer dart in the new face,
+    whose opposite stays in an old inner face, and each new edge between
+    the new face and the outer face.  Being a topological disk is not
+    enough: a spur can hang inside an inner face whose circuit runs out
+    along it and back, and ``is_topological_disk`` reads only the outer
+    circuit."""
     if d._spur_or_shell is None:
-        d._spur_or_shell = bool(find_spurs(d)) or next(_shell_runs(d), None) is not None
+        spur = d._forms is None and bool(find_spurs(d))
+        d._spur_or_shell = spur or next(_shell_runs(d), None) is not None
     return d._spur_or_shell
 
 

@@ -212,6 +212,14 @@ class DiskDiagram:
     its boundary word, with the bound object that gave it
     (``enumeration.is_minimal``, which reuses it only for that same
     object).
+
+    A disk that the enumerator builds also keeps ``_forms``, a pair
+    ``(x, mask)`` shared by every disk of its stream with that mask: ``x``
+    is the complex it was built over, and ``mask`` has bit ``2i`` (``2i +
+    1``) set when some face was glued as a positive (negative) form of
+    relator ``i`` of ``x``, as ``relator_form_table(x)`` names it.  Every
+    other map, including one rebuilt by the constructor or ``from_json``,
+    keeps None there.
     """
 
     __slots__ = (
@@ -230,6 +238,7 @@ class DiskDiagram:
         "_spur_or_shell",
         "_disk",
         "_reduced",
+        "_forms",
         "_bound",
     )
 
@@ -291,6 +300,7 @@ class DiskDiagram:
         self._spur_or_shell = None
         self._disk = None
         self._reduced = None
+        self._forms = None
         self._bound = None
 
     # ------------------------------------------------------------------

@@ -141,20 +141,23 @@ def _gluings(
 
 
 def _built(
-    entries: List[Tuple[bytes, List[int], List[int], int]], alphabet: Tuple[str, ...]
+    entries: List[Tuple[bytes, List[int], List[int], int, Tuple[TwoComplex, int]]],
+    alphabet: Tuple[str, ...],
 ) -> Iterator[DiskDiagram]:
-    """The diagrams of ``(code, sigma, labels, outer)`` entries sorted by
-    descending code, built in ascending code order, each seeded with its
-    code and as a reduced topological disk.  Each raw entry is dropped as
-    its diagram is built.  ``_glue`` made each entry, so the constructor's
-    checks would pass, and only its setup runs."""
+    """The diagrams of ``(code, sigma, labels, outer, forms)`` entries
+    sorted by descending code, built in ascending code order, each seeded
+    with its code, as a reduced topological disk, and with its shared
+    ``(x, mask)`` pair ``forms`` (``DiskDiagram._forms``).  Each raw entry
+    is dropped as its diagram is built.  ``_glue`` made each entry, so the
+    constructor's checks would pass, and only its setup runs."""
     while entries:
-        code, sigma, labels, outer = entries.pop()
+        code, sigma, labels, outer, forms = entries.pop()
         d = DiskDiagram.__new__(DiskDiagram)
         d._setup(tuple(sigma), tuple(labels), alphabet, outer)
         d._canon = code
         d._disk = True
         d._reduced = True
+        d._forms = forms
         yield d
 
 
@@ -186,6 +189,18 @@ def _levels(
     and each seed keeps both answers.  Each child keeps them as ``_built``
     seeds them, so a later ``is_topological_disk`` or ``is_reduced`` reads
     them without a walk.
+
+    Each disk also keeps which relator forms it was glued from, as a mask
+    over ``relator_form_table(x)``: a form of relator ``i`` with
+    orientation ``o`` has the bit ``1 << (2i + (o < 0))``, a seed's mask is
+    its form's bit, and a child's is its parent's OR the bit of the form
+    glued on.  So ``_faces_meet_bound`` reads from the mask whether a
+    relator's faces carry both orientations, with no face walk.  The stream
+    keeps one ``(x, mask)`` pair per mask and every disk with that mask
+    shares it (``DiskDiagram._forms``); there are at most ``2^(2r)`` masks
+    for ``r`` relators.  A child's mask is made only when the child is
+    kept, from the gluing that built it, so it names the built disk's own
+    faces.
 
     Duplicates are found before any child is built, from the glued
     rotation system and its outer face orbit.  Each level keys both halves
@@ -219,8 +234,11 @@ def _levels(
     ``max_candidates``, when not None, caps the gluings tried over all
     levels, cancelling ones included.
     """
-    forms = list(relator_form_table(x))
+    table = relator_form_table(x)
+    forms = list(table)
     by_first = _forms_by_first(forms)
+    bit = {w: 1 << (2 * i + (o < 0)) for w, (i, o) in table.items()}
+    shared: Dict[int, Tuple[TwoComplex, int]] = {}
     n_gens = len(x.alphabet)
     # codes carry the area, so each level deduplicates on its own
     first: Dict[bytes, DiskDiagram] = {}
@@ -229,6 +247,7 @@ def _levels(
         if is_topological_disk(d):
             d._reduced = reduced_witness(d) is None
             if d._reduced:
+                d._forms = shared.setdefault(bit[w], (x, bit[w]))
                 first.setdefault(d._code(), d)
     if not first:
         return
@@ -243,6 +262,7 @@ def _levels(
         keys: set = set()
         entries = []
         for parent in level:
+            mask = parent._forms[1]
             for pos, k, w, cancels in _gluings(parent, by_first, max_len):
                 candidates += 1
                 if max_candidates is not None and candidates > max_candidates:
@@ -259,7 +279,8 @@ def _levels(
                 g = _mirror_code(sigma, labels, orbit, n_gens)
                 keys.add(f)
                 keys.add(g)
-                entries.append((min(f, g), sigma, labels, outer))
+                m = mask | bit[w]
+                entries.append((min(f, g), sigma, labels, outer, shared.setdefault(m, (x, m))))
         # a resumable stream waits at the yield; the keys are not needed there
         del keys
         if not entries:
@@ -1355,11 +1376,12 @@ def is_minimal(
     graded system for the boundary word.  A pinned bound has exactly one
     solution, and its bound is that solution's l1 norm.  With no opposite
     signs inside one column, no terms cancel, and the norm is the number
-    of faces.  Nothing is walked or solved.  (A pinned bound's columns are
-    independent, so no relator is freely trivial, whose column is zero,
-    and no two relators share a form, whose columns would differ by a
-    unit; so the relator and orientation that ``relator_form_table``
-    gives a face are its own.)
+    of faces.  Nothing is solved, and a disk that the enumerator built is
+    not walked either: the signs are read off the form mask it was built
+    with.  (A pinned bound's columns are independent, so no relator is
+    freely trivial, whose column is zero, and no two relators share a form,
+    whose columns would differ by a unit; so the relator and orientation
+    that ``relator_form_table`` gives a face are its own.)
 
     Otherwise the bound is asked about the boundary word as it stands: the
     bound does not see rotation, inversion or free reduction, so the word
@@ -1396,8 +1418,22 @@ def _faces_meet_bound(d: DiskDiagram, x: TwoComplex, hb: _InvariantBound) -> boo
     """Whether ``is_minimal``'s face certificate holds: ``hb`` is pinned,
     ``d`` is a topological disk, and its inner faces read relator forms of
     ``x`` with one orientation per relator.  Then the bound of ``d``'s
-    boundary word is ``d.area``."""
-    if not (hb.pinned and is_topological_disk(d)):
+    boundary word is ``d.area``.
+
+    A disk that ``_levels`` built over a complex equal to ``x`` answers
+    from its kept form mask (``d._forms``): relator ``i`` has faces of both
+    orientations exactly when bits ``2i`` and ``2i + 1`` are both set, that
+    is when bit ``2i`` of ``m & (m >> 1)`` is.  Any other map, or a disk
+    asked about under another complex, walks its inner faces."""
+    if not hb.pinned:
+        return False
+    kept = d._forms
+    # a scan asks under the very complex it enumerated, so try identity first
+    if kept is not None and (kept[0] is x or kept[0] == x):
+        m = kept[1]
+        # (1 << 2r) // 3 has the even bits 0, 2, ..., 2r - 2 set
+        return not m & (m >> 1) & ((1 << 2 * len(x.faces)) // 3)
+    if not is_topological_disk(d):
         return False
     table = relator_form_table(x)
     labels, faces = d.labels, d.faces

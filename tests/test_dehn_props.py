@@ -2,7 +2,15 @@ import pytest
 
 from vankampen import dehn_props
 from vankampen.presentation import Presentation, presentation_complex
-from vankampen.diagram import DiskDiagram, boundary_path, find_shells, find_spurs
+from vankampen.diagram import (
+    DiskDiagram,
+    _shell_runs,
+    add_edge_path,
+    boundary_path,
+    find_shells,
+    find_spurs,
+    is_topological_disk,
+)
 from vankampen.enumeration import EnumerationConfig, _bound_for, enumerate_diagrams, is_minimal
 from vankampen.dehn_props import (
     FSequence,
@@ -155,6 +163,46 @@ def test_scans_sharing_memos_match_fresh_copies(galleries, monkeypatch, gid, are
         second = scan_all(x, area, m, ds)
     assert second == first == scan_all(x, area, m, fresh)
     assert all(scanned > 0 for _name, scanned, *_rest in first)
+
+
+def hung_inside(d, t, label):
+    """``d`` with a new edge labelled ``label`` hung inside the face of
+    dart ``t``, at the vertex where ``t`` ends: the face's circuit runs out
+    along it to a valence-1 vertex and back."""
+    n = d.n_darts
+    sigma = list(d.sigma) + [d.sigma[t ^ 1], n + 1]
+    sigma[t ^ 1] = n
+    return DiskDiagram(sigma, d.labels + (label, -label), d.alphabet, d.outer_dart)
+
+
+def test_spur_or_shell_skips_spurs_only_on_disks_the_enumerator_built(galleries, monkeypatch):
+    """``_has_spur_or_shell`` asks no ``find_spurs`` of an enumerated disk
+    (every edge of it lies between two faces).  It still reports the spurs
+    of a single edge, whose disk answer is unknown or False, and of a
+    topological disk with a spur hanging inside an inner face: the 2x2
+    grid of squares over ``<a, b | [a, b]>``, which has no spur or shell,
+    with an edge hung inside a corner square, which is still no shell."""
+    _p, _m, x = galleries["square"]
+    ds = list(enumerate_diagrams(x, EnumerationConfig(max_area=4)))
+
+    def unexpected(d):
+        raise AssertionError("spurs asked of an enumerated disk")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(dehn_props, "find_spurs", unexpected)
+        grids = [d for d in ds if not dehn_props._has_spur_or_shell(d)]
+    assert [d.area for d in grids] == [4]
+    grid = grids[0]
+    spurred = hung_inside(grid, grid.faces[grid.inner_face_indices[0]][0], 1)
+    assert is_topological_disk(spurred) and spurred._disk is True
+    assert len(find_spurs(spurred)) == 1 and next(_shell_runs(spurred), None) is None
+    assert dehn_props._has_spur_or_shell(spurred)
+    for disk in (None, False):
+        edge = add_edge_path(DiskDiagram.single_vertex(x.alphabet), 0, (1,))
+        if disk is False:
+            assert not is_topological_disk(edge)
+        assert edge._disk is disk and len(find_spurs(edge)) == 2
+        assert dehn_props._has_spur_or_shell(edge)
 
 
 def test_is_minimal_memo_never_crosses_bound_objects(galleries):

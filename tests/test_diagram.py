@@ -687,7 +687,8 @@ def test_detectors_match_references_on_enumerated_disks(galleries, gid, max_area
     count = 0
     for e in disks_and_mirrors(galleries[gid][2], max_area):
         assert_detectors_match_references(e)
-        assert is_topological_disk(e)
+        # so the scan's spur-or-shell answer need not ask for spurs
+        assert is_topological_disk(e) and find_spurs(e) == []
         count += 1
     assert count
 

@@ -874,20 +874,126 @@ def test_is_minimal_walks_where_the_face_certificate_does_not_hold(galleries, mo
         monkeypatch.undo()
 
 
+def form_mask(d, x):
+    """The mask of ``d``'s inner faces from ``face_tags``: bit ``2i`` for a
+    face of relator ``i`` read positively, bit ``2i + 1`` for a negative
+    one."""
+    m = 0
+    for tag in face_tags(d, x):
+        if tag.kind == "inner":
+            m |= 1 << (2 * tag.relator_index + (tag.orientation < 0))
+    return m
+
+
+def assert_mask_answers_as_the_walk(ds, x):
+    """Each disk of one enumerated stream ``ds`` over ``x`` keeps the mask
+    of its own faces, shared with every disk of the stream that has that
+    mask, and ``_faces_meet_bound`` with the complex's own pinned bound
+    answers the same from the mask as with the mask cleared (the face
+    walk).  Returns how many disks have mixed signs."""
+    hb = _bound_for(x, None)
+    assert hb.pinned
+    shared = {}
+    mixed = 0
+    for d in ds:
+        kept = d._forms
+        assert kept is not None and kept[0] == x and kept[1] == form_mask(d, x), d.to_json()
+        assert shared.setdefault(kept[1], kept) is kept
+        answer = _faces_meet_bound(d, x, hb)
+        d._forms = None
+        walked = _faces_meet_bound(d, x, hb)
+        d._forms = kept
+        assert answer == walked, d.to_json()
+        mixed += not walked
+    return mixed
+
+
+# pinned one-relator complexes whose disks mostly carry both orientations
+# of the relator: (relator, area, disks, disks with mixed signs)
+MIXED_SIGN_STREAMS = [
+    ("a b a b^-1", 4, 32, 28),
+    ("a a b b", 4, 32, 31),
+    ("a b a b a^-1 b^-1", 4, 1561, 1175),
+]
+
+
+@pytest.mark.parametrize("relator,max_area,disks,mixed", MIXED_SIGN_STREAMS)
+def test_form_mask_answers_as_the_face_walk_on_mixed_signs(relator, max_area, disks, mixed):
+    """No gallery disk has mixed signs, so these streams are where the
+    mask's mixed branch is reached.  An enumerator that dropped the bit of
+    the form glued on fails here."""
+    x = presentation_complex(Presentation.build("a b", [relator]))
+    ds = list(enumerate_diagrams(x, EnumerationConfig(max_area=max_area)))
+    assert (len(ds), assert_mask_answers_as_the_walk(ds, x)) == (disks, mixed)
+
+
+@pytest.mark.parametrize("gid,max_area", LEVEL_SIZES)
+def test_form_mask_answers_as_the_face_walk_on_galleries(galleries, gid, max_area):
+    x = galleries[gid][2]
+    ds = enumerate_diagrams(x, EnumerationConfig(max_area=max_area))
+    assert assert_mask_answers_as_the_walk(ds, x) == 0
+
+
+def test_face_certificate_walks_rebuilt_disks_and_other_complexes(galleries, corpus_thm2_6, monkeypatch):
+    """A disk rebuilt by ``from_json`` or by the checking constructor keeps
+    no form mask and walks its faces, seen by ``relator_form_table``
+    calls; so does an enumerated disk asked about under another complex
+    over the same alphabet: thm2's relators in the other order, or its
+    first relator alone, under which a disk with a face ``c`` fails where
+    its mask would pass.  Under a complex equal to thm2's but built again,
+    the mask answers, since the kept complex is compared by content.
+    Every answer is the rebuilt copies' answer."""
+    p, _m, x = galleries["thm2"]
+    names = " ".join(p.names)
+    texts = [r.text() for r in p.relators]
+    again, reordered, first_alone = (
+        presentation_complex(Presentation.build(names, rels))
+        for rels in (texts, texts[::-1], texts[:1])
+    )
+    assert again == x and again is not x
+    cases = [(cx, _bound_for(cx, None)) for cx in (x, again, reordered, first_alone)]
+    assert all(hb.pinned for _cx, hb in cases)
+    calls = []
+    table = enumeration.relator_form_table
+    monkeypatch.setattr(enumeration, "relator_form_table", lambda cx: calls.append(cx) or table(cx))
+    failed = 0
+    for d in corpus_thm2_6:
+        if d.area > 4:
+            continue
+        rebuilt = (DiskDiagram.from_json(d.to_json()), DiskDiagram(d.sigma, d.labels, d.alphabet, d.outer_dart))
+        assert all(e._forms is None for e in rebuilt)
+        for cx, hb in cases:
+            calls.clear()
+            walked = [_faces_meet_bound(e, cx, hb) for e in rebuilt]
+            assert calls == [cx, cx]
+            answer = _faces_meet_bound(d, cx, hb)
+            assert calls == [cx, cx] + ([] if cx == x else [cx])
+            assert walked == [answer, answer], (cx, d.to_json())
+            failed += not answer
+    assert failed == sum(not one_sign_per_relator(d, first_alone) for d in corpus_thm2_6 if d.area <= 4) > 0
+
+
 @pytest.mark.slow
 def test_face_certificate_meets_the_walk_on_every_disk(galleries):
     """On every enumerated disk of thm2 to area 7 and thm1 to area 5, the
     face certificate holds with the model's bound and with the complex's
-    own, and the boundary walk's bound is the area, as the certificate
-    says.  An enumerator that emitted a disk with mixed signs fails here."""
+    own, both from the disk's form mask and with the mask cleared (the
+    face walk), and the boundary walk's bound is the area, as the
+    certificate says.  An enumerator that emitted a disk with mixed signs
+    fails here."""
     for gid, area in (("thm2", 7), ("thm1", 5)):
         _p, m, x = galleries[gid]
         bounds = (_bound_for(x, m), _bound_for(x, None))
         checked = 0
         for d in enumerate_diagrams(x, EnumerationConfig(max_area=area)):
             w = d.boundary_word_ints()
+            kept = d._forms
+            assert kept is not None and kept[0] == x, (gid, d.to_json())
             for hb in bounds:
                 assert _faces_meet_bound(d, x, hb) and hb.bound(w) == d.area, (gid, d.to_json())
+                d._forms = None
+                assert _faces_meet_bound(d, x, hb), (gid, d.to_json())
+                d._forms = kept
             checked += 1
         assert checked == {"thm2": 6738, "thm1": 11079}[gid]
 
